@@ -2,8 +2,9 @@
 """Monte-Carlo study of the code-overlap moments of Haar-random states.
 
 For each qubit count: estimates E[alpha_+], E[epsilon^2], checks them
-against the exact rationals, runs the tail-bound comparison, and probes
-the Lipschitz ratio.  The seed is mandatory and echoed in the output.
+against the exact rationals, runs the tail-bound comparison on the same
+states, and probes the Lipschitz ratio.  The seed is mandatory and echoed
+in the output.
 """
 
 import argparse
@@ -27,9 +28,10 @@ def run(cfg: StudyConfig) -> dict:
     out = {"config": cfg.__dict__ | {"ns": list(cfg.ns), "thresholds": list(cfg.thresholds)}}
     out["reports"] = []
     for n in cfg.ns:
-        rep = moments.mc_moment_report(n, cfg.samples, cfg.seed)
+        alphas = moments.haar_alphas(n, cfg.samples, cfg.seed)
+        rep = moments.mc_moment_report(n, cfg.samples, cfg.seed, alphas=alphas)
         rep["concentration"] = moments.concentration_report(
-            n, max(cfg.samples, 10**4), cfg.thresholds, cfg.seed
+            n, cfg.samples, cfg.thresholds, cfg.seed, alphas=alphas
         )
         rep["lipschitz"] = moments.lipschitz_probe(n, cfg.pairs, cfg.seed)
         out["reports"].append(rep)
@@ -48,6 +50,8 @@ def main() -> int:
     ap.add_argument("--thresholds", type=float, nargs="+", default=[0.25, 0.5])
     ap.add_argument("--pairs", type=int, default=3000)
     args = ap.parse_args()
+    if args.samples < 10**4:
+        ap.error("--samples must be at least 10000 for the tail study")
     cfg = StudyConfig(
         ns=tuple(args.n),
         samples=args.samples,

@@ -24,6 +24,11 @@ import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+# An orbit --mode mc estimate passes while it lies at most this many of its
+# standard errors below the design minimum; exact mode allows ORBIT_ATOL.
+ORBIT_MC_SIGMAS = 4
+ORBIT_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -72,7 +77,7 @@ def _dump_state(psi, n: int) -> dict:
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(payload, indent=2, default=float) + "\n"
+        text = json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"
     elif fmt == "csv":
         lines = []
         _flatten("", payload, lines)
@@ -221,17 +226,27 @@ def cmd_moments(cfg: RunConfig, thresholds) -> tuple[dict, bool]:
 
     if cfg.seed is None:
         raise SystemExit("moments requires --seed")
-    samples = cfg.samples or 100000
-    rep = moments.mc_moment_report(cfg.n or 2, samples, cfg.seed)
+    n = 2 if cfg.n is None else cfg.n
+    samples = 100000 if cfg.samples is None else cfg.samples
+    if not 1 <= n <= moments.EXACT_MAX_N:
+        raise ValueError(f"moments needs 1 <= n <= {moments.EXACT_MAX_N} for the exact moments")
+    if samples < 2:
+        raise ValueError("moments needs --samples >= 2 for a variance")
+    if thresholds and samples < moments.TAIL_MIN_SAMPLES:
+        raise ValueError(f"--thresholds needs --samples >= {moments.TAIL_MIN_SAMPLES}")
+    if thresholds and min(thresholds) <= 0:
+        raise ValueError("tail thresholds must be positive")
+    alphas = moments.haar_alphas(n, samples, cfg.seed)
+    rep = moments.mc_moment_report(n, samples, cfg.seed, alphas=alphas)
     ok = all(rep["pass"].values())
     if thresholds:
-        con = moments.concentration_report(cfg.n or 2, samples, thresholds, cfg.seed)
+        con = moments.concentration_report(n, samples, thresholds, cfg.seed, alphas=alphas)
         rep["concentration"] = con
         ok &= con["pass"]
     rep["exact"] = {
-        "alpha_mean": _rational(moments.alpha_mean_exact(cfg.n or 2)),
-        "alpha_second_moment": _rational(moments.exact_second_moment(cfg.n or 2)),
-        "epsilon_second_moment": _rational(moments.epsilon_second_moment_exact(cfg.n or 2)),
+        "alpha_mean": _rational(moments.alpha_mean_exact(n)),
+        "alpha_second_moment": _rational(moments.exact_second_moment(n)),
+        "epsilon_second_moment": _rational(moments.epsilon_second_moment_exact(n)),
     }
     return rep, ok
 
@@ -262,25 +277,31 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[dict, bool]:
 
     psi, n = _load_state(args)
     t = cfg.t
+    minimum = 1.0 / sym_dim(1 << n, t)
     if args.mode == "exact":
         val = orbit_frame_potential(psi, t)
         payload = {"n": n, "t": t, "mode": "exact", "phi": val}
+        slack = ORBIT_ATOL
     else:
         if cfg.seed is None:
             raise SystemExit("orbit --mode mc requires --seed")
+        samples = cfg.samples or 10000
+        if samples < 2:
+            raise ValueError("orbit --mode mc needs --samples >= 2 for a standard error")
         import numpy as np
 
         rng = np.random.Generator(np.random.Philox(cfg.seed))
-        val, stderr = orbit_frame_potential(
-            psi, t, mode="monte_carlo", samples=cfg.samples or 10000, rng=rng
-        )
+        val, stderr = orbit_frame_potential(psi, t, mode="monte_carlo", samples=samples, rng=rng)
         payload = {
             "n": n, "t": t, "mode": "monte_carlo",
             "phi": val, "stderr": stderr,
-            "samples": cfg.samples or 10000, "seed": cfg.seed,
+            "samples": samples, "seed": cfg.seed,
         }
-    payload["minimum"] = 1.0 / sym_dim(1 << n, t)
-    ok = val >= payload["minimum"] - 1e-9
+        if stderr > 0:
+            payload["margin_se"] = (val - minimum) / stderr
+        slack = max(ORBIT_MC_SIGMAS * stderr, ORBIT_ATOL)
+    payload["minimum"] = minimum
+    ok = val >= minimum - slack
     payload["pass"] = ok
     return payload, ok
 
@@ -297,22 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--threads", type=int, help="cap BLAS worker threads")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = dict(format=lambda p: p.add_argument("--format", choices=("json", "csv"),
-                                                  default="json"),
-                  out=lambda p: p.add_argument("--out"))
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    output.add_argument("--out")
 
-    p = sub.add_parser("tables", help="dimension ledger and group potentials")
+    p = sub.add_parser("tables", help="dimension ledger and group potentials", parents=[output])
     p.add_argument("--n", type=int, default=3)
-    common["format"](p)
-    common["out"](p)
 
-    p = sub.add_parser("check", help="deviation metrics of a state")
+    p = sub.add_parser("check", help="deviation metrics of a state", parents=[output])
     _add_state_source(p)
     p.add_argument("--tol", type=float, default=1e-9)
-    common["format"](p)
-    common["out"](p)
 
-    p = sub.add_parser("construct", help="exact 4-design constructions")
+    p = sub.add_parser("construct", help="exact 4-design constructions", parents=[output])
     p.add_argument("--alg1", action="store_true")
     p.add_argument("--alg2", action="store_true")
     p.add_argument("--weighted", action="store_true")
@@ -321,30 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--mode", choices=("bisect", "secant"), default="bisect")
-    common["format"](p)
-    common["out"](p)
 
-    p = sub.add_parser("moments", help="Monte-Carlo moment study")
+    p = sub.add_parser("moments", help="Monte-Carlo moment study", parents=[output])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--thresholds", help="comma-separated |epsilon| tail thresholds")
-    common["format"](p)
-    common["out"](p)
 
-    p = sub.add_parser("singer", help="basis-cycler deviation table")
+    p = sub.add_parser("singer", help="basis-cycler deviation table", parents=[output])
     p.add_argument("--n", type=int, default=1, choices=(1, 2, 4, 8))
-    common["format"](p)
-    common["out"](p)
 
-    p = sub.add_parser("orbit", help="orbit frame potential")
+    p = sub.add_parser("orbit", help="orbit frame potential", parents=[output])
     _add_state_source(p)
     p.add_argument("--t", type=int, default=4)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    common["format"](p)
-    common["out"](p)
 
     return ap
 
@@ -383,11 +392,11 @@ def main(argv=None) -> int:
             payload, ok = cmd_orbit(args, cfg)
         else:  # pragma: no cover
             raise SystemExit(f"unknown command {args.command}")
+        payload["config"] = {k: v for k, v in asdict(cfg).items() if v is not None}
+        _emit(payload, cfg.format, cfg.out)
     except (ValueError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    payload["config"] = {k: v for k, v in asdict(cfg).items() if v is not None}
-    _emit(payload, cfg.format, cfg.out)
     return 0 if ok else 1
 
 

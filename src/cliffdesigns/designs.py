@@ -37,6 +37,7 @@ __all__ = [
     "DesignReport",
     "design_report",
     "epsilon",
+    "epsilon_from_ell4",
     "frame_potential",
     "sym_dim",
     "minimal_design_size",
@@ -107,7 +108,7 @@ def design_report(psi: np.ndarray) -> DesignReport:
     d = 1 << n
     ell4 = ell4_norm4(characteristic_function(psi))
     alpha = ell4 / d**2
-    eps = d * (d + 3) / 4 * alpha - 1.0
+    eps = epsilon_from_ell4(ell4, d)
     d_plus = (d + 1) * (d + 2) // 6
     phi4 = (1.0 + 4.0 * eps**2 / ((d - 1) * (d + 4))) / sym_dim(d, 4)
     bounds = {
@@ -128,11 +129,15 @@ def design_report(psi: np.ndarray) -> DesignReport:
     )
 
 
+def epsilon_from_ell4(ell4, d: int):
+    """epsilon = d(d+3)/4 * alpha_+ - 1 with alpha_+ = ell4 / d^2, elementwise."""
+    return d * (d + 3) / 4 * (ell4 / d**2) - 1.0
+
+
 def epsilon(psi: np.ndarray) -> float:
     """Deviation of the Clifford orbit of psi from a 4-design (0 = exact)."""
-    n = _infer_n(psi)
-    d = 1 << n
-    return d * (d + 3) / 4 * alpha_plus(psi) - 1.0
+    d = 1 << _infer_n(psi)
+    return epsilon_from_ell4(alpha_plus(psi) * d**2, d)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +182,12 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     (equal to the orbit double sum by invariance; n <= 2).  Monte-Carlo
     mode samples uniform projective Cliffords and returns (estimate,
     standard error).
+
+    The standard error is std / sqrt(samples), and on heavy-tailed orbits
+    (n >= 4) it underestimates the true error badly: a sample that misses
+    the rare large overlaps has a small spread as well as a small mean.
+    On psi_T^(x)5 at 100 samples, one seed in 300 landed 15 reported
+    standard errors below the exact potential.
     """
     from . import clifford
 

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .designs import epsilon_from_ell4, sym_dim
 from .pauli import PauliLabel, alpha_plus_batch, pauli_product
-from .stabrep import cycle_type
+from .stabrep import cycle_type, permutation_cycles
 
 __all__ = [
     "MomentEstimate",
@@ -34,6 +35,9 @@ __all__ = [
     "epsilon_second_moment_exact",
     "average_phi4_ratio_exact",
     "chebyshev_bound",
+    "EXACT_MAX_N",
+    "TAIL_MIN_SAMPLES",
+    "haar_alphas",
     "S8_CLASS_COUNTS",
     "regenerate_s8_class_counts",
     "dense_second_moment_qubit",
@@ -57,6 +61,12 @@ S8_CLASS_COUNTS = {
 }
 
 
+# The second-moment census is tabulated through this qubit count.
+EXACT_MAX_N = 5
+# Tail frequencies are estimated from at least this many states.
+TAIL_MIN_SAMPLES = 10**4
+
+
 def sample_uniform_state(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-uniform unit vector in C^d (normalized complex Gaussian)."""
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
@@ -77,20 +87,11 @@ def alpha_mean_exact(n: int) -> Fraction:
     return Fraction(4, d * (d + 3))
 
 
-def _sym_dim_frac(d: int, t: int) -> Fraction:
-    num = 1
-    den = 1
-    for i in range(t):
-        num *= d + i
-        den *= i + 1
-    return Fraction(num, den)
-
-
 def _case_values(d: int) -> dict[str, Fraction]:
     """tr[P_[8] (W_a^{x4} x W_b^{x4})] for the five Pauli-pair cases."""
     fact8 = 40320
-    d8 = _sym_dim_frac(d, 8)
-    d4 = _sym_dim_frac(d, 4)
+    d8 = Fraction(sym_dim(d, 8))
+    d4 = Fraction(sym_dim(d, 4))
     # tr(P_[4] W^{x4}) for W != 1: three (2,2) and six (4) permutations
     p4w = Fraction(3 * d * d + 6 * d, 24)
     equal = Fraction(
@@ -117,8 +118,8 @@ def exact_second_moment(n: int) -> Fraction:
     Assembled from the five-case trace values and the Pauli pair counts;
     equals 16(d^2+15d+68) / (d^2(d+3)(d+5)(d+6)(d+7)).
     """
-    if n > 5:
-        raise ValueError("second moment tabulated for n <= 5")
+    if n > EXACT_MAX_N:
+        raise ValueError(f"second moment tabulated for n <= {EXACT_MAX_N}")
     d = 1 << n
     vals = _case_values(d)
     n_pairs_comm = (d * d - 1) * (d * d // 2 - 2)
@@ -130,7 +131,7 @@ def exact_second_moment(n: int) -> Fraction:
         + n_pairs_comm * vals["commuting"]
         + n_pairs_anti * vals["anticommuting"]
     )
-    return total / (d**4 * _sym_dim_frac(d, 8))
+    return total / (d**4 * sym_dim(d, 8))
 
 
 def second_moment_closed_form(n: int) -> Fraction:
@@ -183,7 +184,7 @@ def regenerate_s8_class_counts() -> dict:
             ct, {"total": 0, "balanced": 0, "signed": 0, "even_cycles": len(ct)}
         )
         entry["total"] += 1
-        cycles = _cycles_of(perm)
+        cycles = permutation_cycles(perm)
         balanced = all(
             sum(1 for e in cyc if e < 4) % 2 == 0 and sum(1 for e in cyc if e >= 4) % 2 == 0
             for cyc in cycles
@@ -200,22 +201,6 @@ def regenerate_s8_class_counts() -> dict:
             sign *= 1 if prod.phase_exp == 0 else -1
         entry["signed"] += sign
     return out
-
-
-def _cycles_of(perm) -> list[list[int]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        cycles.append(cyc)
-    return cycles
 
 
 def dense_second_moment_qubit() -> float:
@@ -257,37 +242,43 @@ class MomentEstimate:
         return dict(self.__dict__)
 
 
-def mc_moment_report(n: int, samples: int, seed: int, batch: int = 20000) -> dict:
-    """Monte-Carlo alpha_+ and epsilon moments with the exact values attached.
+def haar_alphas(n: int, samples: int, seed: int, batch: int = 20000) -> np.ndarray:
+    """alpha_+ of `samples` Haar states from the Philox stream `seed`.
 
-    Uses a counter-based Philox stream; the seed is embedded in the report
-    so any run replays bit-identically.
+    States are drawn and evaluated `batch` at a time, so the stream, and
+    with it every value, depends only on (n, samples, seed, batch).
     """
     d = 1 << n
     rng = np.random.Generator(np.random.Philox(seed))
     alphas = np.empty(samples)
-    done = 0
-    while done < samples:
-        take = min(batch, samples - done)
-        psis = _sample_uniform_batch(d, take, rng)
-        alphas[done : done + take] = alpha_plus_batch(psis)
-        done += take
-    eps = d * (d + 3) / 4 * alphas - 1.0
-    a_est = MomentEstimate(
-        mean=float(alphas.mean()),
-        second_moment=float((alphas**2).mean()),
-        variance=float(alphas.var(ddof=1)),
-        stderr=float(alphas.std(ddof=1) / np.sqrt(samples)),
-        samples=samples,
-        seed=seed,
-    )
-    e_est = MomentEstimate(
-        mean=float(eps.mean()),
-        second_moment=float((eps**2).mean()),
-        variance=float(eps.var(ddof=1)),
-        stderr=float(eps.std(ddof=1) / np.sqrt(samples)),
-        samples=samples,
-        seed=seed,
+    for lo in range(0, samples, batch):
+        take = min(batch, samples - lo)
+        alphas[lo : lo + take] = alpha_plus_batch(_sample_uniform_batch(d, take, rng))
+    return alphas
+
+
+def mc_moment_report(n: int, samples: int, seed: int, batch: int = 20000,
+                     alphas: np.ndarray | None = None) -> dict:
+    """Monte-Carlo alpha_+ and epsilon moments with the exact values attached.
+
+    Uses a counter-based Philox stream; the seed is embedded in the report
+    so any run replays bit-identically.  `alphas` passes values already
+    drawn by haar_alphas(n, samples, seed, batch).
+    """
+    d = 1 << n
+    if alphas is None:
+        alphas = haar_alphas(n, samples, seed, batch)
+    eps = epsilon_from_ell4(alphas * d**2, d)
+    a_est, e_est = (
+        MomentEstimate(
+            mean=float(x.mean()),
+            second_moment=float((x**2).mean()),
+            variance=float(x.var(ddof=1)),
+            stderr=float(x.std(ddof=1) / np.sqrt(samples)),
+            samples=samples,
+            seed=seed,
+        )
+        for x in (alphas, eps)
     )
     closed = {
         "alpha_mean": float(alpha_mean_exact(n)),
@@ -310,19 +301,21 @@ def mc_moment_report(n: int, samples: int, seed: int, batch: int = 20000) -> dic
     }
 
 
-def concentration_report(n: int, samples: int, thresholds, seed: int) -> dict:
+def concentration_report(n: int, samples: int, thresholds, seed: int,
+                         alphas: np.ndarray | None = None) -> dict:
     """Empirical tail frequencies of |epsilon| against the Chebyshev bound.
 
     Requires samples >= 10^4.  Each threshold passes when the empirical
     frequency does not exceed the bound by more than three binomial
-    standard errors.
+    standard errors.  The states are those of haar_alphas(n, samples,
+    seed), so `alphas` can pass the values a moment report already drew.
     """
-    if samples < 10**4:
-        raise ValueError("need at least 10^4 samples for tail estimates")
+    if samples < TAIL_MIN_SAMPLES:
+        raise ValueError(f"need at least {TAIL_MIN_SAMPLES} samples for tail estimates")
     d = 1 << n
-    rng = np.random.Generator(np.random.Philox(seed))
-    psis = _sample_uniform_batch(d, samples, rng)
-    eps = d * (d + 3) / 4 * alpha_plus_batch(psis) - 1.0
+    if alphas is None:
+        alphas = haar_alphas(n, samples, seed)
+    eps = epsilon_from_ell4(alphas * d**2, d)
     rows = []
     for xi in thresholds:
         bound = chebyshev_bound(n, xi)

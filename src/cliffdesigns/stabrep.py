@@ -79,20 +79,24 @@ def weyl_dim(lam: tuple, d: int) -> Fraction:
     raise ValueError(f"not a partition of 4: {lam!r}")
 
 
-def cycle_type(perm: tuple) -> tuple:
+def permutation_cycles(perm) -> list[list[int]]:
+    """The cycles of a permutation given as its tuple of images."""
     seen = [False] * len(perm)
-    lens = []
+    cycles = []
     for i in range(len(perm)):
-        if seen[i]:
-            continue
-        ln = 0
+        cyc = []
         j = i
         while not seen[j]:
             seen[j] = True
+            cyc.append(j)
             j = perm[j]
-            ln += 1
-        lens.append(ln)
-    return tuple(sorted(lens, reverse=True))
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def cycle_type(perm: tuple) -> tuple:
+    return tuple(sorted(map(len, permutation_cycles(perm)), reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,41 @@ class TestMoments:
         with pytest.raises(SystemExit):
             main(["moments", "--n", "2", "--samples", "1000"])
 
+    def test_states_evaluated_once(self, capsys, monkeypatch):
+        from cliffdesigns import moments
+
+        rows = []
+        batch = moments.alpha_plus_batch
+        monkeypatch.setattr(moments, "alpha_plus_batch", lambda p: rows.append(len(p)) or batch(p))
+        code, out = run_cli(capsys, "moments", "--n", "2", "--samples", "20000", "--seed", "7",
+                            "--thresholds", "0.5")
+        assert sum(rows) == 20000
+        # the tail study reads the same states it would draw on its own
+        con = moments.concentration_report(2, 20000, [0.5], seed=7)
+        assert json.loads(out)["concentration"] == json.loads(json.dumps(con, default=float))
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "2", "--samples", "1"),
+        ("--n", "2", "--samples", "0"),
+        ("--n", "0", "--samples", "1000"),
+        ("--n", "6", "--samples", "1000"),
+        ("--n", "2", "--samples", "1000", "--thresholds", "0.5"),
+        ("--n", "2", "--samples", "20000", "--thresholds", "0.5,0"),
+    ])
+    def test_bad_input_rejected_before_sampling(self, capsys, monkeypatch, argv):
+        from cliffdesigns import moments
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(moments, "haar_alphas", no_sampling)
+        code = main(["moments", *argv, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "sampled" not in captured.err
+
     def test_replay_identical(self, capsys):
         args = ("moments", "--n", "2", "--samples", "5000", "--seed", "9")
         _, out1 = run_cli(capsys, *args)
@@ -161,3 +196,23 @@ class TestOrbit:
         data = json.loads(out)
         exact = 0.2 * (1 + 4 * (1 / 6) ** 2 / 6)  # epsilon(psi_T) = -1/6
         assert abs(data["phi"] - exact) <= 5 * data["stderr"]
+
+    def test_mc_verdict_allows_sampling_error(self, capsys):
+        # phi_4(hoggar) exceeds the design minimum by only 2.2e-5; with this
+        # seed the estimate lands 1.7 standard errors below the minimum
+        code, out = run_cli(
+            capsys, "orbit", "--named", "hoggar", "--mode", "mc", "--samples", "2000",
+            "--seed", "1",
+        )
+        data = json.loads(out)
+        assert data["phi"] < data["minimum"]
+        assert -4 < data["margin_se"] < 0
+        assert data["margin_se"] == pytest.approx(
+            (data["phi"] - data["minimum"]) / data["stderr"], rel=1e-12)
+        assert code == 0 and data["pass"]
+
+    def test_mc_mode_needs_two_samples(self, capsys):
+        code = main(["orbit", "--named", "psi_T", "--mode", "mc", "--samples", "1",
+                     "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().out == ""

@@ -262,6 +262,12 @@ class TestSinger:
         for row in rows:
             assert row["spread"] <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_table_matches_dense_tensor_route(self, n):
+        row = singer_epsilon_table((n,))[0]
+        for v in singer_eigenstates(n):
+            assert abs(row["epsilon"] - epsilon(np.kron(v, psi_t()))) <= 1e-12
+
     def test_eigenstate_ell4_values(self):
         rows = singer_epsilon_table((1, 2))
         assert rows[0]["eigenstate_ell4"] == pytest.approx(4 / 3, abs=1e-10)

@@ -12,6 +12,7 @@ from cliffdesigns.moments import (
     dense_second_moment_qubit,
     epsilon_second_moment_exact,
     exact_second_moment,
+    haar_alphas,
     lipschitz_probe,
     mc_moment_report,
     regenerate_s8_class_counts,
@@ -94,6 +95,13 @@ class TestMonteCarloReports:
         rep = concentration_report(2, 20000, [0.25, 0.5, 1.0], seed=11)
         assert rep["pass"]
         assert abs(rep["epsilon_mean"]) < 0.02
+
+    def test_reports_share_one_stream(self):
+        alphas = haar_alphas(2, 30000, seed=5)
+        assert mc_moment_report(2, 30000, seed=5) == mc_moment_report(
+            2, 30000, seed=5, alphas=alphas)
+        assert concentration_report(2, 30000, [0.5], seed=5) == concentration_report(
+            2, 30000, [0.5], seed=5, alphas=alphas)
 
     def test_concentration_needs_samples(self):
         with pytest.raises(ValueError):

@@ -175,6 +175,19 @@ class TestCharacteristicFunction:
             want = np.array([alpha_plus(p) for p in psis])
             assert np.allclose(got, want, atol=1e-13)
 
+    def test_matches_dense_oracle_past_one_block(self, rng):
+        # d = 64 and 128 split the Hadamard transform as H_{d/32} (x) H_32
+        for n in (6, 7):
+            psi = random_state(2**n, rng)
+            xi = characteristic_function(psi)
+            for a in rng.integers(4**n, size=60):
+                want = (psi.conj() @ pauli_matrix(PauliLabel(n, int(a))) @ psi).real
+                assert abs(xi.value(int(a)) - want) < 1e-12
+
+    def test_imaginary_residue_is_checked(self, rng):
+        with pytest.raises(AssertionError):
+            characteristic_function(random_state(4, rng), imag_atol=-1.0)
+
     def test_csv_export(self, tmp_path):
         psi = np.array([1, 0], dtype=complex)
         path = tmp_path / "xi.csv"
@@ -184,3 +197,39 @@ class TestCharacteristicFunction:
         assert len(lines) == 5
         # label bit order: coordinate 1 first; the z label (1,0) reads "10"
         assert lines[1 + 0b01].startswith("10,")
+
+
+class TestBatch:
+    def test_rejects_unnormalized_row(self, rng):
+        with pytest.raises(NormalizationError):
+            alpha_plus_batch(np.array([[2, 0]]))
+        psis = np.array([random_state(4, rng) for _ in range(3)])
+        psis[1] *= 1.5
+        with pytest.raises(NormalizationError, match="row 1"):
+            alpha_plus_batch(psis)
+
+    def test_rejects_nan(self):
+        with pytest.raises(NormalizationError):
+            alpha_plus(np.array([np.nan, 0.0]))
+
+    def test_batch_of_one_is_alpha_plus(self, rng):
+        for n in (1, 5, 9):
+            psi = random_state(2**n, rng)
+            assert alpha_plus_batch(psi[None, :])[0] == alpha_plus(psi)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_rows_independent_of_batch(self, n):
+        # 5 000 states span several kernel chunks at both sizes
+        rng = np.random.default_rng(n)
+        psis = np.array([random_state(2**n, rng) for _ in range(5000)])
+        big = alpha_plus_batch(psis)
+        seven = np.concatenate([alpha_plus_batch(psis[i : i + 7]) for i in range(0, 21, 7)])
+        ones = np.array([alpha_plus_batch(p[None, :])[0] for p in psis[:21]])
+        assert np.array_equal(big[:21], seven)
+        assert np.array_equal(seven, ones)
+        assert np.array_equal(alpha_plus_batch(psis[3:]), big[3:])
+
+    def test_rows_independent_within_a_state(self, rng):
+        # d = 512 splits each state over several chunks
+        psis = np.array([random_state(512, rng) for _ in range(3)])
+        assert np.array_equal(alpha_plus_batch(psis)[1:], alpha_plus_batch(psis[1:]))
