@@ -60,9 +60,20 @@ def _load_state(args):
                 data = json.load(fh)
         except json.JSONDecodeError as err:
             raise SystemExit(f"cannot parse {args.file}: line {err.lineno}: {err.msg}")
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        if len(amps) != 1 << int(data["n"]):
-            raise SystemExit("amplitude count does not match 2^n")
+        except (OSError, UnicodeDecodeError) as err:
+            raise ValueError(f"cannot read state file {args.file}: {err}") from None
+        if not isinstance(data, dict):
+            raise ValueError("state file must hold a JSON object")
+        n = data.get("n")
+        if type(n) is not int or n < 1:
+            raise ValueError('state file needs a positive integer "n"')
+        try:
+            amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError('state file "amplitudes" must be a list of [re, im] pairs') from None
+        # the first test keeps 1 << n from being formed for a huge n
+        if n != len(amps).bit_length() - 1 or len(amps) != 1 << n:
+            raise ValueError(f"state file has {len(amps)} amplitudes, not 2^n for n = {n}")
         nrm = np.linalg.norm(amps)
         if nrm < 1e-12:
             raise SystemExit("state file has zero norm")
@@ -103,7 +114,9 @@ def _flatten(prefix: str, obj, lines: list) -> None:
 def cmd_tables(cfg: RunConfig) -> tuple[dict, bool]:
     from . import f2lin, stabrep
 
-    n_max = cfg.n or 3
+    n_max = 3 if cfg.n is None else cfg.n
+    if n_max < 1:
+        raise ValueError("tables needs --n >= 1")
     if n_max > 6:
         raise SystemExit("dimension formulas are tabulated for n <= 6 (orbit counting oracle)")
     per_n = []
@@ -164,6 +177,8 @@ def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
             "pass": ok,
         }
     elif args.alg2:
+        if n < 2:
+            raise ValueError("construct --alg2 needs --n >= 2: it extends an (n-1)-qubit state")
         stab = np.zeros(1 << n, dtype=complex)
         stab[0] = 1.0
         neg = np.kron(fiducial.singer_eigenstates(n - 1)[0], fiducial.psi_t())

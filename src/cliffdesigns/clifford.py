@@ -19,7 +19,7 @@ import numpy as np
 
 from . import f2lin
 from .f2lin import CapacityError, F2Matrix, fixed_space_dim, is_symplectic, symplectic_form
-from .pauli import PauliLabel, _product_phase, label_join, label_split, pauli_matrix
+from .pauli import PauliLabel, _product_phase, _signed_perm, apply_pauli, label_join, pauli_matrix
 
 __all__ = [
     "CliffordElement",
@@ -92,7 +92,8 @@ class CliffordElement:
             acc ^= e
             acc_im ^= fe
         delta = (phi_dst - phi_src) % 4
-        assert delta % 2 == 0
+        if delta % 2:
+            raise AssertionError(f"odd cocycle mismatch {delta} for label {a}")
         return (f + delta // 2) % 2
 
     def __matmul__(self, other: "CliffordElement") -> "CliffordElement":
@@ -181,14 +182,13 @@ def compose_word(word, n: int) -> CliffordElement:
 
 def extract_action(U: CliffordElement) -> tuple[F2Matrix, tuple[int, ...]]:
     """Recover (F, f on basis labels) from U W_e U^dag for the 2n basis Paulis."""
-    n, d = U.n, U.d
+    n = U.n
     cols = []
     signs = []
     Um = U.matrix
     Udag = Um.conj().T
     for k in range(2 * n):
-        V = Um @ pauli_matrix(PauliLabel(n, 1 << k)) @ Udag
-        b, f = _identify_signed_pauli(V, n)
+        b, f = _identify_signed_pauli(_times_pauli(Um, PauliLabel(n, 1 << k)) @ Udag, n)
         cols.append(b)
         signs.append(f)
     F = F2Matrix(tuple(f2lin._cols_to_rows(cols, 2 * n)), n)
@@ -197,8 +197,13 @@ def extract_action(U: CliffordElement) -> tuple[F2Matrix, tuple[int, ...]]:
     return F, tuple(signs)
 
 
+def _times_pauli(M: np.ndarray, p: PauliLabel) -> np.ndarray:
+    """M @ (i^j W_a) by a column gather: column k is v[k] times column k ^ x of M."""
+    x, v = _signed_perm(p)
+    return M[:, np.arange(len(v)) ^ x] * v
+
+
 def _identify_signed_pauli(V: np.ndarray, n: int, atol: float = 1e-10) -> tuple[int, int]:
-    d = 1 << n
     col0 = np.abs(V[:, 0])
     r = int(np.argmax(col0))
     if abs(col0[r] - 1.0) > atol:
@@ -270,7 +275,8 @@ def transvection_decomposition(F: F2Matrix) -> list[int]:
                 w = _midpoint(c, partner, [(lead, 1)], k, n)
                 apply_left(c ^ w)
                 apply_left(w ^ partner)
-    assert tuple(g) == tuple(1 << i for i in range(nn))
+    if tuple(g) != tuple(1 << i for i in range(nn)):
+        raise AssertionError("transvections did not reduce F to the identity")
     return out
 
 
@@ -292,33 +298,20 @@ def _midpoint(c: int, target: int, extra, k: int, n: int) -> int:
 def lift_symplectic(F: F2Matrix) -> CliffordElement:
     """Some Clifford unitary inducing F, built from transvection factors.
 
-    Each transvection Z_v lifts to (1 + i W_v)/sqrt(2); an extra global
+    Each transvection Z_v lifts to (1 + i W_v)/sqrt(2), applied as
+    U <- (U + i U W_v)/sqrt(2) by a column gather; an extra global
     phase keeps all matrix entries in Q[i] when the factor count is odd.
     The representative is one of the 4d^2 unitaries inducing F and is
     deterministic but otherwise arbitrary.
     """
     n = F.n
-    d = 1 << n
     vecs = transvection_decomposition(F)
-    U = np.eye(d, dtype=complex)
+    U = np.eye(1 << n, dtype=complex)
     for v in vecs:
-        W = pauli_matrix(PauliLabel(n, v))
-        U = U @ ((np.eye(d) + 1j * W) / np.sqrt(2.0))
+        U = (U + 1j * _times_pauli(U, PauliLabel(n, v))) / np.sqrt(2.0)
     if len(vecs) % 2:
         U = U * np.exp(-0.25j * np.pi)
     return CliffordElement(U, n, action=None)
-
-
-def _pauli_left_mul(a: int, M: np.ndarray, n: int) -> np.ndarray:
-    """W_a @ M without forming the Pauli matrix."""
-    d = 1 << n
-    z, x = label_split(a, n)
-    idx = np.arange(d)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-    phase = 1j ** ((a & (a >> 1) & 0x5555555555555555).bit_count())
-    out = np.empty_like(M)
-    out[idx ^ x, :] = (phase * signs)[:, None] * M
-    return out
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
@@ -328,7 +321,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     F = f2lin.random_symplectic(n, rng)
     U = lift_symplectic(F)
     a = int(f2lin._rand_below(rng, 1 << (2 * n)))
-    return CliffordElement(_pauli_left_mul(a, U.matrix, n), n)
+    return CliffordElement(apply_pauli(PauliLabel(n, a), U.matrix), n)
 
 
 @dataclass(frozen=True)
@@ -369,7 +362,7 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
     for F in f2lin.enumerate_sp(n):
         UF = lift_symplectic(F).matrix
         for a in range(d * d):
-            mats.append(_pauli_left_mul(a, UF, n))
+            mats.append(apply_pauli(PauliLabel(n, a), UF))
     return np.array(mats)
 
 

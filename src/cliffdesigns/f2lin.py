@@ -338,7 +338,9 @@ def _iter_sp_rows(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_sp(n: int) -> Iterator[F2Matrix]:
-    """Yield every element of Sp(2n, F_2) exactly once (n <= 3)."""
+    """Yield every element of Sp(2n, F_2) exactly once (1 <= n <= 3)."""
+    if n < 1:
+        raise DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if n > SP_ENUM_MAX_N:
         raise CapacityError(
             f"|Sp({2 * n},F2)| = {sp_order(n)} is beyond exhaustive enumeration; "

@@ -310,7 +310,8 @@ def _gf_trace_vector(p: int, m: int) -> int:
         for _ in range(m - 1):
             sq = _gf_mul(sq, sq, p, m)
             acc ^= sq
-        assert acc in (0, 1)
+        if acc not in (0, 1):
+            raise AssertionError(f"GF(2^{m}) trace of basis element {i} is not in GF(2)")
         t |= acc << i
     return t
 
@@ -357,7 +358,8 @@ def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     # basis of the subfield GF(2^n) = fixed points of u -> u^{2^n}
     frob_cols = [frob_n(1 << i) ^ (1 << i) for i in range(m)]
     fq_basis = _kernel_basis(frob_cols, m)
-    assert len(fq_basis) == n
+    if len(fq_basis) != n:
+        raise AssertionError(f"subfield GF(2^{n}) has a basis of {len(fq_basis)} elements")
     beta = next(
         b for b in range(1, 1 << m) if all(trace(_gf_mul(c, b, p, m)) == 0 for c in fq_basis)
     )

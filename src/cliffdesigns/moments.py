@@ -197,7 +197,8 @@ def regenerate_s8_class_counts() -> dict:
             prod = PauliLabel.identity(1)
             for e in cyc:
                 prod = pauli_product(prod, z if e < 4 else x)
-            assert prod.a == 0 and prod.phase_exp in (0, 2)
+            if prod.a != 0 or prod.phase_exp % 2:
+                raise AssertionError(f"balanced cycle gives Pauli product {prod}, not +-1")
             sign *= 1 if prod.phase_exp == 0 else -1
         entry["signed"] += sign
     return out

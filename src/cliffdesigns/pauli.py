@@ -6,6 +6,12 @@ bit pairs of a (see f2lin for the bit convention), and j is a power of i
 kept modulo 4.  With sigma_{(z,x)} = i^{zx} X^x Z^z the bare W_a (j = 0)
 is always Hermitian and squares to the identity.
 
+Every i^j W_a is a signed permutation of the computational basis: with
+(z, x) = label_split(a, n) it sends |k> to i^{j + |z&x|} (-1)^{|z&k|} |k ^ x>,
+|.| the popcount.  One kernel returns that pair (x, phases); dense
+matrices, the action on states and matrices, and the Clifford lift all
+read W_a from it, so the sign and i-power conventions live in one place.
+
 The characteristic function of a state collects all d^2 real expectation
 values <psi|W_a|psi>.  One kernel computes it for a batch of states, by
 real Walsh-Hadamard GEMMs H_d = H_{d/b} (x) H_b, b = min(d, 32), for every
@@ -36,12 +42,7 @@ __all__ = [
     "label_join",
 ]
 
-_SIGMA = {
-    (0, 0): np.array([[1, 0], [0, 1]], dtype=complex),
-    (0, 1): np.array([[0, 1], [1, 0]], dtype=complex),
-    (1, 0): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
+_I_POW = np.array([1, 1j, -1, -1j])
 
 NORM_ATOL = 1e-10
 
@@ -96,12 +97,20 @@ def label_join(z: int, x: int, n: int) -> int:
     return a
 
 
+def _signed_perm(p: PauliLabel) -> tuple[int, np.ndarray]:
+    """(x, v) with (i^j W_a)[k ^ x, k] = v[k] for every basis index k."""
+    z, x = label_split(p.a, p.n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << p.n) & z) & 1)
+    return x, _I_POW[(p.phase_exp + (z & x).bit_count()) % 4] * signs
+
+
 def pauli_matrix(p: PauliLabel) -> np.ndarray:
     """Dense d x d realization of i^j W_a."""
-    out = np.array([[1.0 + 0j]])
-    for i in range(1, p.n + 1):
-        out = np.kron(out, _SIGMA[_qubit_bits(p.a, p.n, i)])
-    return (1j ** p.phase_exp) * out
+    x, v = _signed_perm(p)
+    k = np.arange(len(v))
+    out = np.zeros((len(v), len(v)), dtype=complex)
+    out[k ^ x, k] = v
+    return out
 
 
 def _product_phase(a: int, b: int, n: int) -> int:
@@ -127,20 +136,17 @@ def commutes(p: PauliLabel, q: PauliLabel) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# matrix-free action on state vectors
+# action on states and matrices
 
 
 def apply_pauli(p: PauliLabel, psi: np.ndarray) -> np.ndarray:
-    """i^j W_a |psi> by index permutation and phase flips; no dense matrix."""
+    """i^j W_a psi for a (d,) state or a (d, m) matrix, by a signed row permutation."""
     d = 1 << p.n
-    if psi.shape != (d,):
-        raise DimensionError(f"state must have length {d}")
-    z, x = label_split(p.a, p.n)
-    idx = np.arange(d)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-    phase = (1j ** p.phase_exp) * (1j ** ((p.a & (p.a >> 1) & 0x5555555555555555).bit_count()))
-    out = np.empty(d, dtype=complex)
-    out[idx ^ x] = phase * signs * psi
+    if psi.ndim not in (1, 2) or psi.shape[0] != d:
+        raise DimensionError(f"expected a ({d},) state or a ({d}, m) matrix")
+    x, v = _signed_perm(p)
+    out = np.empty(psi.shape, dtype=complex)
+    out[np.arange(d) ^ x] = v.reshape((d,) + (1,) * (psi.ndim - 1)) * psi
     return out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import f2lin
 from .f2lin import CapacityError, F2Matrix, IsotropicSubspace, fixed_space_dim
-from .pauli import PauliLabel, pauli_matrix
+from .pauli import PauliLabel, _signed_perm, pauli_matrix
 
 __all__ = [
     "PARTITIONS",
@@ -298,19 +298,13 @@ def numeric_symplectic_character(U, k: int = 4) -> float:
     Uses tr(U^{x k} W_a^{x k}) = [tr(U W_a)]^k so no d^k-dimensional matrix
     is formed; cross-validates the exact character.
     """
-    from .pauli import label_split
-
     n = U.n
     d = 1 << n
-    m = U.matrix
-    idx = np.arange(d)
+    k_idx = np.arange(d)
     total = 0.0 + 0.0j
     for a in range(d * d):
-        z, x = label_split(a, n)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1)
-        phase = 1j ** ((a & (a >> 1) & 0x5555555555555555).bit_count())
-        tr = phase * np.sum(m[idx, idx ^ x] * signs)
-        total += tr**k
+        x, v = _signed_perm(PauliLabel(n, a))
+        total += np.sum(U.matrix[k_idx, k_idx ^ x] * v) ** k
     return float((total / d**2).real)
 
 
@@ -408,6 +402,7 @@ def isotropic_orbit_states(n: int) -> list[tuple[IsotropicSubspace, np.ndarray]]
             if nrm > 1e-8:
                 state = v / nrm
                 break
-        assert state is not None
+        if state is None:
+            raise AssertionError("code projector annihilates every basis vector")
         out.append((M, state))
     return out

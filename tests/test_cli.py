@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cliffdesigns
 from cliffdesigns.cli import main
 
 
@@ -10,6 +13,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def assert_rejected(capsys, *argv):
+    """Exit 2 with a one-line error and nothing on stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 class TestTables:
@@ -39,6 +51,10 @@ class TestTables:
         _, out1 = run_cli(capsys, "tables", "--n", "2")
         _, out2 = run_cli(capsys, "tables", "--n", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_rejected(self, capsys, n):
+        assert_rejected(capsys, "tables", "--n", n)
 
 
 class TestCheck:
@@ -71,6 +87,29 @@ class TestCheck:
             main(["check", "--file", str(path)])
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("content", [
+        None,  # no such file
+        "[1, 2]",
+        '"state"',
+        '{"amplitudes": [[1, 0], [0, 0]]}',
+        '{"n": "1", "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n": 1.0, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n": true, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n": 0, "amplitudes": [[1, 0]]}',
+        '{"n": 100000000000, "amplitudes": [[1, 0], [0, 0]]}',
+        '{"n": 1}',
+        '{"n": 1, "amplitudes": 5}',
+        '{"n": 1, "amplitudes": [[1, 0, 0], [0, 0]]}',
+        '{"n": 1, "amplitudes": [["1", 0], [0, 0]]}',
+        '{"n": 1, "amplitudes": [[1, null], [0, 0]]}',
+        '{"n": 2, "amplitudes": [[1, 0], [0, 0]]}',
+    ])
+    def test_bad_state_file_rejected(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        if content is not None:
+            path.write_text(content)
+        assert_rejected(capsys, "check", "--file", str(path))
+
     def test_zero_norm_rejected(self, tmp_path):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [0, 0]]}))
@@ -102,6 +141,9 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert data["phi4"] == pytest.approx(0.2, abs=1e-9)
+
+    def test_alg2_needs_two_qubits(self, capsys):
+        assert_rejected(capsys, "construct", "--alg2", "--n", "1")
 
     def test_requires_mode(self, capsys):
         with pytest.raises(SystemExit):
@@ -216,3 +258,13 @@ class TestOrbit:
                      "--seed", "1"])
         assert code == 2
         assert capsys.readouterr().out == ""
+
+
+def test_no_bare_assert_in_package():
+    # python -O strips assert statements; invariants raise AssertionError instead
+    sources = sorted(Path(cliffdesigns.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on lines {lines}"

@@ -105,6 +105,11 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             next(enumerate_sp(4))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_nonpositive_n(self, n):
+        with pytest.raises(DimensionError):
+            next(enumerate_sp(n))
+
     def test_from_index_roundtrip_n2(self):
         mats = list(enumerate_sp(2))
         for idx in (0, 1, 17, 333, 719):

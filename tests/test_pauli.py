@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdesigns.f2lin import symplectic_form
+from cliffdesigns.f2lin import DimensionError, symplectic_form
 from cliffdesigns.pauli import (
     NormalizationError,
     PauliLabel,
@@ -23,6 +23,15 @@ from conftest import random_state
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def kron_pauli(p):
+    """Oracle: i^j W_a as a Kronecker product of single-qubit i^{zx} X^x Z^z."""
+    sigma = {(0, 0): np.eye(2, dtype=complex), (0, 1): SX, (1, 0): SZ, (1, 1): SY}
+    out = np.array([[1.0 + 0j]])
+    for i in range(p.n):
+        out = np.kron(out, sigma[(p.a >> (2 * i)) & 1, (p.a >> (2 * i + 1)) & 1])
+    return (1j**p.phase_exp) * out
 
 
 class TestMatrices:
@@ -48,6 +57,13 @@ class TestMatrices:
     def test_phase_exponent(self):
         w = pauli_matrix(PauliLabel(1, 0b01, 3))
         assert np.allclose(w, (1j**3) * SZ)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_kronecker_build(self, n):
+        for a in range(4**n):
+            for j in range(4):
+                p = PauliLabel(n, a, j)
+                assert np.array_equal(pauli_matrix(p), kron_pauli(p)), (a, j)
 
 
 class TestProduct:
@@ -115,6 +131,19 @@ class TestApply:
                 assert np.allclose(
                     apply_pauli(p, psi), pauli_matrix(p) @ psi, atol=1e-14
                 )
+
+    def test_matrix_against_dense(self, rng):
+        for n in (1, 3, 5):
+            d = 2**n
+            m = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+            for a in range(0, 4**n, max(4**n // 40, 1)):
+                p = PauliLabel(n, a, a % 4)
+                assert np.allclose(apply_pauli(p, m), pauli_matrix(p) @ m, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 2, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(DimensionError):
+            apply_pauli(PauliLabel(1, 1), np.zeros(shape))
 
 
 class TestLabelSplit:
