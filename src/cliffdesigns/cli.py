@@ -59,7 +59,7 @@ def _load_state(args):
             with open(args.file) as fh:
                 data = json.load(fh)
         except json.JSONDecodeError as err:
-            raise SystemExit(f"cannot parse {args.file}: line {err.lineno}: {err.msg}")
+            raise ValueError(f"cannot parse {args.file}: line {err.lineno}: {err.msg}") from None
         except (OSError, UnicodeDecodeError) as err:
             raise ValueError(f"cannot read state file {args.file}: {err}") from None
         if not isinstance(data, dict):
@@ -76,7 +76,7 @@ def _load_state(args):
             raise ValueError(f"state file has {len(amps)} amplitudes, not 2^n for n = {n}")
         nrm = np.linalg.norm(amps)
         if nrm < 1e-12:
-            raise SystemExit("state file has zero norm")
+            raise ValueError("state file has zero norm")
         psi = amps / nrm
     n = len(psi).bit_length() - 1
     return psi, n
@@ -112,13 +112,11 @@ def _flatten(prefix: str, obj, lines: list) -> None:
 
 
 def cmd_tables(cfg: RunConfig) -> tuple[dict, bool]:
-    from . import f2lin, stabrep
+    from . import stabrep
 
     n_max = 3 if cfg.n is None else cfg.n
-    if n_max < 1:
-        raise ValueError("tables needs --n >= 1")
-    if n_max > 6:
-        raise SystemExit("dimension formulas are tabulated for n <= 6 (orbit counting oracle)")
+    if not 1 <= n_max <= 6:
+        raise ValueError(f"tables needs 1 <= --n <= 6 for the orbit-counting oracle, got --n {n_max}")
     per_n = []
     ok = True
     for n in range(1, n_max + 1):
@@ -128,17 +126,11 @@ def cmd_tables(cfg: RunConfig) -> tuple[dict, bool]:
             "d": 1 << n,
             "rows": [r.to_dict() for r in rows],
         }
-        if n <= 6:
-            oracle = stabrep.orbit_counting_dims(n)
-            entry["string_orbit_oracle"] = list(oracle)
-            ok &= oracle == (rows[0].D_plus, rows[1].D_plus)
-        if n <= f2lin.SP_ENUM_MAX_N:
-            entry["multiplicity_sum_k4"] = _rational(stabrep.sp_multiplicity_sum(n, 4))
-            entry["frame_potential_t4"] = _rational(stabrep.clifford_frame_potential(n, 4))
-        else:
-            entry["frame_potential_t4"] = (
-                f"unavailable: Sp({2*n},F2) enumeration capped at n={f2lin.SP_ENUM_MAX_N} (f2lin)"
-            )
+        oracle = stabrep.orbit_counting_dims(n)
+        entry["string_orbit_oracle"] = list(oracle)
+        ok &= oracle == (rows[0].D_plus, rows[1].D_plus)
+        entry["multiplicity_sum_k4"] = _rational(stabrep.sp_multiplicity_sum(n, 4))
+        entry["frame_potential_t4"] = _rational(stabrep.clifford_frame_potential(n, 4))
         per_n.append(entry)
     return {"tables": per_n, "pass": ok}, ok
 
@@ -163,9 +155,13 @@ def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
     from . import fiducial
 
     n = cfg.n
-    if n is None:
-        raise SystemExit("construct requires --n")
-    if args.alg1:
+    mode = next((m for m in ("alg1", "alg2", "weighted") if getattr(args, m)), None)
+    if mode is None:
+        raise SystemExit("construct needs one of --alg1 / --alg2 / --weighted")
+    least = 1 if mode == "weighted" else 2  # alg1 and alg2 extend an (n-1)-qubit state
+    if n < least:
+        raise ValueError(f"construct --{mode} needs --n >= {least}, got --n {n}")
+    if mode == "alg1":
         base = fiducial.named_fiducial(args.base) if args.base else _default_base(n)
         psi = fiducial.tensor_completion(base, n)
         rep = design_report(psi)
@@ -176,9 +172,7 @@ def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
             "report": rep.to_dict(),
             "pass": ok,
         }
-    elif args.alg2:
-        if n < 2:
-            raise ValueError("construct --alg2 needs --n >= 2: it extends an (n-1)-qubit state")
+    elif mode == "alg2":
         stab = np.zeros(1 << n, dtype=complex)
         stab[0] = 1.0
         neg = np.kron(fiducial.singer_eigenstates(n - 1)[0], fiducial.psi_t())
@@ -194,7 +188,7 @@ def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
             "report": rep.to_dict(),
             "pass": ok,
         }
-    elif args.weighted:
+    else:
         pos = np.zeros(1 << n, dtype=complex)
         pos[0] = 1.0
         if n == 1:
@@ -215,8 +209,6 @@ def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
             "phi4_target": target,
             "pass": ok,
         }
-    else:
-        raise SystemExit("construct needs one of --alg1 / --alg2 / --weighted")
     return payload, ok
 
 
@@ -239,8 +231,6 @@ def _default_base(n: int):
 def cmd_moments(cfg: RunConfig, thresholds) -> tuple[dict, bool]:
     from . import moments
 
-    if cfg.seed is None:
-        raise SystemExit("moments requires --seed")
     n = 2 if cfg.n is None else cfg.n
     samples = 100000 if cfg.samples is None else cfg.samples
     if not 1 <= n <= moments.EXACT_MAX_N:
@@ -377,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
     cfg = RunConfig(
         command=args.command,
         n=getattr(args, "n", None),

@@ -165,9 +165,11 @@ def frame_potential(states, t: int, weights=None, block: int = 2048) -> float:
     conj = psis.conj()
     total = 0.0
     for lo in range(0, k, block):
-        g = psis[lo : lo + block] @ conj.T
-        p = np.abs(g) ** 2
-        total += float(np.einsum("i,ij,j->", w[lo : lo + block], p**t, w))
+        # in place: a block holds one complex and one real K-wide array
+        p = np.abs(psis[lo : lo + block] @ conj.T)
+        np.square(p, out=p)
+        np.power(p, t, out=p)
+        total += float(np.einsum("i,ij,j->", w[lo : lo + block], p, w))
     d = psis.shape[1]
     if total < 1.0 / sym_dim(d, t) - BOUND_SLACK:
         raise AssertionError("frame potential below the design minimum")

@@ -9,12 +9,14 @@ Matrices act on column vectors; an F2Matrix stores its 2n rows as ints,
 so (M v) bit i = parity(rows[i] & v).
 
 The module provides enumeration and exactly-uniform sampling of
-Sp(2n, F_2), fixed-space dimensions, and maximal isotropic subspaces.
+Sp(2n, F_2), fixed-space dimensions, closed-form orbit counts and the
+fixed-space histogram for every n, and maximal isotropic subspaces.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -31,6 +33,7 @@ __all__ = [
     "symplectic_from_index",
     "random_symplectic",
     "maximal_isotropic_subspaces",
+    "sp_orbit_count",
     "matrix_to_hex",
     "matrix_from_hex",
 ]
@@ -159,19 +162,22 @@ def _column(rows, j: int) -> int:
     return c
 
 
-def _rank(rows) -> int:
+def _independent(rows) -> list[int]:
+    """The rows that are independent of the rows before them."""
+    out = []
     pivots = {}
-    rank = 0
     for v in rows:
-        while v:
-            h = v.bit_length() - 1
-            if h in pivots:
-                v ^= pivots[h]
-            else:
-                pivots[h] = v
-                rank += 1
-                break
-    return rank
+        r = v
+        while r and (h := r.bit_length() - 1) in pivots:
+            r ^= pivots[h]
+        if r:
+            pivots[h] = r
+            out.append(v)
+    return out
+
+
+def _rank(rows) -> int:
+    return len(_independent(rows))
 
 
 def _reduce(v: int, basis) -> int:
@@ -183,20 +189,47 @@ def _reduce(v: int, basis) -> int:
     return v
 
 
-def _rref(rows) -> tuple[int, ...]:
-    """Reduced row echelon basis, sorted by leading bit descending."""
-    basis = []
-    for v in rows:
-        for b in basis:
-            h = b.bit_length() - 1
-            if (v >> h) & 1:
-                v ^= b
-        if v:
-            # clear this pivot from existing rows
-            h = v.bit_length() - 1
-            basis = [b ^ v if (b >> h) & 1 else b for b in basis]
-            basis.append(v)
-    return tuple(sorted(basis, reverse=True))
+def _gauss_jordan(rows, m: int) -> tuple[dict[int, int], list[int]]:
+    """Gauss-Jordan elimination of the augmented rows [rows | I] on bits 0..m-1.
+
+    Returns the fully reduced pivot rows, keyed by pivot bit, and the
+    identity parts h of the rows that reduced to zero: a basis of the
+    relations, XOR of rows[i] over the set bits i of h equal to 0.
+    """
+    mask = (1 << m) - 1
+    pivots: dict[int, int] = {}
+    null = []
+    for i, r in enumerate(rows):
+        r |= 1 << (m + i)
+        for h, p in pivots.items():
+            if (r >> h) & 1:
+                r ^= p
+        if not r & mask:
+            null.append(r >> m)
+            continue
+        h = (r & mask).bit_length() - 1
+        for k, p in pivots.items():
+            if (p >> h) & 1:
+                pivots[k] = p ^ r
+        pivots[h] = r
+    return pivots, null
+
+
+def _inverse(rows, m: int) -> tuple[int, ...]:
+    """Rows of the inverse of the m x m matrix with the given rows."""
+    pivots, null = _gauss_jordan(rows, m)
+    if null:
+        raise ValueError("matrix is singular")
+    return tuple(pivots[c] >> m for c in range(m))
+
+
+def _kernel(cols, m: int) -> list[int]:
+    """Kernel of the map with the given columns (m-bit images), as its
+    reduced echelon basis in ascending order."""
+    k = len(cols)
+    # eliminating the relations once more reduces them to echelon form
+    pivots, _ = _gauss_jordan(_gauss_jordan(cols, m)[1], k)
+    return sorted(p & ((1 << k) - 1) for p in pivots.values())
 
 
 # ---------------------------------------------------------------------------
@@ -274,32 +307,50 @@ def _second_image(f1: int, b: int, n: int) -> int:
     return g
 
 
-def _complete_symplectic_basis(u: int, v: int, n: int) -> list[int]:
-    """Deterministic symplectic basis (u, v, u2, v2, ...) of F_2^{2n}."""
-    nn = 2 * n
-    pairs = [(u, v)]
-    candidates = [1 << j for j in range(nn)]
-    while 2 * len(pairs) < nn:
-        reduced = []
-        pivots = []
-        for c in candidates:
-            for (a, b) in pairs:
-                if symplectic_form(a, c, n):
-                    c ^= b
-                if symplectic_form(b, c, n):
-                    c ^= a
-            r = _reduce(c, pivots)
-            if r:
-                pivots = list(_rref(pivots + [c]))
-                reduced.append(c)
-        u2 = reduced[0]
-        v2 = next(c for c in reduced[1:] if symplectic_form(u2, c, n))
-        pairs.append((u2, v2))
-        candidates = reduced
-    cols = []
-    for (a, b) in pairs:
-        cols += [a, b]
-    return cols
+def _omega(a: int, b: int) -> int:
+    """<a,b> without the range check, for the inner loops."""
+    return _parity(a & _swap_pairs(b))
+
+
+def _project(pool, pairs, form) -> list[int]:
+    """Project pool onto the form-complement of the hyperbolic pairs and
+    keep the projections that are independent of those before them."""
+    out = []
+    for c in pool:
+        for (a, b) in pairs:
+            if form(a, c):
+                c ^= b
+            if form(b, c):
+                c ^= a
+        out.append(c)
+    return _independent(out)
+
+
+def _symplectic_basis(form, m: int, pairs=(), u_pool=None) -> list[int]:
+    """Columns (u1, v1, u2, v2, ...) in which the nondegenerate alternating
+    form on F_2^m is standard: form(u_i, v_i) = 1, all other pairs 0.
+
+    The basis starts with the given hyperbolic pairs.  Each round projects
+    the unit vectors onto the complement of the pairs so far (the pool
+    shrinks to the independent projections), takes u from the pool and v
+    as the first pool vector pairing with u.  With u_pool, u is drawn from
+    the projections of u_pool instead; an isotropic u_pool of dimension
+    m/2 then becomes the span of the u_i.
+    """
+    pairs = list(pairs)
+    pool = [1 << j for j in range(m)]
+    new = pairs
+    while 2 * len(pairs) < m:
+        pool = _project(pool, new, form)
+        if u_pool is None:
+            u = pool[0]
+        else:
+            u_pool = _project(u_pool, new, form)
+            u = u_pool[0]
+        v = next(c for c in pool if form(u, c))
+        new = [(u, v)]
+        pairs += new
+    return [c for pair in pairs for c in pair]
 
 
 def _pair_representative(q: int, n: int) -> tuple[int, ...]:
@@ -308,7 +359,7 @@ def _pair_representative(q: int, n: int) -> tuple[int, ...]:
     f1_idx, b = divmod(q, 1 << (nn - 1))
     f1 = f1_idx + 1
     g = _second_image(f1, b, n)
-    cols = _complete_symplectic_basis(f1, g, n)
+    cols = _symplectic_basis(_omega, nn, [(f1, g)])
     return tuple(_cols_to_rows(cols, nn))
 
 
@@ -389,55 +440,67 @@ def random_symplectic(n: int, rng: np.random.Generator) -> F2Matrix:
 
 
 # ---------------------------------------------------------------------------
-# fixed-space statistics over the whole group (vectorized sweep)
+# orbit counts and fixed-space statistics, in closed form
+
+
+def _gaussian_binomial(m: int, r: int) -> int:
+    """Number of r-dimensional subspaces of F_2^m."""
+    num = math.prod((1 << (m - i)) - 1 for i in range(r))
+    return num // math.prod((1 << (i + 1)) - 1 for i in range(r))
+
+
+def _gl_order(k: int) -> int:
+    """|GL(k, F_2)|."""
+    return math.prod((1 << k) - (1 << i) for i in range(k))
+
+
+def sp_orbit_count(n: int, m: int) -> int:
+    """Number of Sp(2n, F_2)-orbits on m-tuples of vectors of F_2^{2n}.
+
+    By Witt's theorem an orbit is fixed by the relations of the tuple, a
+    subspace of F_2^m of codimension r, and the form induced on the
+    quotient F_2^r, an alternating form of rank 2s; it occurs iff
+    r - s <= n.  There are [r, 2s]_2 |GL(2s)| / |Sp(2s)| such forms.
+    By Burnside's lemma this is also the group average of 2^{m dim ker(F-1)}.
+    """
+    if n < 1:
+        raise DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
+    if m < 0:
+        raise ValueError(f"tuple length must be >= 0, got {m}")
+    total = 0
+    for r in range(m + 1):
+        forms = sum(
+            _gaussian_binomial(r, 2 * s) * _gl_order(2 * s) // sp_order(s)
+            for s in range(r // 2 + 1)
+            if r - s <= n
+        )
+        total += _gaussian_binomial(m, r) * forms
+    return total
 
 
 @functools.lru_cache(maxsize=None)
 def fixed_dim_histogram(n: int) -> tuple[int, ...]:
     """Histogram over Sp(2n, F_2) of dim ker(F - 1); entry k counts dims == k.
 
-    Exact integer counts; the sweep is vectorized over the trailing
-    Sp(2n-2) factor so n = 3 (1 451 520 elements) stays fast.
+    By Burnside's lemma sum_k c_k 2^{mk} = |Sp| sp_orbit_count(n, m); the
+    equations m = 0..2n form a Vandermonde system in the nodes 2^k, solved
+    exactly by Lagrange interpolation.
     """
-    if n > SP_ENUM_MAX_N:
-        raise CapacityError("histogram requires exhaustive enumeration (n <= 3)")
     nn = 2 * n
-    if n == 1:
-        counts = [0] * (nn + 1)
-        for rows in _iter_sp_rows(1):
-            counts[nn - _rank(tuple(r ^ (1 << i) for i, r in enumerate(rows)))] += 1
-        return tuple(counts)
-    subs = np.array(
-        [_embed_sub(s) for s in _iter_sp_rows(n - 1)], dtype=np.uint64
-    )
-    m = subs.shape[0]
-    counts = np.zeros(nn + 1, dtype=np.int64)
-    eye_bits = np.array([1 << i for i in range(nn)], dtype=np.uint64)
-    rowsel = np.arange(m)
-    for q in range(_pair_count(n)):
-        left = _pair_representative(q, n)
-        f = np.zeros((m, nn), dtype=np.uint64)
-        for i, ra in enumerate(left):
-            acc = np.zeros(m, dtype=np.uint64)
-            j = 0
-            while ra:
-                if ra & 1:
-                    acc ^= subs[:, j]
-                ra >>= 1
-                j += 1
-            f[:, i] = acc
-        work = f ^ eye_bits[None, :]
-        rank = np.zeros(m, dtype=np.int64)
-        one = np.uint64(1)
-        for bit in range(nn):
-            hasbit = (work >> np.uint64(bit)) & one
-            any_ = hasbit.any(axis=1)
-            piv = work[rowsel, np.argmax(hasbit, axis=1)]
-            piv[~any_] = 0
-            work ^= hasbit * piv[:, None]
-            rank += any_
-        counts += np.bincount(nn - rank, minlength=nn + 1)
-    return tuple(int(c) for c in counts)
+    moments = [sp_order(n) * sp_orbit_count(n, m) for m in range(nn + 1)]
+    counts = []
+    for k in range(nn + 1):
+        # prod_{j != k} (x - 2^j), coefficients lowest first, over den
+        poly, den = [1], 1
+        for j in range(nn + 1):
+            if j != k:
+                poly = [a - (b << j) for a, b in zip([0] + poly, poly + [0])]
+                den *= (1 << k) - (1 << j)
+        c, rem = divmod(sum(p * mom for p, mom in zip(poly, moments)), den)
+        if rem or c < 0:
+            raise AssertionError(f"fixed-space count at dim {k} is not a count")
+        counts.append(c)
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +511,26 @@ def fixed_dim_histogram(n: int) -> tuple[int, ...]:
 def maximal_isotropic_subspaces(n: int) -> tuple[IsotropicSubspace, ...]:
     """All dimension-n isotropic subspaces of F_2^{2n}, in canonical form.
 
-    Their number is prod_{i=1..n} (2^i + 1).
+    Their number is prod_{i=1..n} (2^i + 1).  Reduced echelon bases are
+    grown row by row with descending pivots: a new row has its pivot below
+    every pivot so far, at a bit no earlier row sets, and is orthogonal to
+    every row.  Each subspace is reached once, in sorted order.
     """
     if n > ISOTROPIC_MAX_N:
         raise CapacityError(f"isotropic enumeration supported for n <= {ISOTROPIC_MAX_N}")
-    nn = 2 * n
-    all_vecs = range(1, 1 << nn)
-    level = {(): None}
-    for _ in range(n):
-        nxt = {}
-        for basis in level:
-            span = set(IsotropicSubspace(basis, n).vectors()) if basis else {0}
-            for v in all_vecs:
-                if v in span:
-                    continue
-                if all(symplectic_form(v, b, n) == 0 for b in basis):
-                    nxt[_rref(basis + (v,))] = None
-        level = nxt
-    return tuple(IsotropicSubspace(b, n) for b in sorted(level))
+    out = []
+
+    def grow(basis: tuple[int, ...], used: int, top: int) -> None:
+        if len(basis) == n:
+            out.append(IsotropicSubspace(basis, n))
+            return
+        for v in range(1, 1 << top):
+            h = v.bit_length() - 1
+            if not (used >> h) & 1 and not any(_omega(v, b) for b in basis):
+                grow(basis + (v,), used | v, h)
+
+    grow((), 0, 2 * n)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

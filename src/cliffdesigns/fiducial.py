@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford, f2lin
-from .designs import bloch_state, epsilon, epsilon_from_ell4, orbit_frame_potential, sym_dim
+from .designs import (
+    bloch_state,
+    epsilon,
+    epsilon_from_ell4,
+    frame_potential,
+    orbit_frame_potential,
+    sym_dim,
+)
 from .pauli import alpha_plus_batch, characteristic_function, ell4_norm4
 
 __all__ = [
@@ -228,22 +235,8 @@ def weighted_two_orbit(psi1: np.ndarray, psi2: np.ndarray, n: int) -> WeightedDe
     w2 = abs(e1) / (len(orb2) * tot)
     states = np.concatenate([orb1, orb2])
     weights = np.concatenate([np.full(len(orb1), w1), np.full(len(orb2), w2)])
-    phi4 = _fourth_potential_via_moment(states, weights)
+    phi4 = frame_potential(states, 4, weights)
     return WeightedDesign(states=states, weights=weights, phi4=phi4)
-
-
-def _fourth_potential_via_moment(states: np.ndarray, weights: np.ndarray,
-                                 chunk: int = 2048) -> float:
-    """Weighted 4th frame potential as the squared Frobenius norm of the
-    weighted 4th moment operator; avoids the K^2 Gram matrix."""
-    k, d = states.shape
-    mom = np.zeros((d**4, d**4), dtype=complex)
-    for lo in range(0, k, chunk):
-        blk = states[lo : lo + chunk]
-        w = weights[lo : lo + chunk]
-        t4 = np.einsum("ka,kb,kc,ke->kabce", blk, blk, blk, blk).reshape(len(blk), -1)
-        mom += (t4.conj() * w[:, None]).T @ t4
-    return float(np.sum(np.abs(mom) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +313,6 @@ def _mult_matrix_cols(g: int, p: int, m: int) -> list[int]:
     return [_gf_mul(g, 1 << i, p, m) for i in range(m)]
 
 
-def _f2_inverse(rows: tuple[int, ...], nn: int) -> tuple[int, ...]:
-    aug = [rows[i] | (1 << (nn + i)) for i in range(nn)]
-    r = 0
-    for c in range(nn):
-        piv = next((i for i in range(r, nn) if (aug[i] >> c) & 1), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(nn):
-            if i != r and (aug[i] >> c) & 1:
-                aug[i] ^= aug[r]
-        r += 1
-    return tuple(row >> nn for row in aug)
-
-
 @functools.lru_cache(maxsize=None)
 def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     """Order-(d+1) fixed-point-free symplectic matrix from GF(4^n) arithmetic.
@@ -357,7 +335,7 @@ def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     alpha = _gf_pow(2, (1 << n) - 1, p, m)
     # basis of the subfield GF(2^n) = fixed points of u -> u^{2^n}
     frob_cols = [frob_n(1 << i) ^ (1 << i) for i in range(m)]
-    fq_basis = _kernel_basis(frob_cols, m)
+    fq_basis = f2lin._kernel(frob_cols, m)
     if len(fq_basis) != n:
         raise AssertionError(f"subfield GF(2^{n}) has a basis of {len(fq_basis)} elements")
     beta = next(
@@ -370,9 +348,9 @@ def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     # the subfield is one line of the spread the cycler permutes; anchoring
     # it on the z-type coordinates makes the computational basis one of the
     # d+1 cycled bases
-    cols = _symplectic_basis_for_form(form, m, first_half=fq_basis)
+    cols = f2lin._symplectic_basis(form, m, u_pool=fq_basis)
     pmat_rows = tuple(f2lin._cols_to_rows(cols, m))
-    pinv_rows = _f2_inverse(pmat_rows, m)
+    pinv_rows = f2lin._inverse(pmat_rows, m)
     alpha_rows = tuple(f2lin._cols_to_rows(_mult_matrix_cols(alpha, p, m), m))
     F = f2lin.F2Matrix(
         f2lin._mat_mul(pinv_rows, f2lin._mat_mul(alpha_rows, pmat_rows)), n
@@ -384,61 +362,6 @@ def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     if not _cycles_z_spread(F, n):
         raise AssertionError("field-built cycler misses the z-type spread line")
     return F
-
-
-def _kernel_basis(cols: list[int], m: int) -> list[int]:
-    """Basis of ker of the map with the given columns (GF(2))."""
-    rows = tuple(f2lin._cols_to_rows(cols, m))
-    # solve rows . v = 0 by elimination over the transpose
-    basis = []
-    pivots = {}
-    for v in range(1, 1 << m):
-        # greedily collect independent kernel vectors
-        if f2lin._mat_vec(rows, v) == 0:
-            red = f2lin._reduce(v, tuple(pivots.values()))
-            if red:
-                pivots[red.bit_length() - 1] = red
-                basis.append(v)
-    return basis
-
-
-def _symplectic_basis_for_form(form, m: int, first_half: list[int] | None = None) -> list[int]:
-    """Columns (u1, v1, u2, v2, ...) that bring a nondegenerate alternating
-    form to the standard block-diagonal shape.
-
-    When first_half spans an isotropic subspace of dimension m/2, all u_i
-    are drawn from it, so that subspace becomes the span of the
-    even-numbered basis vectors.
-    """
-
-    def project(pool, pairs):
-        reduced = []
-        pivots: tuple = ()
-        for c in pool:
-            for (a, b) in pairs:
-                if form(a, c):
-                    c ^= b
-                if form(b, c):
-                    c ^= a
-            if f2lin._reduce(c, pivots) != 0:
-                pivots = f2lin._rref(pivots + (c,))
-                reduced.append(c)
-        return reduced
-
-    all_vecs = [1 << j for j in range(m)]
-    u_pool = list(first_half) if first_half is not None else all_vecs
-    pairs: list[tuple[int, int]] = []
-    while 2 * len(pairs) < m:
-        u_red = project(u_pool, pairs)
-        v_red = project(all_vecs, pairs)
-        u = u_red[0]
-        v = next(c for c in v_red if form(u, c))
-        pairs.append((u, v))
-        u_pool = u_red
-    cols = []
-    for (a, b) in pairs:
-        cols += [a, b]
-    return cols
 
 
 def _is_cycler_action(F: f2lin.F2Matrix, n: int) -> bool:

@@ -13,8 +13,9 @@ symmetric-group commutant, and everything about the decomposition of
                        multiplicity-free rows, obtained by counting
                        letter-string orbits,
 * symplectic_character / multiplicity_sum / clifford_frame_potential --
-                       exact character sums over Sp(2n, F_2) driven by
-                       fixed-space dimensions.
+                       exact character sums over Sp(2n, F_2): from
+                       fixed-space dimensions for a given set, and as
+                       closed-form orbit counts for the whole group.
 """
 
 from __future__ import annotations
@@ -346,25 +347,23 @@ def _check_closure(mats, sample_pairs: int = 512) -> None:
 
 
 def sp_multiplicity_sum(n: int, k: int = 4) -> Fraction:
-    """multiplicity_sum over the full Sp(2n, F_2), via the cached histogram."""
+    """multiplicity_sum over the full Sp(2n, F_2): the number of orbits on
+    (k-2)-tuples of vectors, by Burnside's lemma."""
     if k % 4 != 0 or k <= 0:
         raise ValueError("k must be a positive multiple of 4")
-    hist = f2lin.fixed_dim_histogram(n)
-    total = sum(c * 2 ** ((k - 2) * dim) for dim, c in enumerate(hist))
-    return Fraction(total, f2lin.sp_order(n))
+    return Fraction(f2lin.sp_orbit_count(n, k - 2))
 
 
 def clifford_frame_potential(n: int, t: int = 4) -> Fraction:
     """Frame potential of the n-qubit Clifford group, exact.
 
     Equals the average of f(F)^{t-1} over Sp(2n, F_2), f(F) being the
-    number of fixed vectors of F; requires the exhaustive sweep (n <= 3).
+    number of fixed vectors of F, which by Burnside's lemma is the number
+    of orbits on (t-1)-tuples of vectors; closed form for every n.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    hist = f2lin.fixed_dim_histogram(n)
-    total = sum(c * 2 ** ((t - 1) * dim) for dim, c in enumerate(hist))
-    return Fraction(total, f2lin.sp_order(n))
+    return Fraction(f2lin.sp_orbit_count(n, t - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,13 @@ def run_cli(capsys, *argv):
 
 
 def assert_rejected(capsys, *argv):
-    """Exit 2 with a one-line error and nothing on stdout."""
+    """Exit 2 with a one-line error and nothing on stdout; returns the error."""
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    return captured.err
 
 
 class TestTables:
@@ -56,6 +58,18 @@ class TestTables:
     def test_nonpositive_n_rejected(self, capsys, n):
         assert_rejected(capsys, "tables", "--n", n)
 
+    def test_n7_rejected(self, capsys):
+        assert "--n 7" in assert_rejected(capsys, "tables", "--n", "7")
+
+    def test_exact_group_sums_for_every_n(self, capsys):
+        code, out = run_cli(capsys, "tables", "--n", "6")
+        assert code == 0
+        tables = json.loads(out)["tables"]
+        assert [e["frame_potential_t4"]["fraction"] for e in tables] == [
+            "15/1", "29/1", "30/1", "30/1", "30/1", "30/1"]
+        assert [e["multiplicity_sum_k4"]["fraction"] for e in tables] == [
+            "5/1", "6/1", "6/1", "6/1", "6/1", "6/1"]
+
 
 class TestCheck:
     def test_named_hoggar(self, capsys):
@@ -83,9 +97,7 @@ class TestCheck:
     def test_parse_error_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"n": 1,\n "amplitudes": [[1, 0], [0  0]]}')
-        with pytest.raises(SystemExit) as err:
-            main(["check", "--file", str(path)])
-        assert "line 2" in str(err.value)
+        assert "line 2" in assert_rejected(capsys, "check", "--file", str(path))
 
     @pytest.mark.parametrize("content", [
         None,  # no such file
@@ -110,12 +122,10 @@ class TestCheck:
             path.write_text(content)
         assert_rejected(capsys, "check", "--file", str(path))
 
-    def test_zero_norm_rejected(self, tmp_path):
+    def test_zero_norm_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [0, 0]]}))
-        with pytest.raises(SystemExit) as err:
-            main(["check", "--file", str(path)])
-        assert "zero norm" in str(err.value)
+        assert "zero norm" in assert_rejected(capsys, "check", "--file", str(path))
 
 
 class TestConstruct:
@@ -144,6 +154,12 @@ class TestConstruct:
 
     def test_alg2_needs_two_qubits(self, capsys):
         assert_rejected(capsys, "construct", "--alg2", "--n", "1")
+
+    def test_alg1_needs_two_qubits(self, capsys):
+        assert "--n 1" in assert_rejected(capsys, "construct", "--alg1", "--n", "1")
+
+    def test_weighted_needs_one_qubit(self, capsys):
+        assert "--n 0" in assert_rejected(capsys, "construct", "--weighted", "--n", "0")
 
     def test_requires_mode(self, capsys):
         with pytest.raises(SystemExit):
@@ -268,3 +284,13 @@ def test_no_bare_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_threads_overrides_environment(capsys, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    # setenv also makes monkeypatch restore the variables afterwards
+    for var in names:
+        monkeypatch.setenv(var, "7")
+    code, _ = run_cli(capsys, "--threads", "2", "tables", "--n", "1")
+    assert code == 0
+    assert [os.environ[var] for var in names] == ["2", "2", "2"]

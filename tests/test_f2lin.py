@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +19,37 @@ from cliffdesigns.f2lin import (
     matrix_to_hex,
     maximal_isotropic_subspaces,
     random_symplectic,
+    sp_orbit_count,
     sp_order,
     symplectic_form,
     symplectic_from_index,
 )
+
+
+def rows_digest(mats):
+    h = hashlib.sha256()
+    for F in mats:
+        h.update(str(F.rows).encode())
+    return h.hexdigest()
+
+
+def tuple_orbit_count(n, m):
+    """Orbits of Sp(2n, F_2) on m-tuples by union-find under the
+    transvections, which generate the group."""
+    nn = 2 * n
+    parent = {t: t for t in itertools.product(range(1 << nn), repeat=m)}
+
+    def find(t):
+        while parent[t] != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for a in range(1, 1 << nn):
+        for t in parent:
+            image = tuple(f2lin.transvection(a, v, n) for v in t)
+            parent[find(t)] = find(image)
+    return len({find(t) for t in parent})
 
 
 def brute_force_sp1():
@@ -110,6 +140,14 @@ class TestEnumeration:
         with pytest.raises(DimensionError):
             next(enumerate_sp(n))
 
+    @pytest.mark.slow
+    def test_n3_order_pinned(self):
+        # the enumeration order is the index map of symplectic_from_index
+        # and random_symplectic, so seeded draws depend on it
+        assert rows_digest(enumerate_sp(3)) == (
+            "f9f6c103abd2e5d651bb124aa19bb27e6b36351de06ae0f03ffd6f434e7ff56a"
+        )
+
     def test_from_index_roundtrip_n2(self):
         mats = list(enumerate_sp(2))
         for idx in (0, 1, 17, 333, 719):
@@ -149,11 +187,90 @@ class TestHistogram:
             counts[fixed_space_dim(m)] += 1
         assert tuple(counts) == fixed_dim_histogram(2)
 
+    def test_n3_pinned(self):
+        # the counts of an exhaustive enumerate_sp(3) + fixed_space_dim
+        # sweep, which is too slow for the suite
+        assert fixed_dim_histogram(3) == (608768, 608832, 202944, 28980, 1932, 63, 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_totals_beyond_enumeration(self, n):
+        hist = fixed_dim_histogram(n)
+        assert sum(hist) == sp_order(n)
+        assert hist[2 * n] == 1
+
+
+class TestOrbitCount:
+    @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
+                                     (2, 0), (2, 1), (2, 2)])
+    def test_against_union_find(self, n, m):
+        assert sp_orbit_count(n, m) == tuple_orbit_count(n, m)
+
+    def test_values(self):
+        assert [sp_orbit_count(1, m) for m in range(5)] == [1, 2, 5, 15, 51]
+        assert [sp_orbit_count(2, m) for m in range(5)] == [1, 2, 6, 29, 219]
+        assert [sp_orbit_count(3, m) for m in range(5)] == [1, 2, 6, 30, 269]
+        for n in (4, 5, 8):
+            assert sp_orbit_count(n, 3) == 30
+            assert sp_orbit_count(n, 4) == 270
+
+    def test_burnside_against_enumeration_n2(self):
+        hist = [0] * 5
+        for F in enumerate_sp(2):
+            hist[fixed_space_dim(F)] += 1
+        for m in range(5):
+            total = sum(c * 2 ** (m * k) for k, c in enumerate(hist))
+            assert total == sp_order(2) * sp_orbit_count(2, m)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(DimensionError):
+            sp_orbit_count(0, 2)
+        with pytest.raises(ValueError):
+            sp_orbit_count(2, -1)
+
+
+class TestElimination:
+    @staticmethod
+    def greedy_kernel(cols, m):
+        """Increasing scan of all 2^m vectors, kept when independent."""
+        rows = f2lin._cols_to_rows(cols, m)
+        basis, span = [], {0}
+        for v in range(1, 1 << m):
+            if f2lin._mat_vec(rows, v) == 0 and v not in span:
+                basis.append(v)
+                span |= {u ^ v for u in span}
+        return basis
+
+    def test_kernel_matches_greedy_scan(self, rng):
+        for _ in range(300):
+            m = int(rng.integers(1, 9))
+            cols = [int(c) for c in rng.integers(0, 1 << m, size=m)]
+            assert f2lin._kernel(cols, m) == self.greedy_kernel(cols, m)
+
+    def test_inverse(self, rng):
+        found = 0
+        while found < 50:
+            m = int(rng.integers(1, 9))
+            rows = tuple(int(r) for r in rng.integers(0, 1 << m, size=m))
+            if f2lin._rank(rows) < m:
+                with pytest.raises(ValueError):
+                    f2lin._inverse(rows, m)
+                continue
+            found += 1
+            inv = f2lin._inverse(rows, m)
+            assert f2lin._mat_mul(inv, rows) == tuple(1 << i for i in range(m))
+            assert f2lin._mat_mul(rows, inv) == tuple(1 << i for i in range(m))
+
 
 class TestRandomSymplectic:
     def test_always_symplectic(self, rng):
         for n in (1, 2, 3, 4):
             assert is_symplectic(random_symplectic(n, rng))
+
+    def test_draws_pinned(self):
+        rng = np.random.default_rng(7)
+        assert rows_digest(random_symplectic(5, rng) for _ in range(200)) == (
+            "628b884cefa0afa4d77135f579a45634dc931fede1faf3e247c41e2a7e044ff4"
+        )
 
     def test_deterministic_replay(self):
         a = random_symplectic(3, np.random.default_rng(5))
@@ -193,20 +310,27 @@ class TestIsotropic:
             expected *= 2**i + 1
         assert count == expected
 
-    def test_isotropy_invariant(self):
-        for sub in maximal_isotropic_subspaces(2):
-            assert sub.dim == 2
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_isotropy_invariant(self, n):
+        for sub in maximal_isotropic_subspaces(n):
+            assert sub.dim == n
             vecs = sub.vectors()
-            assert len(set(vecs)) == 4
-            for a in vecs:
+            assert len(set(vecs)) == 1 << n
+            for a in sub.basis:
                 for b in vecs:
-                    assert symplectic_form(a, b, 2) == 0
+                    assert symplectic_form(a, b, n) == 0
 
-    def test_no_duplicates_and_canonical(self):
-        subs = maximal_isotropic_subspaces(2)
-        assert len({s.basis for s in subs}) == len(subs)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_duplicates_and_canonical(self, n):
+        subs = maximal_isotropic_subspaces(n)
+        assert len({frozenset(s.vectors()) for s in subs}) == len(subs)
+        assert [s.basis for s in subs] == sorted(s.basis for s in subs)
         for s in subs:
-            assert tuple(sorted(s.basis, reverse=True)) == s.basis
+            # reduced echelon: descending pivots, each set in its row only
+            pivots = [b.bit_length() - 1 for b in s.basis]
+            assert pivots == sorted(pivots, reverse=True)
+            for h in pivots:
+                assert sum((c >> h) & 1 for c in s.basis) == 1
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -196,6 +197,13 @@ class TestWeightedTwoOrbit:
         with pytest.raises(InfeasibleError):
             weighted_two_orbit(psi_t(), psi_t(), 1)
 
+    def test_phi4_matches_moment_operator(self):
+        # phi4 is the squared Frobenius norm of the weighted fourth moment
+        wd = weighted_two_orbit(np.array([1, 0], dtype=complex), psi_t(), 1)
+        t4 = np.einsum("ka,kb,kc,ke->kabce", *[wd.states] * 4).reshape(len(wd.states), -1)
+        moment = (t4.conj() * wd.weights[:, None]).T @ t4
+        assert wd.phi4 == pytest.approx(float(np.sum(np.abs(moment) ** 2)), abs=1e-15)
+
     @pytest.mark.slow
     def test_two_qubit_design(self):
         stab = np.zeros(4, dtype=complex)
@@ -276,6 +284,16 @@ class TestSinger:
     def test_unsupported_n(self):
         with pytest.raises(f2lin.CapacityError):
             singer_symplectic(3)
+
+    @pytest.mark.parametrize("n,digest", [
+        (1, "dc4307c0856536f8d790253fc6f914ad433118405609c52f26d7c2ed9f3ec947"),
+        (2, "32a6ce88949f4143b3acffd1f67a959a4e4a82332894970850a1e7270f6ed955"),
+        (4, "999c296b749a2c22577fab66d4f8e43fd74468432b3732c1003faecc3516ddd8"),
+        (8, "c0fecc114e9c1e97b1e58d894746d3121eeef42411e65b96563689b2112540ae"),
+    ])
+    def test_actions_pinned(self, n, digest):
+        rows = singer_symplectic(n).rows
+        assert hashlib.sha256(str(rows).encode()).hexdigest() == digest
 
     @pytest.mark.slow
     def test_experimental_n8(self):
