@@ -280,8 +280,10 @@ def cmd_singer(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_orbit(args, cfg: RunConfig) -> tuple[dict, bool]:
     from .designs import orbit_frame_potential, sym_dim
 
-    psi, n = _load_state(args)
     t = cfg.t
+    if t < 1:
+        raise ValueError(f"orbit needs --t >= 1, got --t {t}")
+    psi, n = _load_state(args)
     minimum = 1.0 / sym_dim(1 << n, t)
     if args.mode == "exact":
         val = orbit_frame_potential(psi, t)
@@ -289,7 +291,7 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[dict, bool]:
         slack = ORBIT_ATOL
     else:
         if cfg.seed is None:
-            raise SystemExit("orbit --mode mc requires --seed")
+            raise ValueError("orbit --mode mc requires --seed")
         samples = cfg.samples or 10000
         if samples < 2:
             raise ValueError("orbit --mode mc needs --samples >= 2 for a standard error")

@@ -12,14 +12,16 @@ Qubit indices are 0-based; qubit 0 is the leftmost tensor factor.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import f2lin
-from .f2lin import CapacityError, F2Matrix, fixed_space_dim, is_symplectic, symplectic_form
-from .pauli import PauliLabel, _product_phase, _signed_perm, apply_pauli, label_join, pauli_matrix
+from .f2lin import CapacityError, F2Matrix, fixed_space_dim, is_symplectic
+from .pauli import PauliLabel, _product_phase, _signed_perms, label_join, pauli_matrix
 
 __all__ = [
     "CliffordElement",
@@ -31,15 +33,23 @@ __all__ = [
     "lift_symplectic",
     "transvection_decomposition",
     "random_clifford",
+    "random_clifford_unitaries",
     "clifford_trace_check",
     "projective_orbit",
     "projective_clifford_unitaries",
 ]
 
 ORBIT_MAX_N = 2
+# A lifted stack holds at most this many matrix entries (but at least one
+# sample), which bounds the memory that a stack and its temporaries add
+STACK_ENTRIES = 1 << 13
 
 _H2 = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]], dtype=complex)
 _S2 = np.array([[1, 0], [0, -1j]], dtype=complex)
+# Python scalars: numpy's sqrt and exp would set up their loops at import
+_ROOT2 = math.sqrt(2.0)
+_EIGHTH_PHASE = cmath.exp(-0.25j * math.pi)
+_RTOL = 1e-5  # the default rtol of np.allclose
 
 
 class NotCliffordError(ValueError):
@@ -187,20 +197,16 @@ def extract_action(U: CliffordElement) -> tuple[F2Matrix, tuple[int, ...]]:
     signs = []
     Um = U.matrix
     Udag = Um.conj().T
-    for k in range(2 * n):
-        b, f = _identify_signed_pauli(_times_pauli(Um, PauliLabel(n, 1 << k)) @ Udag, n)
+    k = np.arange(1 << n)
+    # U W_e by a column gather: column k is v[k] times column k ^ x of U
+    for x, v in zip(*_signed_perms(n, 1 << np.arange(2 * n))):
+        b, f = _identify_signed_pauli(Um[:, k ^ x] * v @ Udag, n)
         cols.append(b)
         signs.append(f)
     F = F2Matrix(tuple(f2lin._cols_to_rows(cols, 2 * n)), n)
     if not is_symplectic(F):
         raise NotCliffordError("extracted action is not symplectic")
     return F, tuple(signs)
-
-
-def _times_pauli(M: np.ndarray, p: PauliLabel) -> np.ndarray:
-    """M @ (i^j W_a) by a column gather: column k is v[k] times column k ^ x of M."""
-    x, v = _signed_perm(p)
-    return M[:, np.arange(len(v)) ^ x] * v
 
 
 def _identify_signed_pauli(V: np.ndarray, n: int, atol: float = 1e-10) -> tuple[int, int]:
@@ -229,7 +235,8 @@ def _identify_signed_pauli(V: np.ndarray, n: int, atol: float = 1e-10) -> tuple[
         f = 1
     else:
         raise NotCliffordError("conjugated Pauli carries a non-real phase")
-    if not np.allclose(V, (1 - 2 * f) * expected, atol=atol):
+    # np.allclose(V, (1 - 2 f) expected, atol=atol), without its generic overhead
+    if not (np.abs(V - (1 - 2 * f) * expected) <= atol + _RTOL * np.abs(expected)).all():
         raise NotCliffordError("conjugated Pauli mismatch beyond tolerance")
     return b, f
 
@@ -243,39 +250,28 @@ def transvection_decomposition(F: F2Matrix) -> list[int]:
     if not is_symplectic(F):
         raise ValueError("input is not symplectic")
     n = F.n
-    nn = 2 * n
-    g = list(F.rows)
+    cols = [F.column(j) for j in range(2 * n)]
     out = []
 
-    def gcol(j):
-        return f2lin._column(tuple(g), j)
-
     def apply_left(v):
-        # g <- Z_v g, i.e. transvect every column
-        cols = [f2lin.transvection(v, gcol(j), n) for j in range(nn)]
-        g[:] = f2lin._cols_to_rows(cols, nn)
+        # cols <- Z_v cols: c -> c ^ v wherever <c, v> = 1
+        jv = f2lin._swap_pairs(v)
+        cols[:] = [c ^ v if f2lin._parity(c & jv) else c for c in cols]
         out.append(v)
 
     for k in range(n):
-        lead = 1 << (2 * k)
-        partner = 1 << (2 * k + 1)
-        c = gcol(2 * k)
-        if c != lead:
-            if symplectic_form(c, lead, n):
-                apply_left(c ^ lead)
+        for j, extra in ((2 * k, []), (2 * k + 1, [(1 << (2 * k), 1)])):
+            target = 1 << j
+            c = cols[j]
+            if c == target:
+                continue
+            if f2lin._omega(c, target):
+                apply_left(c ^ target)
             else:
-                w = _midpoint(c, lead, [], k, n)
+                w = _midpoint(c, target, extra, k, n)
                 apply_left(c ^ w)
-                apply_left(w ^ lead)
-        c = gcol(2 * k + 1)
-        if c != partner:
-            if symplectic_form(c, partner, n):
-                apply_left(c ^ partner)
-            else:
-                w = _midpoint(c, partner, [(lead, 1)], k, n)
-                apply_left(c ^ w)
-                apply_left(w ^ partner)
-    if tuple(g) != tuple(1 << i for i in range(nn)):
+                apply_left(w ^ target)
+    if cols != [1 << i for i in range(2 * n)]:
         raise AssertionError("transvections did not reduce F to the identity")
     return out
 
@@ -283,45 +279,86 @@ def transvection_decomposition(F: F2Matrix) -> list[int]:
 def _midpoint(c: int, target: int, extra, k: int, n: int) -> int:
     # search a w supported on coordinates >= 2k with <c,w> = <target,w> = 1
     # and the given extra pairings, so earlier basis pairs stay fixed
-    span = 2 * (n - k)
-    for raw in range(1, 1 << span):
+    want = [(f2lin._swap_pairs(c), 1), (f2lin._swap_pairs(target), 1)]
+    want += [(f2lin._swap_pairs(v), bit) for v, bit in extra]
+    for raw in range(1, 1 << (2 * (n - k))):
         w = raw << (2 * k)
-        if symplectic_form(c, w, n) != 1:
-            continue
-        if symplectic_form(target, w, n) != 1:
-            continue
-        if all(symplectic_form(v, w, n) == want for v, want in extra):
+        if all(f2lin._parity(w & jv) == bit for jv, bit in want):
             return w
     raise AssertionError("no transvection midpoint found")
+
+
+def _lift_words(n: int, words, labels=None) -> np.ndarray:
+    """(S, d, d) stack of unitaries: word s is lifted as the product of the
+    factors (1 + i W_v)/sqrt(2) over its vectors v, then multiplied on the
+    left by W_{labels[s]}.
+
+    The samples are sorted by word length, longest first, so step t
+    updates the prefix of samples with more than t vectors.  One
+    _signed_perms call gives every (x, v) of the stack, the labels in an
+    extra last column.  A step is U <- (U + i (U W_v))/sqrt(2), with U W_v
+    gathered by a flat take at indices [s, r, k ^ x_s]: as x_s < d, XOR
+    with the flat index [s, r, k] changes k alone.  These are the
+    elementwise operations of a one-by-one lift, so every entry of a
+    stack equals the entry of that sample lifted alone, bit for bit.
+    """
+    d = 1 << n
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    width = int(lengths.max(initial=0))
+    vecs = np.zeros((len(words), width + 1), dtype=np.int64)
+    for row, s in enumerate(order):
+        vecs[row, :lengths[row]] = words[s]
+    if labels is not None:
+        vecs[:, width] = np.asarray(labels, dtype=np.int64)[order]
+    x, v = _signed_perms(n, vecs)
+    flat = np.arange(len(words) * d * d).reshape(-1, d, d)
+    U = np.tile(np.eye(d, dtype=complex), (len(words), 1, 1))
+    # m counts the samples with more than t vectors, a prefix as lengths descend
+    for t, m in enumerate(np.searchsorted(-lengths, -np.arange(width))):
+        gathered = np.take(U, flat[:m] ^ x[:m, t, None, None])
+        U[:m] = (U[:m] + 1j * (gathered * v[:m, t, None, :])) / _ROOT2
+    # an extra global phase keeps the entries in Q[i] for odd word lengths
+    np.multiply(U, _EIGHTH_PHASE, out=U, where=(lengths % 2 == 1)[:, None, None])
+    if labels is not None:
+        # row j of W_a U is v[j ^ x] times row j ^ x of U
+        U = np.take(v[:, width, :, None] * U, flat ^ (x[:, width, None, None] << n))
+    out = np.empty_like(U)
+    out[order] = U
+    return out
 
 
 def lift_symplectic(F: F2Matrix) -> CliffordElement:
     """Some Clifford unitary inducing F, built from transvection factors.
 
-    Each transvection Z_v lifts to (1 + i W_v)/sqrt(2), applied as
-    U <- (U + i U W_v)/sqrt(2) by a column gather; an extra global
+    Each transvection Z_v lifts to (1 + i W_v)/sqrt(2); an extra global
     phase keeps all matrix entries in Q[i] when the factor count is odd.
     The representative is one of the 4d^2 unitaries inducing F and is
     deterministic but otherwise arbitrary.
     """
-    n = F.n
-    vecs = transvection_decomposition(F)
-    U = np.eye(1 << n, dtype=complex)
-    for v in vecs:
-        U = (U + 1j * _times_pauli(U, PauliLabel(n, v))) / np.sqrt(2.0)
-    if len(vecs) % 2:
-        U = U * np.exp(-0.25j * np.pi)
-    return CliffordElement(U, n, action=None)
+    return CliffordElement(_lift_words(F.n, [transvection_decomposition(F)])[0], F.n)
+
+
+def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Stack of count uniform projective Clifford unitaries, shape (count, d, d).
+
+    Each sample draws a uniform symplectic and then a uniform Pauli label,
+    as random_clifford does, so the stack equals count random_clifford
+    draws from the same generator, entry for entry; it is lifted at once.
+    """
+    words, labels = [], []
+    for _ in range(count):
+        words.append(transvection_decomposition(f2lin.random_symplectic(n, rng)))
+        labels.append(f2lin._rand_below(rng, 1 << (2 * n)))
+    return _lift_words(n, words, labels)
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform projective Clifford element: random symplectic lift times a
     uniform Pauli.  The global phase of the representative is irrelevant for
     every metric in this package."""
-    F = f2lin.random_symplectic(n, rng)
-    U = lift_symplectic(F)
-    a = int(f2lin._rand_below(rng, 1 << (2 * n)))
-    return CliffordElement(apply_pauli(PauliLabel(n, a), U.matrix), n)
+    return CliffordElement(random_clifford_unitaries(n, rng, 1)[0], n)
 
 
 @dataclass(frozen=True)
@@ -358,12 +395,14 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
             " elements; orbits are materialized only for n <= 2"
         )
     d = 1 << n
-    mats = []
-    for F in f2lin.enumerate_sp(n):
-        UF = lift_symplectic(F).matrix
-        for a in range(d * d):
-            mats.append(apply_pauli(PauliLabel(n, a), UF))
-    return np.array(mats)
+    words = [transvection_decomposition(F) for F in f2lin.enumerate_sp(n)]
+    per = max(STACK_ENTRIES // d**4, 1)  # symplectics per stack, each with d^2 labels
+    stacks = []
+    for lo in range(0, len(words), per):
+        chunk = words[lo:lo + per]
+        stacks.append(_lift_words(n, [w for w in chunk for _ in range(d * d)],
+                                  np.tile(np.arange(d * d), len(chunk))))
+    return np.concatenate(stacks)
 
 
 def projective_orbit(psi: np.ndarray, n: int, dedup_decimals: int = 9) -> list[np.ndarray]:

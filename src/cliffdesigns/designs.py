@@ -183,7 +183,11 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     Exact mode averages |<psi|U psi>|^{2t} over the whole projective group
     (equal to the orbit double sum by invariance; n <= 2).  Monte-Carlo
     mode samples uniform projective Cliffords and returns (estimate,
-    standard error).
+    standard error).  It lifts them in stacks of at most
+    clifford.STACK_ENTRIES matrix entries (128 samples at n = 3, one at
+    n >= 7), drawn from rng in the order of one random_clifford call per
+    sample, so a seed gives the same unitaries and the same estimate at
+    any stack size.
 
     The standard error is std / sqrt(samples), and on heavy-tailed orbits
     (n >= 4) it underestimates the true error badly: a sample that misses
@@ -203,9 +207,11 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
         vals = np.empty(samples)
-        for i in range(samples):
-            u = clifford.random_clifford(n, rng)
-            vals[i] = np.abs(np.vdot(psi, u.matrix @ psi)) ** (2 * t)
+        step = max(clifford.STACK_ENTRIES >> (2 * n), 1)
+        for lo in range(0, samples, step):
+            stack = clifford.random_clifford_unitaries(n, rng, min(step, samples - lo))
+            for i, u in enumerate(stack, lo):
+                vals[i] = np.abs(np.vdot(psi, u @ psi)) ** (2 * t)
         est = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(samples))
         return est, stderr

@@ -79,12 +79,13 @@ def _qubit_bits(a: int, n: int, i: int) -> tuple[int, int]:
 
 
 def label_split(a: int, n: int) -> tuple[int, int]:
-    """Compressed (z_mask, x_mask) in state-bit order (qubit 1 = MSB)."""
+    """Compressed (z_mask, x_mask) in state-bit order (qubit 1 = MSB).
+
+    a may also be an int array, split elementwise."""
     z = x = 0
-    for i in range(1, n + 1):
-        zi, xi = _qubit_bits(a, n, i)
-        z |= zi << (n - i)
-        x |= xi << (n - i)
+    for i in range(n):
+        z = z << 1 | a >> 2 * i & 1
+        x = x << 1 | a >> 2 * i + 1 & 1
     return z, x
 
 
@@ -97,11 +98,30 @@ def label_join(z: int, x: int, n: int) -> int:
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _parity_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis indices k < 2^n and (-1)^{|k|} for each."""
+    k = np.arange(1 << n)
+    return k, 1.0 - 2.0 * (np.bitwise_count(k) & 1)
+
+
+def _signed_perms(n: int, a, phase_exp=0):
+    """(x, v) with (i^j W_a)[k ^ x, k] = v[..., k] for every basis index k.
+
+    a and j are ints or int arrays of one shape; x has that shape and v one
+    more axis of length d.  label_split works on either, so a stack of
+    labels is split by whole-array bit operations and a single label by
+    Python int ones.
+    """
+    z, x = label_split(a, n)
+    k, sign = _parity_signs(n)
+    ipow = _I_POW[(phase_exp + np.bitwise_count(z & x)) % 4]
+    return x, ipow[..., None] * sign[np.asarray(z)[..., None] & k]
+
+
 def _signed_perm(p: PauliLabel) -> tuple[int, np.ndarray]:
     """(x, v) with (i^j W_a)[k ^ x, k] = v[k] for every basis index k."""
-    z, x = label_split(p.a, p.n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << p.n) & z) & 1)
-    return x, _I_POW[(p.phase_exp + (z & x).bit_count()) % 4] * signs
+    return _signed_perms(p.n, p.a, p.phase_exp)
 
 
 def pauli_matrix(p: PauliLabel) -> np.ndarray:

@@ -8,6 +8,8 @@ import pytest
 
 import cliffdesigns
 from cliffdesigns.cli import main
+from cliffdesigns.clifford import STACK_ENTRIES, random_clifford
+from cliffdesigns.fiducial import hoggar_fiducial
 
 
 def run_cli(capsys, *argv):
@@ -241,9 +243,15 @@ class TestOrbit:
         data = json.loads(out)
         assert data["phi"] == pytest.approx(5 / 24, abs=1e-10)
 
-    def test_mc_mode_needs_seed(self):
-        with pytest.raises(SystemExit):
-            main(["orbit", "--named", "psi_T", "--mode", "mc"])
+    def test_mc_mode_needs_seed(self, capsys):
+        assert "requires --seed" in assert_rejected(capsys, "orbit", "--named", "psi_T",
+                                                    "--mode", "mc")
+
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "mc", "--samples", "10", "--seed", "1"]])
+    def test_t_below_one_rejected(self, capsys, t, mode):
+        err = assert_rejected(capsys, "orbit", "--named", "psi_T", "--t", t, *mode)
+        assert err == f"error: orbit needs --t >= 1, got --t {t}\n"
 
     def test_mc_mode(self, capsys):
         code, out = run_cli(
@@ -268,6 +276,28 @@ class TestOrbit:
         assert data["margin_se"] == pytest.approx(
             (data["phi"] - data["minimum"]) / data["stderr"], rel=1e-12)
         assert code == 0 and data["pass"]
+
+    def test_mc_hoggar_pinned(self, capsys):
+        # phi and stderr of this run, recorded when each sample was lifted alone
+        code, out = run_cli(capsys, "orbit", "--named", "hoggar", "--mode", "mc",
+                            "--samples", "2000", "--seed", "1")
+        data = json.loads(out)
+        assert data["phi"] == 0.0026601223136716932
+        assert data["stderr"] == 0.00022323219293144032
+
+    @pytest.mark.parametrize("samples", [STACK_ENTRIES // 64 + k for k in (-1, 0, 1)])
+    def test_mc_chunk_boundaries(self, capsys, samples):
+        # n = 3 lifts 128 samples per stack; the estimate must not see where
+        # a stack ends, so it equals one random_clifford draw per sample
+        code, out = run_cli(capsys, "orbit", "--named", "hoggar", "--mode", "mc",
+                            "--samples", str(samples), "--seed", "9")
+        data = json.loads(out)
+        psi = hoggar_fiducial()
+        rng = np.random.Generator(np.random.Philox(9))
+        vals = np.array([np.abs(np.vdot(psi, random_clifford(3, rng).matrix @ psi)) ** 8
+                         for _ in range(samples)])
+        assert data["phi"] == float(vals.mean())
+        assert data["stderr"] == float(vals.std(ddof=1) / np.sqrt(samples))
 
     def test_mc_mode_needs_two_samples(self, capsys):
         code = main(["orbit", "--named", "psi_T", "--mode", "mc", "--samples", "1",

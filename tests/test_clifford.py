@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from cliffdesigns import f2lin
 from cliffdesigns.clifford import (
     CliffordElement,
     NotCliffordError,
+    _lift_words,
     clifford_trace_check,
     compose_word,
     extract_action,
@@ -16,6 +19,7 @@ from cliffdesigns.clifford import (
     projective_clifford_unitaries,
     projective_orbit,
     random_clifford,
+    random_clifford_unitaries,
     transvection_decomposition,
 )
 from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
@@ -160,6 +164,16 @@ class TestLift:
             lift_symplectic(F2Matrix((0b11, 0b11), 1))
 
     @pytest.mark.parametrize("n", [1, 2])
+    def test_batched_lift_equals_single_lifts(self, n):
+        mats = list(f2lin.enumerate_sp(n))
+        stack = _lift_words(n, [transvection_decomposition(F) for F in mats])
+        single = np.array([lift_symplectic(F).matrix for F in mats])
+        assert np.array_equal(stack.view(float), single.view(float))
+
+    def test_lift_of_empty_stack(self):
+        assert _lift_words(2, [], []).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("n", [1, 2])
     def test_entries_are_gaussian_rationals(self, n):
         # dyadic denominators: some 2^k clears all entries to Z[i]
         for F in f2lin.enumerate_sp(n):
@@ -185,6 +199,16 @@ class TestRandomClifford:
         a = random_clifford(2, np.random.default_rng(11))
         b = random_clifford(2, np.random.default_rng(11))
         assert np.allclose(a.matrix, b.matrix)
+
+    @pytest.mark.parametrize("n, count", [(1, 40), (2, 40), (3, 300), (5, 12)])
+    def test_stack_equals_sequential_draws(self, n, count):
+        # same generator state afterwards, and every entry bit for bit
+        rng_a, rng_b = np.random.default_rng(41), np.random.default_rng(41)
+        stack = random_clifford_unitaries(n, rng_a, count)
+        seq = np.array([random_clifford(n, rng_b).matrix for _ in range(count)])
+        assert stack.shape == (count, 1 << n, 1 << n)
+        assert np.array_equal(stack.view(float), seq.view(float))
+        assert rng_a.integers(1 << 62) == rng_b.integers(1 << 62)
 
     def test_f_marginal_uniform_n1(self):
         from scipy.stats import chi2
@@ -249,6 +273,16 @@ class TestOrbits:
 
     def test_group_size_n2(self):
         assert projective_clifford_unitaries(2).shape == (11520, 4, 4)
+
+    @pytest.mark.parametrize("n, digest", [
+        (1, "ee20b5db509a33c55d2018dd40bcbf92d016abeef53c74c0476ec92c31aa6127"),
+        (2, "a455fcf86a9c06e5ebe95d590720d856365818458a5d2a4574c566fac67d527a"),
+    ])
+    def test_group_unitaries_pinned(self, n, digest):
+        # recorded when each symplectic was lifted and each Pauli applied alone
+        group = projective_clifford_unitaries(n)
+        assert group.dtype == complex and group.flags.c_contiguous
+        assert hashlib.sha256(group.tobytes()).hexdigest() == digest
 
     @pytest.mark.slow
     def test_two_qubit_stabilizer_orbit_size(self):

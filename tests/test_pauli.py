@@ -7,6 +7,8 @@ from cliffdesigns.f2lin import DimensionError, symplectic_form
 from cliffdesigns.pauli import (
     NormalizationError,
     PauliLabel,
+    _signed_perm,
+    _signed_perms,
     alpha_plus,
     alpha_plus_batch,
     apply_pauli,
@@ -152,6 +154,25 @@ class TestLabelSplit:
             for a in range(4**n):
                 z, x = label_split(a, n)
                 assert label_join(z, x, n) == a
+
+    def test_array_split_is_elementwise(self):
+        labels = np.arange(4**3).reshape(8, 8)
+        z, x = label_split(labels, 3)
+        assert [(int(p), int(q)) for p, q in zip(z.ravel(), x.ravel())] == [
+            label_split(a, 3) for a in range(4**3)]
+
+
+class TestSignedPerms:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_equals_single_labels(self, n):
+        # every (x, v) of a stack is bit for bit the single-label one
+        a = np.arange(4**n).reshape(4, -1)
+        j = (a * 7 + 1) % 4
+        x, v = _signed_perms(n, a, j)
+        assert x.shape == a.shape and v.shape == a.shape + (1 << n,)
+        for idx in np.ndindex(a.shape):
+            x1, v1 = _signed_perm(PauliLabel(n, int(a[idx]), int(j[idx])))
+            assert x[idx] == x1 and v[idx].tobytes() == v1.tobytes()
 
 
 class TestCharacteristicFunction:
