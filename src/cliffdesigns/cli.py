@@ -228,6 +228,12 @@ def _default_base(n: int):
     return base
 
 
+def _check_seed(seed: int) -> None:
+    # numpy rejects a negative seed without naming the option
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+
+
 def cmd_moments(cfg: RunConfig, thresholds) -> tuple[dict, bool]:
     from . import moments
 
@@ -237,6 +243,7 @@ def cmd_moments(cfg: RunConfig, thresholds) -> tuple[dict, bool]:
         raise ValueError(f"moments needs 1 <= n <= {moments.EXACT_MAX_N} for the exact moments")
     if samples < 2:
         raise ValueError("moments needs --samples >= 2 for a variance")
+    _check_seed(cfg.seed)
     if thresholds and samples < moments.TAIL_MIN_SAMPLES:
         raise ValueError(f"--thresholds needs --samples >= {moments.TAIL_MIN_SAMPLES}")
     if thresholds and min(thresholds) <= 0:
@@ -286,13 +293,16 @@ def cmd_orbit(args, cfg: RunConfig) -> tuple[dict, bool]:
     psi, n = _load_state(args)
     minimum = 1.0 / sym_dim(1 << n, t)
     if args.mode == "exact":
+        if cfg.samples is not None or cfg.seed is not None:
+            raise ValueError("orbit --samples and --seed apply only to --mode mc")
         val = orbit_frame_potential(psi, t)
         payload = {"n": n, "t": t, "mode": "exact", "phi": val}
         slack = ORBIT_ATOL
     else:
         if cfg.seed is None:
             raise ValueError("orbit --mode mc requires --seed")
-        samples = cfg.samples or 10000
+        _check_seed(cfg.seed)
+        samples = 10000 if cfg.samples is None else cfg.samples
         if samples < 2:
             raise ValueError("orbit --mode mc needs --samples >= 2 for a standard error")
         import numpy as np

@@ -12,6 +12,7 @@ Qubit indices are 0-based; qubit 0 is the leftmost tensor factor.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -43,6 +44,8 @@ ORBIT_MAX_N = 2
 # A lifted stack holds at most this many matrix entries (but at least one
 # sample), which bounds the memory that a stack and its temporaries add
 STACK_ENTRIES = 1 << 13
+# _midpoints tests this many candidate vectors per sample at a time
+_MIDPOINT_BLOCK = 64
 
 _H2 = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]], dtype=complex)
 _S2 = np.array([[1, 0], [0, -1j]], dtype=complex)
@@ -59,10 +62,11 @@ class NotCliffordError(ValueError):
 class CliffordElement:
     """Dense d x d Clifford unitary with its cached symplectic action."""
 
-    def __init__(self, matrix: np.ndarray, n: int, action=None):
+    def __init__(self, matrix: np.ndarray, n: int, action=None, symplectic=None):
         self.matrix = matrix
         self.n = n
         self._action = action
+        self._symplectic = symplectic
 
     @property
     def d(self) -> int:
@@ -76,7 +80,9 @@ class CliffordElement:
 
     @property
     def symplectic(self) -> F2Matrix:
-        return self.action[0]
+        if self._symplectic is None:
+            self._symplectic = self.action[0]
+        return self._symplectic
 
     def sign_of(self, a: int) -> int:
         """f(a) with U W_a U^dag = (-1)^{f(a)} W_{Fa}, from the basis signs.
@@ -288,13 +294,77 @@ def _midpoint(c: int, target: int, extra, k: int, n: int) -> int:
     raise AssertionError("no transvection midpoint found")
 
 
-def _lift_words(n: int, words, labels=None) -> np.ndarray:
-    """(S, d, d) stack of unitaries: word s is lifted as the product of the
+def _transvection_words(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """transvection_decomposition of every symplectic in an (S, 2n) stack of
+    rows, as (S, W) words padded with zeros and their (S,) lengths.
+
+    Each step applies one transvection to every sample, the zero vector
+    (Z_0 = 1) where a sample has none to apply; a sample's vectors are
+    those of its one-at-a-time decomposition.
+    """
+    nn = 2 * n
+    cols = f2lin._transpose_stack(rows, nn)
+    if not f2lin._is_symplectic_stack(cols).all():
+        raise ValueError("input is not symplectic")
+    words = np.zeros((len(cols), 4 * n), dtype=np.int64)
+    lengths = np.zeros(len(cols), dtype=np.int64)
+
+    def apply_left(v):
+        # cols <- Z_v cols, and v appended to the words where v != 0
+        cols[:] ^= v[:, None] * f2lin._forms(cols, v[:, None])
+        hit = np.flatnonzero(v)
+        words[hit, lengths[hit]] = v[hit]
+        lengths[hit] += 1
+
+    for k in range(n):
+        for j in (2 * k, 2 * k + 1):
+            target = 1 << j
+            c = cols[:, j].copy()
+            first = np.where(f2lin._forms(c, target) == 1, c ^ target, 0)
+            second = np.zeros_like(first)
+            mid = np.flatnonzero((first == 0) & (c != target))
+            if len(mid):
+                w = _midpoints(c[mid], target, j, k, n)
+                first[mid] = c[mid] ^ w
+                second[mid] = w ^ target
+            apply_left(first)
+            apply_left(second)
+    if (cols != 1 << np.arange(nn)).any():
+        raise AssertionError("transvections did not reduce F to the identity")
+    return words[:, :lengths.max(initial=0)], lengths
+
+
+def _midpoints(c: np.ndarray, target: int, j: int, k: int, n: int) -> np.ndarray:
+    """_midpoint(c_s, target, extra, k, n) for each c_s of c, extra as in
+    transvection_decomposition; the candidates are tested in blocks of
+    _MIDPOINT_BLOCK, so the temporaries do not grow with 4^n."""
+    jc = f2lin._swap_pairs(c)[:, None]
+    fixed = [f2lin._swap_pairs(target)] + ([f2lin._swap_pairs(1 << (2 * k))] if j % 2 else [])
+    out = np.zeros_like(c)
+    todo = np.arange(len(c))
+    end = 1 << (2 * (n - k))
+    for lo in range(1, end, _MIDPOINT_BLOCK):
+        w = np.arange(lo, min(lo + _MIDPOINT_BLOCK, end)) << (2 * k)
+        ok = np.bitwise_count(w & jc[todo]) & 1 == 1
+        for jv in fixed:
+            ok &= np.bitwise_count(w & jv) & 1 == 1
+        hit = ok.any(axis=1)
+        out[todo[hit]] = w[ok[hit].argmax(axis=1)]
+        todo = todo[~hit]
+        if not len(todo):
+            return out
+    raise AssertionError("no transvection midpoint found")
+
+
+def _lift_words(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> np.ndarray:
+    """(S, d, d) stack of unitaries: word s, the first lengths[s] vectors
+    of row s of the (S, W) array words, is lifted as the product of the
     factors (1 + i W_v)/sqrt(2) over its vectors v, then multiplied on the
     left by W_{labels[s]}.
 
     The samples are sorted by word length, longest first, so step t
-    updates the prefix of samples with more than t vectors.  One
+    updates the prefix of samples with more than t vectors, and the words
+    that end at step t are a slice of it.  One
     _signed_perms call gives every (x, v) of the stack, the labels in an
     extra last column.  A step is U <- (U + i (U W_v))/sqrt(2), with U W_v
     gathered by a flat take at indices [s, r, k ^ x_s]: as x_s < d, XOR
@@ -303,30 +373,38 @@ def _lift_words(n: int, words, labels=None) -> np.ndarray:
     stack equals the entry of that sample lifted alone, bit for bit.
     """
     d = 1 << n
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    count, width = words.shape
     order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
-    width = int(lengths.max(initial=0))
-    vecs = np.zeros((len(words), width + 1), dtype=np.int64)
-    for row, s in enumerate(order):
-        vecs[row, :lengths[row]] = words[s]
+    vecs = np.zeros((count, width + 1), dtype=np.int64)
+    vecs[:, :width] = words
     if labels is not None:
-        vecs[:, width] = np.asarray(labels, dtype=np.int64)[order]
-    x, v = _signed_perms(n, vecs)
-    flat = np.arange(len(words) * d * d).reshape(-1, d, d)
-    U = np.tile(np.eye(d, dtype=complex), (len(words), 1, 1))
-    # m counts the samples with more than t vectors, a prefix as lengths descend
-    for t, m in enumerate(np.searchsorted(-lengths, -np.arange(width))):
+        vecs[:, width] = labels
+    x, v = _signed_perms(n, vecs[order])
+    # prefix[t] counts the samples with more than t vectors, a prefix as lengths descend
+    neg = (-lengths[order]).tolist()
+    prefix = [bisect.bisect_left(neg, -t) for t in range(width + 1)]
+    flat = np.arange(count * d * d).reshape(-1, d, d)
+    U = np.zeros((count, d, d), dtype=complex)
+    U.reshape(count, d * d)[:, ::d + 1] = 1
+    for t in range(width):
+        m, done = prefix[t], prefix[t + 1]
         gathered = np.take(U, flat[:m] ^ x[:m, t, None, None])
         U[:m] = (U[:m] + 1j * (gathered * v[:m, t, None, :])) / _ROOT2
-    # an extra global phase keeps the entries in Q[i] for odd word lengths
-    np.multiply(U, _EIGHTH_PHASE, out=U, where=(lengths % 2 == 1)[:, None, None])
+        if t % 2 == 0 and done < m:
+            # words of odd length end here: an extra global phase keeps
+            # their entries in Q[i]
+            U[done:m] *= _EIGHTH_PHASE
     if labels is not None:
         # row j of W_a U is v[j ^ x] times row j ^ x of U
         U = np.take(v[:, width, :, None] * U, flat ^ (x[:, width, None, None] << n))
     out = np.empty_like(U)
     out[order] = U
     return out
+
+
+def _padded(word: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One word as a stack of one, for _lift_words."""
+    return np.array(word, dtype=np.int64).reshape(1, -1), np.array([len(word)])
 
 
 def lift_symplectic(F: F2Matrix) -> CliffordElement:
@@ -337,28 +415,37 @@ def lift_symplectic(F: F2Matrix) -> CliffordElement:
     The representative is one of the 4d^2 unitaries inducing F and is
     deterministic but otherwise arbitrary.
     """
-    return CliffordElement(_lift_words(F.n, [transvection_decomposition(F)])[0], F.n)
+    return CliffordElement(_lift_words(F.n, *_padded(transvection_decomposition(F)))[0], F.n)
+
+
+def _sample_words(n: int, rng: np.random.Generator, count: int):
+    """(words, lengths, labels) of count uniform projective Cliffords, for
+    _lift_words.  Each sample draws a uniform Sp(2n,F2) index and then a
+    uniform Pauli label, in the order of count random_clifford calls."""
+    draws = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)] * count)
+    words, lengths = _transvection_words(f2lin._rows_from_indices(draws[0::2], n), n)
+    return words, lengths, np.array(draws[1::2], dtype=np.int64)
 
 
 def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
     """Stack of count uniform projective Clifford unitaries, shape (count, d, d).
 
-    Each sample draws a uniform symplectic and then a uniform Pauli label,
-    as random_clifford does, so the stack equals count random_clifford
-    draws from the same generator, entry for entry; it is lifted at once.
+    The stack equals count random_clifford draws from the same generator,
+    entry for entry, and leaves the generator in the same state; the
+    symplectics are decoded and decomposed, and then lifted, as one stack.
     """
-    words, labels = [], []
-    for _ in range(count):
-        words.append(transvection_decomposition(f2lin.random_symplectic(n, rng)))
-        labels.append(f2lin._rand_below(rng, 1 << (2 * n)))
-    return _lift_words(n, words, labels)
+    return _lift_words(n, *_sample_words(n, rng, count))
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform projective Clifford element: random symplectic lift times a
     uniform Pauli.  The global phase of the representative is irrelevant for
-    every metric in this package."""
-    return CliffordElement(random_clifford_unitaries(n, rng, 1)[0], n)
+    every metric in this package.  The element carries its sampled
+    symplectic, so .symplectic needs no extraction."""
+    index, label = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)])
+    F = f2lin.symplectic_from_index(index, n)
+    U = _lift_words(n, *_padded(transvection_decomposition(F)), [label])[0]
+    return CliffordElement(U, n, symplectic=F)
 
 
 @dataclass(frozen=True)
@@ -395,13 +482,15 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
             " elements; orbits are materialized only for n <= 2"
         )
     d = 1 << n
-    words = [transvection_decomposition(F) for F in f2lin.enumerate_sp(n)]
+    words, lengths = _transvection_words(
+        np.array([F.rows for F in f2lin.enumerate_sp(n)], dtype=np.int64), n)
     per = max(STACK_ENTRIES // d**4, 1)  # symplectics per stack, each with d^2 labels
     stacks = []
     for lo in range(0, len(words), per):
-        chunk = words[lo:lo + per]
-        stacks.append(_lift_words(n, [w for w in chunk for _ in range(d * d)],
-                                  np.tile(np.arange(d * d), len(chunk))))
+        chunk = slice(lo, lo + per)
+        stacks.append(_lift_words(n, np.repeat(words[chunk], d * d, axis=0),
+                                  np.repeat(lengths[chunk], d * d),
+                                  np.tile(np.arange(d * d), len(lengths[chunk]))))
     return np.concatenate(stacks)
 
 

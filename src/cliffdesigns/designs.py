@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 BOUND_SLACK = 1e-9
+# orbit_frame_potential draws Monte-Carlo samples in blocks of this many
+MC_BLOCK = 256
 
 
 def sym_dim(d: int, t: int) -> int:
@@ -183,11 +185,12 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     Exact mode averages |<psi|U psi>|^{2t} over the whole projective group
     (equal to the orbit double sum by invariance; n <= 2).  Monte-Carlo
     mode samples uniform projective Cliffords and returns (estimate,
-    standard error).  It lifts them in stacks of at most
-    clifford.STACK_ENTRIES matrix entries (128 samples at n = 3, one at
-    n >= 7), drawn from rng in the order of one random_clifford call per
-    sample, so a seed gives the same unitaries and the same estimate at
-    any stack size.
+    standard error).  It draws them from rng in blocks of MC_BLOCK
+    samples, each decoded and decomposed as one stack, and lifts each
+    block in chunks of at most clifford.STACK_ENTRIES matrix entries (128
+    samples at n = 3, one at n >= 7).  The draws follow the order of one
+    random_clifford call per sample, so a seed gives the same unitaries and
+    the same estimate at any block or chunk size.
 
     The standard error is std / sqrt(samples), and on heavy-tailed orbits
     (n >= 4) it underestimates the true error badly: a sample that misses
@@ -208,10 +211,13 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
             raise ValueError("monte_carlo mode needs an rng")
         vals = np.empty(samples)
         step = max(clifford.STACK_ENTRIES >> (2 * n), 1)
-        for lo in range(0, samples, step):
-            stack = clifford.random_clifford_unitaries(n, rng, min(step, samples - lo))
-            for i, u in enumerate(stack, lo):
-                vals[i] = np.abs(np.vdot(psi, u @ psi)) ** (2 * t)
+        for lo in range(0, samples, MC_BLOCK):
+            words, lengths, labels = clifford._sample_words(n, rng, min(MC_BLOCK, samples - lo))
+            for c in range(0, len(lengths), step):
+                chunk = slice(c, c + step)
+                stack = clifford._lift_words(n, words[chunk], lengths[chunk], labels[chunk])
+                for i, u in enumerate(stack, lo + c):
+                    vals[i] = np.abs(np.vdot(psi, u @ psi)) ** (2 * t)
         est = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(samples))
         return est, stderr

@@ -9,8 +9,10 @@ Matrices act on column vectors; an F2Matrix stores its 2n rows as ints,
 so (M v) bit i = parity(rows[i] & v).
 
 The module provides enumeration and exactly-uniform sampling of
-Sp(2n, F_2), fixed-space dimensions, closed-form orbit counts and the
-fixed-space histogram for every n, and maximal isotropic subspaces.
+Sp(2n, F_2) (one index at a time, or a stack of indices decoded by
+whole-array bit operations), fixed-space dimensions, closed-form orbit
+counts and the fixed-space histogram for every n, and maximal isotropic
+subspaces.
 """
 
 from __future__ import annotations
@@ -119,11 +121,12 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _swap_pairs(v: int) -> int:
-    """J v: swap the (z, x) bits within every qubit pair."""
-    even = v & 0x5555555555555555
-    odd = v & 0xAAAAAAAAAAAAAAAA
-    return (even << 1) | (odd >> 1)
+_EVEN_BITS = 0x5555555555555555
+
+
+def _swap_pairs(v):
+    """J v: swap the (z, x) bits within every qubit pair (an int or an int64 array)."""
+    return ((v & _EVEN_BITS) << 1) | ((v >> 1) & _EVEN_BITS)
 
 
 def symplectic_form(a: int, b: int, n: int) -> int:
@@ -417,17 +420,118 @@ def _rows_from_index(index: int, n: int) -> tuple[int, ...]:
     return _mat_mul(left, _embed_sub(_rows_from_index(r, n - 1)))
 
 
+# ---------------------------------------------------------------------------
+# stacks of symplectic matrices: (S, 2n) int64 arrays of rows or columns
+
+
+def _forms(a, b):
+    """<a, b> elementwise over int64 arrays, as 0/1."""
+    return np.bitwise_count(a & _swap_pairs(b)) & 1
+
+
+def _transpose_stack(a: np.ndarray, m: int) -> np.ndarray:
+    """Rows to columns (or back) of a stack of m x m bit matrices."""
+    bits = (a[:, :, None] >> np.arange(m)) & 1
+    return (bits << np.arange(m)[:, None]).sum(axis=1)
+
+
+def _apply_stack(cols: np.ndarray, vecs: np.ndarray, m: int) -> np.ndarray:
+    """(S, p) images of the p vectors of each sample under its m x m matrix."""
+    bits = (vecs[:, :, None] >> np.arange(m)) & 1
+    return np.bitwise_xor.reduce(bits * cols[:, None, :], axis=2)
+
+
+def _is_symplectic_stack(cols: np.ndarray) -> np.ndarray:
+    """(S,) flags: is_symplectic of each sample, given its columns."""
+    m = cols.shape[1]
+    J = np.arange(m)[:, None] == np.arange(m) ^ 1
+    return (_forms(cols[:, :, None], cols[:, None, :]) == J).all(axis=(1, 2))
+
+
+def _pair_representatives(q: np.ndarray, k: int) -> np.ndarray:
+    """(S, 2k) columns of _pair_representative(q_s, k) for each pair index q_s.
+
+    g deposits b's bits around j* = ctz(J f1) and sets bit j* so that
+    <f1, g> = 1.  The basis is completed as in _symplectic_basis: each
+    round projects every unit vector onto the complement of the pairs so
+    far, u is the first nonzero projection and v the first that pairs
+    with u.  As projection is linear, these are the vectors the filtered
+    pool of _symplectic_basis gives.
+    """
+    m = 2 * k
+    f1 = (q >> (m - 1)) + 1
+    b = q & ((1 << (m - 1)) - 1)
+    jf = _swap_pairs(f1)
+    low = jf & -jf
+    dep = (b & (low - 1)) | ((b & -low) << 1)
+    cols = np.empty((len(q), m), dtype=np.int64)
+    cols[:, 0] = f1
+    cols[:, 1] = dep | low * (1 ^ (np.bitwise_count(dep & jf) & 1))
+    proj = np.tile(1 << np.arange(m), (len(q), 1))
+    s = np.arange(len(q))
+    for r in range(2, m, 2):
+        u, v = cols[:, r - 2, None], cols[:, r - 1, None]
+        proj ^= v * _forms(u, proj) ^ u * _forms(v, proj)
+        cols[:, r] = proj[s, np.argmax(proj != 0, axis=1)]
+        cols[:, r + 1] = proj[s, np.argmax(_forms(cols[:, r, None], proj), axis=1)]
+    return cols
+
+
+def _rows_from_indices(indices, n: int) -> np.ndarray:
+    """(S, 2n) int64 rows of symplectic_from_index(i, n) for each i of indices.
+
+    Each index is split into its per-level pair indices, as by
+    _rows_from_index; the levels' representatives are multiplied as bit
+    matrices over the whole stack, innermost first.
+    """
+    rest = np.array(indices, dtype=object)  # indices pass 2^63 from n = 6 on
+    pair_idx = []
+    for k in range(n, 1, -1):
+        pair_idx.append((rest // sp_order(k - 1)).astype(np.int64))
+        rest = rest % sp_order(k - 1)
+    cols = _pair_representatives(rest.astype(np.int64), 1)
+    for k, q in zip(range(2, n + 1), reversed(pair_idx)):
+        left = _pair_representatives(q, k)
+        cols = np.concatenate([left[:, :2], _apply_stack(left, cols << 2, 2 * k)], axis=1)
+    return _transpose_stack(cols, 2 * n)
+
+
+def _rand_below_many(rng, bounds) -> list[int]:
+    """Uniform integers in [0, b) for each b of bounds, any size.
+
+    The result and the generator's final state equal those of one
+    _rand_below call per bound, in order: each bound takes the top bits of
+    the next ceil(bits/32) 32-bit words and rejects values >= b.  Each
+    rng.integers call draws the words that the remaining bounds need if
+    nothing more is rejected, so no word is drawn that those calls would
+    not draw.
+    """
+    sizes = [(b.bit_length() + 31) // 32 for b in bounds]
+    need = sum(sizes)  # words that the bounds from the current one on need
+    out = []
+    words, pos = [], 0
+    for b, nw in zip(bounds, sizes):
+        while True:
+            if pos + nw > len(words):
+                words = words[pos:]
+                words += rng.integers(0, 1 << 32, size=need - len(words),
+                                      dtype=np.uint64).tolist()
+                pos = 0
+            x = words[pos]
+            for w in words[pos + 1:pos + nw]:
+                x = (x << 32) | w
+            pos += nw
+            x >>= nw * 32 - b.bit_length()
+            if x < b:
+                out.append(x)
+                break
+        need -= nw
+    return out
+
+
 def _rand_below(rng, bound: int) -> int:
     """Uniform integer in [0, bound) from a numpy Generator, any bound size."""
-    nbits = bound.bit_length()
-    nwords = (nbits + 31) // 32
-    while True:
-        x = 0
-        for w in rng.integers(0, 1 << 32, size=nwords, dtype=np.uint64):
-            x = (x << 32) | int(w)
-        x >>= nwords * 32 - nbits
-        if x < bound:
-            return x
+    return _rand_below_many(rng, [bound])[0]
 
 
 def random_symplectic(n: int, rng: np.random.Generator) -> F2Matrix:

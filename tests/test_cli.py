@@ -9,7 +9,8 @@ import pytest
 import cliffdesigns
 from cliffdesigns.cli import main
 from cliffdesigns.clifford import STACK_ENTRIES, random_clifford
-from cliffdesigns.fiducial import hoggar_fiducial
+from cliffdesigns.designs import MC_BLOCK
+from cliffdesigns.fiducial import hoggar_fiducial, named_fiducial
 
 
 def run_cli(capsys, *argv):
@@ -220,6 +221,10 @@ class TestMoments:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "sampled" not in captured.err
 
+    def test_negative_seed_rejected(self, capsys):
+        err = assert_rejected(capsys, "moments", "--n", "2", "--samples", "100", "--seed", "-1")
+        assert "--seed must be a non-negative integer, got -1" in err
+
     def test_replay_identical(self, capsys):
         args = ("moments", "--n", "2", "--samples", "5000", "--seed", "9")
         _, out1 = run_cli(capsys, *args)
@@ -298,6 +303,35 @@ class TestOrbit:
                          for _ in range(samples)])
         assert data["phi"] == float(vals.mean())
         assert data["stderr"] == float(vals.std(ddof=1) / np.sqrt(samples))
+
+    @pytest.mark.parametrize("samples", [MC_BLOCK + k for k in (-1, 0, 1)])
+    def test_mc_block_boundaries(self, capsys, samples):
+        # samples are drawn in blocks of MC_BLOCK; the estimate must not see
+        # where a block ends, so it equals one random_clifford draw per sample
+        code, out = run_cli(capsys, "orbit", "--named", "psi_T", "--mode", "mc",
+                            "--samples", str(samples), "--seed", "4")
+        data = json.loads(out)
+        psi = named_fiducial("psi_T")
+        rng = np.random.Generator(np.random.Philox(4))
+        vals = np.array([np.abs(np.vdot(psi, random_clifford(1, rng).matrix @ psi)) ** 8
+                         for _ in range(samples)])
+        assert data["phi"] == float(vals.mean())
+        assert data["stderr"] == float(vals.std(ddof=1) / np.sqrt(samples))
+
+    def test_mc_mode_zero_samples_rejected(self, capsys):
+        assert "--samples >= 2" in assert_rejected(capsys, "orbit", "--named", "psi_T",
+                                                   "--mode", "mc", "--samples", "0",
+                                                   "--seed", "1")
+
+    def test_mc_mode_negative_seed_rejected(self, capsys):
+        err = assert_rejected(capsys, "orbit", "--named", "psi_T", "--mode", "mc",
+                              "--samples", "10", "--seed", "-4")
+        assert "--seed must be a non-negative integer, got -4" in err
+
+    @pytest.mark.parametrize("option", [("--samples", "5"), ("--seed", "3")])
+    def test_exact_mode_rejects_mc_options(self, capsys, option):
+        err = assert_rejected(capsys, "orbit", "--named", "psi_T", *option)
+        assert "only to --mode mc" in err
 
     def test_mc_mode_needs_two_samples(self, capsys):
         code = main(["orbit", "--named", "psi_T", "--mode", "mc", "--samples", "1",

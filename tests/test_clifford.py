@@ -10,6 +10,7 @@ from cliffdesigns.clifford import (
     CliffordElement,
     NotCliffordError,
     _lift_words,
+    _transvection_words,
     clifford_trace_check,
     compose_word,
     extract_action,
@@ -166,12 +167,40 @@ class TestLift:
     @pytest.mark.parametrize("n", [1, 2])
     def test_batched_lift_equals_single_lifts(self, n):
         mats = list(f2lin.enumerate_sp(n))
-        stack = _lift_words(n, [transvection_decomposition(F) for F in mats])
+        words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
+        stack = _lift_words(n, words, lengths)
         single = np.array([lift_symplectic(F).matrix for F in mats])
         assert np.array_equal(stack.view(float), single.view(float))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stack_decomposition_exhaustive(self, n):
+        mats = list(f2lin.enumerate_sp(n))
+        words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
+        assert [w[:k].tolist() for w, k in zip(words, lengths)] == [
+            transvection_decomposition(F) for F in mats]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stack_decomposition_random(self, n):
+        rng = np.random.default_rng(70 + n)
+        mats = [f2lin.random_symplectic(n, rng) for _ in range(60)]
+        # swapping the first and last qubit needs midpoints far past the
+        # first block of candidates
+        swap = {0: n - 1, n - 1: 0}
+        mats.append(F2Matrix(tuple(1 << (2 * swap.get(i // 2, i // 2) + i % 2)
+                                   for i in range(2 * n)), n))
+        mats.append(F2Matrix.identity(n))
+        words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
+        assert [w[:k].tolist() for w, k in zip(words, lengths)] == [
+            transvection_decomposition(F) for F in mats]
+
+    def test_stack_decomposition_rejects_non_symplectic(self):
+        rows = np.array([[1, 2], [0b11, 0b11]])
+        with pytest.raises(ValueError):
+            _transvection_words(rows, 1)
+
     def test_lift_of_empty_stack(self):
-        assert _lift_words(2, [], []).shape == (0, 4, 4)
+        empty = np.zeros((0, 0), dtype=np.int64)
+        assert _lift_words(2, empty, np.zeros(0, dtype=np.int64), []).shape == (0, 4, 4)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_entries_are_gaussian_rationals(self, n):
@@ -200,7 +229,22 @@ class TestRandomClifford:
         b = random_clifford(2, np.random.default_rng(11))
         assert np.allclose(a.matrix, b.matrix)
 
-    @pytest.mark.parametrize("n, count", [(1, 40), (2, 40), (3, 300), (5, 12)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_carried_symplectic_is_the_extracted_one(self, n, monkeypatch):
+        rng = np.random.default_rng(60 + n)
+        draws = [random_clifford(n, rng) for _ in range(40 if n < 5 else 10)]
+        extracted = [extract_action(u)[0] for u in draws]
+
+        def no_extraction(u):
+            raise AssertionError("extracted a carried symplectic")
+
+        # .symplectic and the trace check read the carried F
+        monkeypatch.setattr("cliffdesigns.clifford.extract_action", no_extraction)
+        for u, F in zip(draws, extracted):
+            assert u.symplectic == F
+            assert clifford_trace_check(u).kernel_dim == fixed_space_dim(F)
+
+    @pytest.mark.parametrize("n, count", [(1, 40), (2, 40), (3, 300), (4, 300), (5, 12)])
     def test_stack_equals_sequential_draws(self, n, count):
         # same generator state afterwards, and every entry bit for bit
         rng_a, rng_b = np.random.default_rng(41), np.random.default_rng(41)

@@ -300,6 +300,68 @@ class TestRandomSymplectic:
         assert symplectic_form(F.apply(a), F.apply(b), n) == symplectic_form(a, b, n)
 
 
+def rand_below_oracle(rng, bound):
+    """One rng.integers call per attempt, 32-bit words high first."""
+    nbits = bound.bit_length()
+    nwords = (nbits + 31) // 32
+    while True:
+        x = 0
+        for w in rng.integers(0, 1 << 32, size=nwords, dtype=np.uint64):
+            x = (x << 32) | int(w)
+        x >>= nwords * 32 - nbits
+        if x < bound:
+            return x
+
+
+class TestStackSampler:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_decode_exhaustive(self, n):
+        got = f2lin._rows_from_indices(list(range(sp_order(n))), n)
+        want = [F.rows for F in enumerate_sp(n)]
+        assert got.dtype == np.int64 and got.tolist() == [list(r) for r in want]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_decode_random(self, n):
+        rng = np.random.default_rng(50 + n)
+        top = sp_order(n) - 1
+        idx = [0, top] + [rand_below_oracle(rng, top + 1) for _ in range(100 if n < 6 else 30)]
+        got = f2lin._rows_from_indices(idx, n)
+        assert got.tolist() == [list(symplectic_from_index(i, n).rows) for i in idx]
+
+    def test_decode_empty(self):
+        assert f2lin._rows_from_indices([], 3).shape == (0, 6)
+
+    @pytest.mark.parametrize("bounds", [
+        [5] * 40,
+        [2**32 + 1] * 20,
+        [4, 16, 64, 256, 1 << 16] * 10,
+        [sp_order(3), 1 << 6] * 50,
+        [sp_order(7), 1 << 14] * 20,
+        [1, 2, 3, 2**64, 7, 2**32],
+    ])
+    def test_rand_below_many_equals_sequential(self, bounds):
+        # same values and the same generator state as one call per bound
+        rngs = [np.random.default_rng(8) for _ in range(3)]
+        got = f2lin._rand_below_many(rngs[0], bounds)
+        assert got == [f2lin._rand_below(rngs[1], b) for b in bounds]
+        assert got == [rand_below_oracle(rngs[2], b) for b in bounds]
+        assert len({int(r.integers(1 << 62)) for r in rngs}) == 1
+
+    def test_rand_below_many_draws_in_few_calls(self):
+        # one call draws every word the bounds need when nothing is
+        # rejected (these bounds reject with probability 2^-31)
+        calls = []
+
+        class Recorder:
+            def integers(self, *args, **kwargs):
+                calls.append(kwargs["size"])
+                return rng.integers(*args, **kwargs)
+
+        rng = np.random.default_rng(3)
+        f2lin._rand_below_many(Recorder(), [(1 << 31) - 1] * 30 + [(1 << 63) - 1])
+        assert calls == [32]
+
+
 class TestIsotropic:
     @pytest.mark.parametrize("n,count", [(1, 3), (2, 15), (3, 135), (4, 2295)])
     def test_counts(self, n, count):
