@@ -21,26 +21,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 # An orbit --mode mc estimate passes while it lies at most this many of its
 # standard errors below the design minimum; exact mode allows ORBIT_ATOL.
 ORBIT_MC_SIGMAS = 4
 ORBIT_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int | None = None
-    t: int = 4
-    tolerance: float = 1e-9
-    samples: int | None = None
-    seed: int | None = None
-    format: str = "json"
-    out: str | None = None
-    threads: int | None = None
+# moments samples 2^n-dimensional Haar states, about 3 s per 10^5 states at
+# n = 5, 26 s at n = 7 and 110 s at n = 8; the exact moments hold for any n.
+MOMENTS_MAX_N = 5
 
 
 def _rational(x: Fraction) -> dict:
@@ -89,12 +78,10 @@ def _dump_state(psi, n: int) -> dict:
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, default=float, allow_nan=False) + "\n"
-    elif fmt == "csv":
+    else:
         lines = []
         _flatten("", payload, lines)
         text = "\n".join(f"{k},{v}" for k, v in lines) + "\n"
-    else:
-        raise SystemExit(f"unknown format {fmt}")
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -111,10 +98,10 @@ def _flatten(prefix: str, obj, lines: list) -> None:
             lines.append((prefix + str(k), v))
 
 
-def cmd_tables(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_tables(args) -> tuple[dict, bool]:
     from . import stabrep
 
-    n_max = 3 if cfg.n is None else cfg.n
+    n_max = args.n
     if not 1 <= n_max <= 6:
         raise ValueError(f"tables needs 1 <= --n <= 6 for the orbit-counting oracle, got --n {n_max}")
     per_n = []
@@ -135,32 +122,32 @@ def cmd_tables(cfg: RunConfig) -> tuple[dict, bool]:
     return {"tables": per_n, "pass": ok}, ok
 
 
-def cmd_check(args, cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_check(args) -> tuple[dict, bool]:
     from .designs import design_report
 
     psi, n = _load_state(args)
     rep = design_report(psi)
     ok = all(rep.bounds_ok.values())
     payload = rep.to_dict()
-    payload["is_design_fiducial"] = abs(rep.epsilon) <= cfg.tolerance
-    payload["tolerance"] = cfg.tolerance
+    payload["is_design_fiducial"] = abs(rep.epsilon) <= args.tol
+    payload["tolerance"] = args.tol
     payload["pass"] = ok
     return payload, ok
 
 
-def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_construct(args) -> tuple[dict, bool]:
     import numpy as np
 
     from .designs import design_report, sym_dim
     from . import fiducial
 
-    n = cfg.n
-    mode = next((m for m in ("alg1", "alg2", "weighted") if getattr(args, m)), None)
-    if mode is None:
-        raise SystemExit("construct needs one of --alg1 / --alg2 / --weighted")
+    n = args.n
+    mode = args.construction
     least = 1 if mode == "weighted" else 2  # alg1 and alg2 extend an (n-1)-qubit state
     if n < least:
         raise ValueError(f"construct --{mode} needs --n >= {least}, got --n {n}")
+    if args.max_iter < 1:
+        raise ValueError(f"construct needs --max-iter >= 1, got --max-iter {args.max_iter}")
     if mode == "alg1":
         base = fiducial.named_fiducial(args.base) if args.base else _default_base(n)
         psi = fiducial.tensor_completion(base, n)
@@ -176,11 +163,14 @@ def cmd_construct(args, cfg: RunConfig) -> tuple[dict, bool]:
         stab = np.zeros(1 << n, dtype=complex)
         stab[0] = 1.0
         neg = np.kron(fiducial.singer_eigenstates(n - 1)[0], fiducial.psi_t())
-        psi = fiducial.bisection_root(
-            stab, neg, tol=cfg.tolerance, max_iter=args.max_iter, mode=args.mode
-        )
+        try:
+            psi = fiducial.bisection_root(
+                stab, neg, tol=args.tol, max_iter=args.max_iter, mode=args.mode
+            )
+        except fiducial.ConvergenceError as err:
+            raise ValueError(f"construct --alg2 did not converge: {err}") from None
         rep = design_report(psi)
-        ok = abs(rep.epsilon) <= cfg.tolerance
+        ok = abs(rep.epsilon) <= args.tol
         payload = {
             "mode": "alg2",
             "iteration_mode": args.mode,
@@ -234,25 +224,26 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
 
-def cmd_moments(cfg: RunConfig, thresholds) -> tuple[dict, bool]:
+def cmd_moments(args) -> tuple[dict, bool]:
     from . import moments
 
-    n = 2 if cfg.n is None else cfg.n
-    samples = 100000 if cfg.samples is None else cfg.samples
-    if not 1 <= n <= moments.EXACT_MAX_N:
-        raise ValueError(f"moments needs 1 <= n <= {moments.EXACT_MAX_N} for the exact moments")
+    n, samples, seed = args.n, args.samples, args.seed
+    thresholds = [float(x) for x in args.thresholds.split(",")] if args.thresholds else None
+    if not 1 <= n <= MOMENTS_MAX_N:
+        raise ValueError(f"moments needs 1 <= --n <= {MOMENTS_MAX_N}, got --n {n}: sampling "
+                         f"costs about 3 s per 10^5 states at n = 5 and 110 s at n = 8")
     if samples < 2:
         raise ValueError("moments needs --samples >= 2 for a variance")
-    _check_seed(cfg.seed)
+    _check_seed(seed)
     if thresholds and samples < moments.TAIL_MIN_SAMPLES:
         raise ValueError(f"--thresholds needs --samples >= {moments.TAIL_MIN_SAMPLES}")
     if thresholds and min(thresholds) <= 0:
         raise ValueError("tail thresholds must be positive")
-    alphas = moments.haar_alphas(n, samples, cfg.seed)
-    rep = moments.mc_moment_report(n, samples, cfg.seed, alphas=alphas)
+    alphas = moments.haar_alphas(n, samples, seed)
+    rep = moments.mc_moment_report(n, samples, seed, alphas=alphas)
     ok = all(rep["pass"].values())
     if thresholds:
-        con = moments.concentration_report(n, samples, thresholds, cfg.seed, alphas=alphas)
+        con = moments.concentration_report(n, samples, thresholds, seed, alphas=alphas)
         rep["concentration"] = con
         ok &= con["pass"]
     rep["exact"] = {
@@ -266,10 +257,10 @@ def cmd_moments(cfg: RunConfig, thresholds) -> tuple[dict, bool]:
 _SINGER_REFERENCE = {1: (2.0 / 9.0, 1e-10), 2: (0.12, 5e-3), 4: (0.0312, 5e-4), 8: (0.0020, 5e-4)}
 
 
-def cmd_singer(cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_singer(args) -> tuple[dict, bool]:
     from . import fiducial
 
-    n = cfg.n or 1
+    n = args.n
     rows = fiducial.singer_epsilon_table((n,))
     row = rows[0]
     ref, tol = _SINGER_REFERENCE.get(n, (None, None))
@@ -284,35 +275,35 @@ def cmd_singer(cfg: RunConfig) -> tuple[dict, bool]:
     return payload, ok
 
 
-def cmd_orbit(args, cfg: RunConfig) -> tuple[dict, bool]:
+def cmd_orbit(args) -> tuple[dict, bool]:
     from .designs import orbit_frame_potential, sym_dim
 
-    t = cfg.t
+    t = args.t
     if t < 1:
         raise ValueError(f"orbit needs --t >= 1, got --t {t}")
     psi, n = _load_state(args)
     minimum = 1.0 / sym_dim(1 << n, t)
     if args.mode == "exact":
-        if cfg.samples is not None or cfg.seed is not None:
+        if args.samples is not None or args.seed is not None:
             raise ValueError("orbit --samples and --seed apply only to --mode mc")
         val = orbit_frame_potential(psi, t)
         payload = {"n": n, "t": t, "mode": "exact", "phi": val}
         slack = ORBIT_ATOL
     else:
-        if cfg.seed is None:
+        if args.seed is None:
             raise ValueError("orbit --mode mc requires --seed")
-        _check_seed(cfg.seed)
-        samples = 10000 if cfg.samples is None else cfg.samples
+        _check_seed(args.seed)
+        samples = 10000 if args.samples is None else args.samples
         if samples < 2:
             raise ValueError("orbit --mode mc needs --samples >= 2 for a standard error")
         import numpy as np
 
-        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        rng = np.random.Generator(np.random.Philox(args.seed))
         val, stderr = orbit_frame_potential(psi, t, mode="monte_carlo", samples=samples, rng=rng)
         payload = {
             "n": n, "t": t, "mode": "monte_carlo",
             "phi": val, "stderr": stderr,
-            "samples": samples, "seed": cfg.seed,
+            "samples": samples, "seed": args.seed,
         }
         if stderr > 0:
             payload["margin_se"] = (val - minimum) / stderr
@@ -347,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("construct", help="exact 4-design constructions", parents=[output])
-    p.add_argument("--alg1", action="store_true")
-    p.add_argument("--alg2", action="store_true")
-    p.add_argument("--weighted", action="store_true")
+    g = p.add_mutually_exclusive_group(required=True)
+    for mode in ("alg1", "alg2", "weighted"):
+        g.add_argument(f"--{mode}", dest="construction", action="store_const", const=mode)
     p.add_argument("--base", help="named base state for --alg1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -375,42 +366,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+COMMANDS = {
+    "tables": cmd_tables,
+    "check": cmd_check,
+    "construct": cmd_construct,
+    "moments": cmd_moments,
+    "singer": cmd_singer,
+    "orbit": cmd_orbit,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        t=getattr(args, "t", 4),
-        tolerance=getattr(args, "tol", 1e-9),
-        samples=getattr(args, "samples", None),
-        seed=getattr(args, "seed", None),
-        format=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        threads=args.threads,
-    )
     try:
-        if args.command == "tables":
-            payload, ok = cmd_tables(cfg)
-        elif args.command == "check":
-            payload, ok = cmd_check(args, cfg)
-        elif args.command == "construct":
-            payload, ok = cmd_construct(args, cfg)
-        elif args.command == "moments":
-            thresholds = (
-                [float(x) for x in args.thresholds.split(",")] if args.thresholds else None
-            )
-            payload, ok = cmd_moments(cfg, thresholds)
-        elif args.command == "singer":
-            payload, ok = cmd_singer(cfg)
-        elif args.command == "orbit":
-            payload, ok = cmd_orbit(args, cfg)
-        else:  # pragma: no cover
-            raise SystemExit(f"unknown command {args.command}")
-        payload["config"] = {k: v for k, v in asdict(cfg).items() if v is not None}
-        _emit(payload, cfg.format, cfg.out)
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ValueError(f"--threads must be >= 1, got --threads {args.threads}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
+        payload, ok = COMMANDS[args.command](args)
+        payload["config"] = {k: v for k, v in vars(args).items() if v is not None}
+        _emit(payload, args.format, args.out)
     except (ValueError, AssertionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -117,14 +117,6 @@ class CliffordElement:
             raise f2lin.DimensionError("qubit count mismatch")
         return CliffordElement(self.matrix @ other.matrix, self.n)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("row,col,re,im\n")
-            for r in range(self.d):
-                for c in range(self.d):
-                    v = self.matrix[r, c]
-                    fh.write(f"{r},{c},{v.real!r},{v.imag!r}\n")
-
 
 def _embed_1q(gate: np.ndarray, q: int, n: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])

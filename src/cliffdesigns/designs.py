@@ -45,7 +45,6 @@ __all__ = [
     "qubit_phi4",
     "qubit_six_design_roots",
     "bloch_state",
-    "product_state_bound_check",
     "tensor_fiducial_admissible",
 ]
 
@@ -274,24 +273,7 @@ def qubit_six_design_roots() -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# product states and tensor fiducials
-
-
-def product_state_bound_check(psi1, psi2, psi3, psi4) -> float:
-    """tr[P_{n,4} (rho_1 x rho_2 x rho_3 x rho_4)], asserted within [0, 1/d].
-
-    Evaluated as (1/d^2) sum_a prod_j Xi_a(psi_j); the code contains no
-    product state, so 1/d is the largest possible value.
-    """
-    xis = [characteristic_function(np.asarray(p)) for p in (psi1, psi2, psi3, psi4)]
-    n = xis[0].n
-    if any(x.n != n for x in xis):
-        raise ValueError("states must share the qubit count")
-    d = 1 << n
-    val = float(np.sum(xis[0].values * xis[1].values * xis[2].values * xis[3].values)) / d**2
-    if not -1e-10 <= val <= 1 / d + 1e-10:
-        raise AssertionError(f"product-state overlap {val} outside [0, 1/d]")
-    return val
+# tensor fiducials
 
 
 def tensor_fiducial_admissible(parts) -> bool:

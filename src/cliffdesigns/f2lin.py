@@ -246,7 +246,7 @@ def is_symplectic(F: F2Matrix) -> bool:
     for i in range(nn):
         for j in range(i + 1, nn):
             want = 1 if j == i ^ 1 else 0
-            if symplectic_form(cols[i], cols[j], F.n) != want:
+            if _omega(cols[i], cols[j]) != want:
                 return False
     return True
 

@@ -1,14 +1,14 @@
 """Moments of the code overlap alpha_+ under Haar-random states.
 
-The first moment is 4/(d(d+3)) by symmetry of the fourth-moment operator.
-The second moment reduces to a sum over Pauli pairs of symmetric-subspace
-traces tr[P_[8] (W_a^{x4} x W_b^{x4})], which splits into five cases
-(both identity, one identity, equal, commuting, anticommuting).  Each case
-value is an exact rational assembled from the census of S_8 permutations
-without odd cycles, classified by cycle type, balancedness, and the parity
-of first-half/second-half transpositions.  The census is hard-coded below;
-regenerate_s8_class_counts rebuilds it from scratch by sweeping all 40 320
-permutations with the phase-exact Pauli product.
+The first moment is 4/(d(d+3)) by symmetry of the fourth-moment operator,
+and the second is the closed form
+
+    E[alpha_+^2] = 16(d^2+15d+68) / (d^2(d+3)(d+5)(d+6)(d+7)).
+
+It follows from a sum over Pauli pairs of symmetric-subspace traces
+tr[P_[8] (W_a^{x4} x W_b^{x4})], which splits into five cases (both
+identity, one identity, equal, commuting, anticommuting) whose values come
+from the census of S_8 permutations without odd cycles.
 
 Monte-Carlo utilities estimate the same moments, tail probabilities
 against the Chebyshev bound, and the Lipschitz ratio of alpha_+.
@@ -16,15 +16,13 @@ against the Chebyshev bound, and the Lipschitz ratio of alpha_+.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .designs import epsilon_from_ell4, sym_dim
-from .pauli import PauliLabel, alpha_plus_batch, pauli_product
-from .stabrep import cycle_type, permutation_cycles
+from .designs import epsilon_from_ell4
+from .pauli import alpha_plus_batch
 
 __all__ = [
     "MomentEstimate",
@@ -35,34 +33,13 @@ __all__ = [
     "epsilon_second_moment_exact",
     "average_phi4_ratio_exact",
     "chebyshev_bound",
-    "EXACT_MAX_N",
     "TAIL_MIN_SAMPLES",
     "haar_alphas",
-    "S8_CLASS_COUNTS",
-    "regenerate_s8_class_counts",
-    "dense_second_moment_qubit",
     "mc_moment_report",
     "concentration_report",
     "lipschitz_probe",
 ]
 
-# Census of S_8 permutations with no odd-length cycle, by cycle type:
-#   total        -- all such permutations,
-#   balanced     -- every cycle visits an even number of the first four and
-#                   of the last four tensor slots,
-#   signed       -- balanced counted with the sign of the number of
-#                   first/second-half interleavings per cycle.
-S8_CLASS_COUNTS = {
-    (2, 2, 2, 2): {"total": 105, "balanced": 9, "signed": 9, "even_cycles": 4},
-    (4, 2, 2): {"total": 1260, "balanced": 252, "signed": 108, "even_cycles": 3},
-    (4, 4): {"total": 1260, "balanced": 684, "signed": 108, "even_cycles": 2},
-    (6, 2): {"total": 3360, "balanced": 1440, "signed": 288, "even_cycles": 2},
-    (8,): {"total": 5040, "balanced": 5040, "signed": 432, "even_cycles": 1},
-}
-
-
-# The second-moment census is tabulated through this qubit count.
-EXACT_MAX_N = 5
 # Tail frequencies are estimated from at least this many states.
 TAIL_MIN_SAMPLES = 10**4
 
@@ -87,54 +64,8 @@ def alpha_mean_exact(n: int) -> Fraction:
     return Fraction(4, d * (d + 3))
 
 
-def _case_values(d: int) -> dict[str, Fraction]:
-    """tr[P_[8] (W_a^{x4} x W_b^{x4})] for the five Pauli-pair cases."""
-    fact8 = 40320
-    d8 = Fraction(sym_dim(d, 8))
-    d4 = Fraction(sym_dim(d, 4))
-    # tr(P_[4] W^{x4}) for W != 1: three (2,2) and six (4) permutations
-    p4w = Fraction(3 * d * d + 6 * d, 24)
-    equal = Fraction(
-        sum(c["total"] * d ** c["even_cycles"] for c in S8_CLASS_COUNTS.values()), fact8
-    )
-    commuting = Fraction(
-        sum(c["balanced"] * d ** c["even_cycles"] for c in S8_CLASS_COUNTS.values()), fact8
-    )
-    anticommuting = Fraction(
-        sum(c["signed"] * d ** c["even_cycles"] for c in S8_CLASS_COUNTS.values()), fact8
-    )
-    return {
-        "both_identity": d8,
-        "one_identity": d8 / d4 * p4w,
-        "equal": equal,
-        "commuting": commuting,
-        "anticommuting": anticommuting,
-    }
-
-
 def exact_second_moment(n: int) -> Fraction:
-    """E[alpha_+^2] over Haar-random states, as an exact rational.
-
-    Assembled from the five-case trace values and the Pauli pair counts;
-    equals 16(d^2+15d+68) / (d^2(d+3)(d+5)(d+6)(d+7)).
-    """
-    if n > EXACT_MAX_N:
-        raise ValueError(f"second moment tabulated for n <= {EXACT_MAX_N}")
-    d = 1 << n
-    vals = _case_values(d)
-    n_pairs_comm = (d * d - 1) * (d * d // 2 - 2)
-    n_pairs_anti = (d * d - 1) * (d * d // 2)
-    total = (
-        vals["both_identity"]
-        + 2 * (d * d - 1) * vals["one_identity"]
-        + (d * d - 1) * vals["equal"]
-        + n_pairs_comm * vals["commuting"]
-        + n_pairs_anti * vals["anticommuting"]
-    )
-    return total / (d**4 * sym_dim(d, 8))
-
-
-def second_moment_closed_form(n: int) -> Fraction:
+    """E[alpha_+^2] = 16(d^2+15d+68) / (d^2(d+3)(d+5)(d+6)(d+7)), exactly."""
     d = 1 << n
     return Fraction(16 * (d * d + 15 * d + 68), d * d * (d + 3) * (d + 5) * (d + 6) * (d + 7))
 
@@ -160,70 +91,6 @@ def chebyshev_bound(n: int, xi: float) -> float:
     if xi <= 0:
         raise ValueError("threshold must be positive")
     return min(1.0, float(epsilon_second_moment_exact(n)) / xi**2)
-
-
-# ---------------------------------------------------------------------------
-# census regeneration and the dense qubit oracle
-
-
-def regenerate_s8_class_counts() -> dict:
-    """Recompute S8_CLASS_COUNTS by brute force over all 40 320 permutations.
-
-    The signed count uses the phase-exact single-qubit Pauli product with
-    the anticommuting pair (Z, X): a balanced cycle multiplies out to
-    +-identity and the sign is read off the i-power.
-    """
-    z = PauliLabel(1, 1)
-    x = PauliLabel(1, 2)
-    out = {}
-    for perm in itertools.permutations(range(8)):
-        ct = cycle_type(perm)
-        if any(l % 2 for l in ct):
-            continue
-        entry = out.setdefault(
-            ct, {"total": 0, "balanced": 0, "signed": 0, "even_cycles": len(ct)}
-        )
-        entry["total"] += 1
-        cycles = permutation_cycles(perm)
-        balanced = all(
-            sum(1 for e in cyc if e < 4) % 2 == 0 and sum(1 for e in cyc if e >= 4) % 2 == 0
-            for cyc in cycles
-        )
-        if not balanced:
-            continue
-        entry["balanced"] += 1
-        sign = 1
-        for cyc in cycles:
-            prod = PauliLabel.identity(1)
-            for e in cyc:
-                prod = pauli_product(prod, z if e < 4 else x)
-            if prod.a != 0 or prod.phase_exp % 2:
-                raise AssertionError(f"balanced cycle gives Pauli product {prod}, not +-1")
-            sign *= 1 if prod.phase_exp == 0 else -1
-        entry["signed"] += sign
-    return out
-
-
-def dense_second_moment_qubit() -> float:
-    """E[alpha_+^2] at n = 1 from dense 256-dimensional projectors.
-
-    Builds the 8-copy symmetric projector by summing all permutation
-    operators and contracts it against the doubled code projector; an
-    independent check of the combinatorial assembly.
-    """
-    from .stabrep import stab_projector
-
-    idx = np.arange(256)
-    bits = [(idx >> (7 - c)) & 1 for c in range(8)]
-    counts = np.zeros((256, 256))
-    for perm in itertools.permutations(range(8)):
-        y = sum(bits[perm[c]] << (7 - c) for c in range(8))
-        np.add.at(counts, (y, idx), 1.0)
-    p8 = counts / 40320.0
-    p14 = stab_projector(1, 4)
-    doubled = np.kron(p14, p14)
-    d8 = 9  # dim of the 8-fold symmetric subspace at d = 2
-    return float(np.trace(doubled @ p8).real / d8)
 
 
 # ---------------------------------------------------------------------------

@@ -180,14 +180,6 @@ class CharacteristicFunction:
     def value(self, a: int) -> float:
         return float(self.values[a])
 
-    def to_csv(self, path) -> None:
-        nn = 2 * self.n
-        with open(path, "w") as fh:
-            fh.write("label_bits,value\n")
-            for a, v in enumerate(self.values):
-                bits = format(a, f"0{nn}b")[::-1]  # coordinate 1 first
-                fh.write(f"{bits},{v!r}\n")
-
 
 def _check_normalized(psis: np.ndarray) -> None:
     """A state, or every row of a batch of states, has unit norm; NaN fails."""

@@ -12,10 +12,10 @@ symmetric-group commutant, and everything about the decomposition of
 * orbit_counting_dims -- an independent combinatorial oracle for the two
                        multiplicity-free rows, obtained by counting
                        letter-string orbits,
-* symplectic_character / multiplicity_sum / clifford_frame_potential --
-                       exact character sums over Sp(2n, F_2): from
-                       fixed-space dimensions for a given set, and as
-                       closed-form orbit counts for the whole group.
+* symplectic_character / sp_multiplicity_sum / clifford_frame_potential --
+                       exact characters of Sp(2n, F_2) elements from
+                       fixed-space dimensions, and the group sums over
+                       Sp(2n, F_2) as closed-form orbit counts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import f2lin
 from .f2lin import CapacityError, F2Matrix, IsotropicSubspace, fixed_space_dim
-from .pauli import PauliLabel, _signed_perm, pauli_matrix
+from .pauli import PauliLabel, pauli_matrix
 
 __all__ = [
     "PARTITIONS",
@@ -37,12 +37,9 @@ __all__ = [
     "stab_projector",
     "stab_code_basis",
     "vec_pauli_basis",
-    "young_projector",
     "dimension_table",
     "orbit_counting_dims",
     "symplectic_character",
-    "numeric_symplectic_character",
-    "multiplicity_sum",
     "sp_multiplicity_sum",
     "clifford_frame_potential",
     "isotropic_orbit_states",
@@ -62,7 +59,6 @@ S4_CHARACTER = {
 }
 
 DENSE_DIM_MAX = 4096
-YOUNG_DENSE_MAX_N = 2
 
 
 def weyl_dim(lam: tuple, d: int) -> Fraction:
@@ -78,26 +74,6 @@ def weyl_dim(lam: tuple, d: int) -> Fraction:
     if lam == (3, 1):
         return Fraction(d * (d + 2) * (d * d - 1), 8)
     raise ValueError(f"not a partition of 4: {lam!r}")
-
-
-def permutation_cycles(perm) -> list[list[int]]:
-    """The cycles of a permutation given as its tuple of images."""
-    seen = [False] * len(perm)
-    cycles = []
-    for i in range(len(perm)):
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        if cyc:
-            cycles.append(cyc)
-    return cycles
-
-
-def cycle_type(perm: tuple) -> tuple:
-    return tuple(sorted(map(len, permutation_cycles(perm)), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -189,33 +165,6 @@ def vec_pauli_basis(n: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _perm_operators(d: int) -> dict:
-    idx = np.arange(d**4)
-    digits = [(idx // d ** (3 - c)) % d for c in range(4)]
-    ops = {}
-    for perm in itertools.permutations(range(4)):
-        y = sum(digits[perm[c]] * d ** (3 - c) for c in range(4))
-        m = np.zeros((d**4, d**4), dtype=complex)
-        m[y, idx] = 1.0
-        ops[perm] = m
-    return ops
-
-
-def young_projector(lam: tuple, n: int) -> np.ndarray:
-    """Isotypic projector (d_lam/24) sum_sigma chi_lam(sigma) U_sigma."""
-    if lam not in SPECHT_DIM:
-        raise ValueError(f"not a partition of 4: {lam!r}")
-    if n > YOUNG_DENSE_MAX_N:
-        raise CapacityError("dense isotypic projectors supported for n <= 2")
-    d = 1 << n
-    chi = S4_CHARACTER[lam]
-    out = np.zeros((d**4, d**4), dtype=complex)
-    for perm, op in _perm_operators(d).items():
-        out += chi[cycle_type(perm)] * op
-    return (SPECHT_DIM[lam] / 24.0) * out
-
-
 # ---------------------------------------------------------------------------
 # exact dimension ledger
 
@@ -293,62 +242,10 @@ def symplectic_character(F: F2Matrix, k: int = 4) -> int:
     return base ** fixed_space_dim(F)
 
 
-def numeric_symplectic_character(U, k: int = 4) -> float:
-    """tr(U^{x k} P_{n,k}) evaluated from the dense unitary.
-
-    Uses tr(U^{x k} W_a^{x k}) = [tr(U W_a)]^k so no d^k-dimensional matrix
-    is formed; cross-validates the exact character.
-    """
-    n = U.n
-    d = 1 << n
-    k_idx = np.arange(d)
-    total = 0.0 + 0.0j
-    for a in range(d * d):
-        x, v = _signed_perm(PauliLabel(n, a))
-        total += np.sum(U.matrix[k_idx, k_idx ^ x] * v) ** k
-    return float((total / d**2).real)
-
-
-def multiplicity_sum(R, k: int = 4, verify_group: bool = True) -> Fraction:
-    """(1/|R|) sum_{F in R} f(F)^{k-2} with f(F) = 2^{dim ker(F-1)}.
-
-    For a subgroup R this equals the squared-multiplicity sum of the code
-    representation restricted to R, and also the number of R-orbits on
-    (k-2)-tuples of vectors.  Closure is checked pairwise for small R and
-    on random pairs for large R.
-    """
-    if k % 4 != 0 or k <= 0:
-        raise ValueError("k must be a positive multiple of 4")
-    mats = list(R)
-    if not mats:
-        raise ValueError("empty set")
-    if verify_group:
-        _check_closure(mats)
-    total = sum(2 ** ((k - 2) * fixed_space_dim(F)) for F in mats)
-    return Fraction(total, len(mats))
-
-
-def _check_closure(mats, sample_pairs: int = 512) -> None:
-    keys = {m.rows for m in mats}
-    if len(keys) != len(mats):
-        raise ValueError("input contains duplicate elements")
-    m = len(mats)
-    if m * m <= 4096:
-        pairs = itertools.product(mats, mats)
-    else:
-        rng = np.random.default_rng(0)
-        pairs = (
-            (mats[int(i)], mats[int(j)])
-            for i, j in zip(rng.integers(m, size=sample_pairs), rng.integers(m, size=sample_pairs))
-        )
-    for a, b in pairs:
-        if (a @ b).rows not in keys:
-            raise ValueError("input set is not closed under multiplication")
-
-
 def sp_multiplicity_sum(n: int, k: int = 4) -> Fraction:
-    """multiplicity_sum over the full Sp(2n, F_2): the number of orbits on
-    (k-2)-tuples of vectors, by Burnside's lemma."""
+    """(1/|Sp|) sum_F f(F)^{k-2} over Sp(2n, F_2), f(F) = 2^{dim ker(F-1)}:
+    the squared-multiplicity sum of the code representation, which by
+    Burnside's lemma is the number of orbits on (k-2)-tuples of vectors."""
     if k % 4 != 0 or k <= 0:
         raise ValueError("k must be a positive multiple of 4")
     return Fraction(f2lin.sp_orbit_count(n, k - 2))

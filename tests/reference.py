@@ -1,0 +1,277 @@
+"""Brute-force oracles that the tests check the package against.
+
+Each routine here is a second, independent route to a number the package
+computes in closed form or by exact combinatorics:
+
+* the S8 permutation census and the five-case assembly of E[alpha_+^2],
+  with a dense 256-dimensional n = 1 evaluation (moments),
+* dense isotypic (Young) projectors of S4 on (C^d)^{x4} (stabrep),
+* the code character tr(U^{x k} P_{n,k}) from the dense Clifford unitary,
+  and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
+  (stabrep),
+* the code overlap of a product of four states (designs).
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from cliffdesigns.designs import sym_dim
+from cliffdesigns.f2lin import CapacityError, fixed_space_dim
+from cliffdesigns.pauli import PauliLabel, _signed_perm, characteristic_function, pauli_product
+from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, stab_projector
+
+YOUNG_DENSE_MAX_N = 2
+
+# Census of S_8 permutations with no odd-length cycle, by cycle type:
+#   total        -- all such permutations,
+#   balanced     -- every cycle visits an even number of the first four and
+#                   of the last four tensor slots,
+#   signed       -- balanced counted with the sign of the number of
+#                   first/second-half interleavings per cycle.
+S8_CLASS_COUNTS = {
+    (2, 2, 2, 2): {"total": 105, "balanced": 9, "signed": 9, "even_cycles": 4},
+    (4, 2, 2): {"total": 1260, "balanced": 252, "signed": 108, "even_cycles": 3},
+    (4, 4): {"total": 1260, "balanced": 684, "signed": 108, "even_cycles": 2},
+    (6, 2): {"total": 3360, "balanced": 1440, "signed": 288, "even_cycles": 2},
+    (8,): {"total": 5040, "balanced": 5040, "signed": 432, "even_cycles": 1},
+}
+
+
+def permutation_cycles(perm) -> list[list[int]]:
+    """The cycles of a permutation given as its tuple of images."""
+    seen = [False] * len(perm)
+    cycles = []
+    for i in range(len(perm)):
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = perm[j]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def cycle_type(perm: tuple) -> tuple:
+    return tuple(sorted(map(len, permutation_cycles(perm)), reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# the second moment of alpha_+ from the S8 census
+
+
+def _case_values(d: int) -> dict[str, Fraction]:
+    """tr[P_[8] (W_a^{x4} x W_b^{x4})] for the five Pauli-pair cases."""
+    fact8 = 40320
+    d8 = Fraction(sym_dim(d, 8))
+    d4 = Fraction(sym_dim(d, 4))
+    # tr(P_[4] W^{x4}) for W != 1: three (2,2) and six (4) permutations
+    p4w = Fraction(3 * d * d + 6 * d, 24)
+    equal = Fraction(
+        sum(c["total"] * d ** c["even_cycles"] for c in S8_CLASS_COUNTS.values()), fact8
+    )
+    commuting = Fraction(
+        sum(c["balanced"] * d ** c["even_cycles"] for c in S8_CLASS_COUNTS.values()), fact8
+    )
+    anticommuting = Fraction(
+        sum(c["signed"] * d ** c["even_cycles"] for c in S8_CLASS_COUNTS.values()), fact8
+    )
+    return {
+        "both_identity": d8,
+        "one_identity": d8 / d4 * p4w,
+        "equal": equal,
+        "commuting": commuting,
+        "anticommuting": anticommuting,
+    }
+
+
+def census_second_moment(n: int) -> Fraction:
+    """E[alpha_+^2] over Haar-random states, as an exact rational.
+
+    The sum over Pauli pairs of tr[P_[8] (W_a^{x4} x W_b^{x4})] splits into
+    five cases (both identity, one identity, equal, commuting,
+    anticommuting), each weighted by its number of pairs.
+    """
+    d = 1 << n
+    vals = _case_values(d)
+    n_pairs_comm = (d * d - 1) * (d * d // 2 - 2)
+    n_pairs_anti = (d * d - 1) * (d * d // 2)
+    total = (
+        vals["both_identity"]
+        + 2 * (d * d - 1) * vals["one_identity"]
+        + (d * d - 1) * vals["equal"]
+        + n_pairs_comm * vals["commuting"]
+        + n_pairs_anti * vals["anticommuting"]
+    )
+    return total / (d**4 * sym_dim(d, 8))
+
+
+def regenerate_s8_class_counts() -> dict:
+    """Recompute S8_CLASS_COUNTS by brute force over all 40 320 permutations.
+
+    The signed count uses the phase-exact single-qubit Pauli product with
+    the anticommuting pair (Z, X): a balanced cycle multiplies out to
+    +-identity and the sign is read off the i-power.
+    """
+    z = PauliLabel(1, 1)
+    x = PauliLabel(1, 2)
+    out = {}
+    for perm in itertools.permutations(range(8)):
+        ct = cycle_type(perm)
+        if any(l % 2 for l in ct):
+            continue
+        entry = out.setdefault(
+            ct, {"total": 0, "balanced": 0, "signed": 0, "even_cycles": len(ct)}
+        )
+        entry["total"] += 1
+        cycles = permutation_cycles(perm)
+        balanced = all(
+            sum(1 for e in cyc if e < 4) % 2 == 0 and sum(1 for e in cyc if e >= 4) % 2 == 0
+            for cyc in cycles
+        )
+        if not balanced:
+            continue
+        entry["balanced"] += 1
+        sign = 1
+        for cyc in cycles:
+            prod = PauliLabel.identity(1)
+            for e in cyc:
+                prod = pauli_product(prod, z if e < 4 else x)
+            if prod.a != 0 or prod.phase_exp % 2:
+                raise AssertionError(f"balanced cycle gives Pauli product {prod}, not +-1")
+            sign *= 1 if prod.phase_exp == 0 else -1
+        entry["signed"] += sign
+    return out
+
+
+def dense_second_moment_qubit() -> float:
+    """E[alpha_+^2] at n = 1 from dense 256-dimensional projectors.
+
+    Builds the 8-copy symmetric projector by summing all permutation
+    operators and contracts it against the doubled code projector.
+    """
+    idx = np.arange(256)
+    bits = [(idx >> (7 - c)) & 1 for c in range(8)]
+    counts = np.zeros((256, 256))
+    for perm in itertools.permutations(range(8)):
+        y = sum(bits[perm[c]] << (7 - c) for c in range(8))
+        np.add.at(counts, (y, idx), 1.0)
+    p8 = counts / 40320.0
+    p14 = stab_projector(1, 4)
+    doubled = np.kron(p14, p14)
+    d8 = 9  # dim of the 8-fold symmetric subspace at d = 2
+    return float(np.trace(doubled @ p8).real / d8)
+
+
+# ---------------------------------------------------------------------------
+# dense isotypic projectors
+
+
+@functools.lru_cache(maxsize=None)
+def _perm_operators(d: int) -> dict:
+    idx = np.arange(d**4)
+    digits = [(idx // d ** (3 - c)) % d for c in range(4)]
+    ops = {}
+    for perm in itertools.permutations(range(4)):
+        y = sum(digits[perm[c]] * d ** (3 - c) for c in range(4))
+        m = np.zeros((d**4, d**4), dtype=complex)
+        m[y, idx] = 1.0
+        ops[perm] = m
+    return ops
+
+
+def young_projector(lam: tuple, n: int) -> np.ndarray:
+    """Isotypic projector (d_lam/24) sum_sigma chi_lam(sigma) U_sigma."""
+    if lam not in SPECHT_DIM:
+        raise ValueError(f"not a partition of 4: {lam!r}")
+    if n > YOUNG_DENSE_MAX_N:
+        raise CapacityError("dense isotypic projectors supported for n <= 2")
+    d = 1 << n
+    chi = S4_CHARACTER[lam]
+    out = np.zeros((d**4, d**4), dtype=complex)
+    for perm, op in _perm_operators(d).items():
+        out += chi[cycle_type(perm)] * op
+    return (SPECHT_DIM[lam] / 24.0) * out
+
+
+# ---------------------------------------------------------------------------
+# character sums from dense unitaries and explicit groups
+
+
+def numeric_symplectic_character(U, k: int = 4) -> float:
+    """tr(U^{x k} P_{n,k}) evaluated from the dense unitary.
+
+    Uses tr(U^{x k} W_a^{x k}) = [tr(U W_a)]^k so no d^k-dimensional matrix
+    is formed.
+    """
+    n = U.n
+    d = 1 << n
+    k_idx = np.arange(d)
+    total = 0.0 + 0.0j
+    for a in range(d * d):
+        x, v = _signed_perm(PauliLabel(n, a))
+        total += np.sum(U.matrix[k_idx, k_idx ^ x] * v) ** k
+    return float((total / d**2).real)
+
+
+def multiplicity_sum(R, k: int = 4) -> Fraction:
+    """(1/|R|) sum_{F in R} f(F)^{k-2} with f(F) = 2^{dim ker(F-1)}.
+
+    For a subgroup R this equals the squared-multiplicity sum of the code
+    representation restricted to R, and also the number of R-orbits on
+    (k-2)-tuples of vectors.  Closure is checked pairwise for small R and
+    on 512 random pairs for large R.
+    """
+    if k % 4 != 0 or k <= 0:
+        raise ValueError("k must be a positive multiple of 4")
+    mats = list(R)
+    if not mats:
+        raise ValueError("empty set")
+    _check_closure(mats)
+    total = sum(2 ** ((k - 2) * fixed_space_dim(F)) for F in mats)
+    return Fraction(total, len(mats))
+
+
+def _check_closure(mats) -> None:
+    keys = {m.rows for m in mats}
+    if len(keys) != len(mats):
+        raise ValueError("input contains duplicate elements")
+    m = len(mats)
+    if m * m <= 4096:
+        pairs = itertools.product(mats, mats)
+    else:
+        rng = np.random.default_rng(0)
+        pairs = (
+            (mats[int(i)], mats[int(j)])
+            for i, j in zip(rng.integers(m, size=512), rng.integers(m, size=512))
+        )
+    for a, b in pairs:
+        if (a @ b).rows not in keys:
+            raise ValueError("input set is not closed under multiplication")
+
+
+# ---------------------------------------------------------------------------
+# product states
+
+
+def product_state_bound_check(psi1, psi2, psi3, psi4) -> float:
+    """tr[P_{n,4} (rho_1 x rho_2 x rho_3 x rho_4)], asserted within [0, 1/d].
+
+    Evaluated as (1/d^2) sum_a prod_j Xi_a(psi_j); the code contains no
+    product state, so 1/d is the largest possible value.
+    """
+    xis = [characteristic_function(np.asarray(p)) for p in (psi1, psi2, psi3, psi4)]
+    n = xis[0].n
+    if any(x.n != n for x in xis):
+        raise ValueError("states must share the qubit count")
+    d = 1 << n
+    val = float(np.sum(xis[0].values * xis[1].values * xis[2].values * xis[3].values)) / d**2
+    if not -1e-10 <= val <= 1 / d + 1e-10:
+        raise AssertionError(f"product-state overlap {val} outside [0, 1/d]")
+    return val

@@ -24,7 +24,6 @@ from cliffdesigns.designs import (
     epsilon,
     frame_potential,
     orbit_frame_potential,
-    product_state_bound_check,
     qubit_phi4,
     qubit_six_design_roots,
     sym_dim,
@@ -41,27 +40,27 @@ from cliffdesigns.fiducial import (
     tensor_completion,
     weighted_two_orbit,
 )
-from cliffdesigns.moments import (
-    dense_second_moment_qubit,
-    exact_second_moment,
-    mc_moment_report,
-    second_moment_closed_form,
-)
+from cliffdesigns.moments import exact_second_moment, mc_moment_report
 from cliffdesigns.pauli import characteristic_function, ell4_norm4
 from cliffdesigns.stabrep import (
     clifford_frame_potential,
     dimension_table,
     isotropic_orbit_states,
-    multiplicity_sum,
-    numeric_symplectic_character,
     orbit_counting_dims,
     sp_multiplicity_sum,
     stab_projector,
     symplectic_character,
     vec_pauli_basis,
-    young_projector,
 )
 from conftest import random_state
+from reference import (
+    census_second_moment,
+    dense_second_moment_qubit,
+    multiplicity_sum,
+    numeric_symplectic_character,
+    product_state_bound_check,
+    young_projector,
+)
 
 
 def _report(num, name):
@@ -184,7 +183,7 @@ def test_c06_construction_correctness():
 def test_c07_moments():
     start = time.monotonic()
     for n in range(1, 6):
-        assert exact_second_moment(n) == second_moment_closed_form(n)
+        assert census_second_moment(n) == exact_second_moment(n)
     assert abs(dense_second_moment_qubit() - float(Fraction(17, 105))) < 1e-12
     for n in (2, 3):
         rep = mc_moment_report(n, 10**5, seed=7)

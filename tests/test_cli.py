@@ -168,6 +168,22 @@ class TestConstruct:
         with pytest.raises(SystemExit):
             main(["construct", "--n", "2"])
 
+    def test_rejects_two_modes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--alg1", "--alg2", "--n", "2"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_below_one_rejected(self, capsys, max_iter):
+        err = assert_rejected(capsys, "construct", "--alg2", "--n", "2", "--max-iter", max_iter)
+        assert f"--max-iter {max_iter}" in err
+
+    def test_convergence_failure_reported(self, capsys):
+        err = assert_rejected(capsys, "construct", "--alg2", "--n", "2", "--tol", "1e-300",
+                              "--max-iter", "5")
+        assert "did not converge" in err and "after 5 iterations" in err
+
 
 class TestMoments:
     def test_report(self, capsys):
@@ -348,6 +364,33 @@ def test_no_bare_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(capsys, monkeypatch, threads):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in names:
+        monkeypatch.setenv(var, "7")
+    err = assert_rejected(capsys, "--threads", threads, "tables", "--n", "1")
+    assert f"--threads {threads}" in err
+    assert [os.environ[var] for var in names] == ["7", "7", "7"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["tables", "--n", "1"], {"command": "tables", "format": "json", "n": 1}),
+    (["moments", "--n", "1", "--samples", "10", "--seed", "3"],
+     {"command": "moments", "format": "json", "n": 1, "samples": 10, "seed": 3}),
+    (["orbit", "--named", "psi_T"],
+     {"command": "orbit", "format": "json", "named": "psi_T", "t": 4, "mode": "exact"}),
+    (["--threads", "1", "construct", "--weighted", "--n", "1"],
+     {"threads": 1, "command": "construct", "format": "json", "construction": "weighted",
+      "n": 1, "tol": 1e-8, "max_iter": 200, "mode": "bisect"}),
+])
+def test_config_echoes_the_parsed_options(capsys, argv, config):
+    # the echoed config holds exactly the options the command parsed
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == config
 
 
 def test_threads_overrides_environment(capsys, monkeypatch):

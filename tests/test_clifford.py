@@ -339,13 +339,3 @@ class TestOrbits:
         with pytest.raises(f2lin.CapacityError):
             projective_orbit(np.zeros(8, dtype=complex), 3)
 
-
-class TestCsvExport:
-    def test_matrix_csv(self, tmp_path):
-        u = generator_matrix(("S", 0), 1)
-        path = tmp_path / "u.csv"
-        u.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == 5
-        assert lines[4].startswith("1,1,")

@@ -13,7 +13,6 @@ from cliffdesigns.designs import (
     frame_potential,
     minimal_design_size,
     orbit_frame_potential,
-    product_state_bound_check,
     qubit_phi4,
     qubit_six_design_roots,
     sym_dim,
@@ -21,6 +20,7 @@ from cliffdesigns.designs import (
 )
 from cliffdesigns.pauli import NormalizationError
 from conftest import random_state
+from reference import product_state_bound_check
 
 
 def random_bloch(rng):

@@ -4,27 +4,33 @@ import numpy as np
 import pytest
 
 from cliffdesigns.moments import (
-    S8_CLASS_COUNTS,
     alpha_variance_exact,
     average_phi4_ratio_exact,
     chebyshev_bound,
     concentration_report,
-    dense_second_moment_qubit,
     epsilon_second_moment_exact,
     exact_second_moment,
     haar_alphas,
     lipschitz_probe,
     mc_moment_report,
-    regenerate_s8_class_counts,
     sample_uniform_state,
-    second_moment_closed_form,
+)
+from reference import (
+    S8_CLASS_COUNTS,
+    census_second_moment,
+    dense_second_moment_qubit,
+    regenerate_s8_class_counts,
 )
 
 
 class TestExactMoments:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_second_moment_matches_closed_form(self, n):
-        assert exact_second_moment(n) == second_moment_closed_form(n)
+        assert census_second_moment(n) == exact_second_moment(n)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_census_matches_closed_form_past_five_qubits(self, n):
+        assert census_second_moment(n) == exact_second_moment(n)
 
     def test_qubit_value(self):
         assert exact_second_moment(1) == Fraction(17, 105)

@@ -238,16 +238,6 @@ class TestCharacteristicFunction:
         with pytest.raises(AssertionError):
             characteristic_function(random_state(4, rng), imag_atol=-1.0)
 
-    def test_csv_export(self, tmp_path):
-        psi = np.array([1, 0], dtype=complex)
-        path = tmp_path / "xi.csv"
-        characteristic_function(psi).to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "label_bits,value"
-        assert len(lines) == 5
-        # label bit order: coordinate 1 first; the z label (1,0) reads "10"
-        assert lines[1 + 0b01].startswith("10,")
-
 
 class TestBatch:
     def test_rejects_unnormalized_row(self, rng):

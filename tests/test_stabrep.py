@@ -13,11 +13,8 @@ from cliffdesigns.stabrep import (
     S4_CHARACTER,
     SPECHT_DIM,
     clifford_frame_potential,
-    cycle_type,
     dimension_table,
     isotropic_orbit_states,
-    multiplicity_sum,
-    numeric_symplectic_character,
     orbit_counting_dims,
     sp_multiplicity_sum,
     stab_code_basis,
@@ -25,8 +22,8 @@ from cliffdesigns.stabrep import (
     symplectic_character,
     vec_pauli_basis,
     weyl_dim,
-    young_projector,
 )
+from reference import cycle_type, multiplicity_sum, numeric_symplectic_character, young_projector
 
 # the five-row ledger for one, two and three qubits: (specht, weyl, code, rest)
 LEDGER = {
