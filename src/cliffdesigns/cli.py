@@ -122,9 +122,15 @@ def cmd_tables(args) -> tuple[dict, bool]:
     return {"tables": per_n, "pass": ok}, ok
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < float("inf"):  # also false for nan
+        raise ValueError(f"--tol must be a finite non-negative number, got --tol {tol}")
+
+
 def cmd_check(args) -> tuple[dict, bool]:
     from .designs import design_report
 
+    _check_tol(args.tol)
     psi, n = _load_state(args)
     rep = design_report(psi)
     ok = all(rep.bounds_ok.values())
@@ -148,6 +154,7 @@ def cmd_construct(args) -> tuple[dict, bool]:
         raise ValueError(f"construct --{mode} needs --n >= {least}, got --n {n}")
     if args.max_iter < 1:
         raise ValueError(f"construct needs --max-iter >= 1, got --max-iter {args.max_iter}")
+    _check_tol(args.tol)
     if mode == "alg1":
         base = fiducial.named_fiducial(args.base) if args.base else _default_base(n)
         psi = fiducial.tensor_completion(base, n)
@@ -224,11 +231,23 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"--seed must be a non-negative integer, got {seed}")
 
 
+def _thresholds(text: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",")]
+        ok = all(0 < x < float("inf") for x in values)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError("--thresholds must be comma-separated positive numbers, "
+                         f"got --thresholds {text}")
+    return values
+
+
 def cmd_moments(args) -> tuple[dict, bool]:
     from . import moments
 
     n, samples, seed = args.n, args.samples, args.seed
-    thresholds = [float(x) for x in args.thresholds.split(",")] if args.thresholds else None
+    thresholds = _thresholds(args.thresholds) if args.thresholds else None
     if not 1 <= n <= MOMENTS_MAX_N:
         raise ValueError(f"moments needs 1 <= --n <= {MOMENTS_MAX_N}, got --n {n}: sampling "
                          f"costs about 3 s per 10^5 states at n = 5 and 110 s at n = 8")
@@ -237,8 +256,6 @@ def cmd_moments(args) -> tuple[dict, bool]:
     _check_seed(seed)
     if thresholds and samples < moments.TAIL_MIN_SAMPLES:
         raise ValueError(f"--thresholds needs --samples >= {moments.TAIL_MIN_SAMPLES}")
-    if thresholds and min(thresholds) <= 0:
-        raise ValueError("tail thresholds must be positive")
     alphas = moments.haar_alphas(n, samples, seed)
     rep = moments.mc_moment_report(n, samples, seed, alphas=alphas)
     ok = all(rep["pass"].values())

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 ORBIT_MAX_N = 2
+# projective_orbit tells states apart by |psi><psi| rounded to this many decimals
+ORBIT_DEDUP_DECIMALS = 9
 # A lifted stack holds at most this many matrix entries (but at least one
 # sample), which bounds the memory that a stack and its temporaries add
 STACK_ENTRIES = 1 << 13
@@ -394,6 +396,24 @@ def _lift_words(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> 
     return out
 
 
+def _lift_stacks(n: int, words: np.ndarray, lengths: np.ndarray, labels):
+    """Yield (lo, stack): _lift_words of samples lo, lo + 1, ... in chunks
+    of at most STACK_ENTRIES matrix entries, but at least one sample."""
+    step = max(STACK_ENTRIES >> (2 * n), 1)
+    for lo in range(0, len(lengths), step):
+        chunk = slice(lo, lo + step)
+        yield lo, _lift_words(n, words[chunk], lengths[chunk], labels[chunk])
+
+
+def _lifted(n: int, words: np.ndarray, lengths: np.ndarray, labels) -> np.ndarray:
+    """The (S, d, d) stack of _lift_words, filled chunk by chunk, so the
+    lift's temporaries never outgrow one chunk."""
+    out = np.empty((len(lengths), 1 << n, 1 << n), dtype=complex)
+    for lo, stack in _lift_stacks(n, words, lengths, labels):
+        out[lo:lo + len(stack)] = stack
+    return out
+
+
 def _padded(word: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """One word as a stack of one, for _lift_words."""
     return np.array(word, dtype=np.int64).reshape(1, -1), np.array([len(word)])
@@ -424,9 +444,9 @@ def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> n
 
     The stack equals count random_clifford draws from the same generator,
     entry for entry, and leaves the generator in the same state; the
-    symplectics are decoded and decomposed, and then lifted, as one stack.
+    symplectics are decoded and decomposed as one stack, then lifted.
     """
-    return _lift_words(n, *_sample_words(n, rng, count))
+    return _lifted(n, *_sample_words(n, rng, count))
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
@@ -468,38 +488,31 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
     """One unitary per projective Clifford element, shape (|Sp| d^2, d, d).
 
     Supported for n <= 2 (24 and 11 520 elements)."""
+    if n < 1:
+        raise f2lin.DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if n > ORBIT_MAX_N:
         raise CapacityError(
             f"projective Clifford group at n={n} has {f2lin.sp_order(n) * 4**n}"
             " elements; orbits are materialized only for n <= 2"
         )
-    d = 1 << n
-    words, lengths = _transvection_words(
-        np.array([F.rows for F in f2lin.enumerate_sp(n)], dtype=np.int64), n)
-    per = max(STACK_ENTRIES // d**4, 1)  # symplectics per stack, each with d^2 labels
-    stacks = []
-    for lo in range(0, len(words), per):
-        chunk = slice(lo, lo + per)
-        stacks.append(_lift_words(n, np.repeat(words[chunk], d * d, axis=0),
-                                  np.repeat(lengths[chunk], d * d),
-                                  np.tile(np.arange(d * d), len(lengths[chunk]))))
-    return np.concatenate(stacks)
+    d2 = 1 << (2 * n)
+    words, lengths = _transvection_words(f2lin._rows_from_indices(range(f2lin.sp_order(n)), n), n)
+    # symplectic i with Pauli label a is element i d^2 + a
+    return _lifted(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
+                   np.tile(np.arange(d2), len(lengths)))
 
 
-def projective_orbit(psi: np.ndarray, n: int, dedup_decimals: int = 9) -> list[np.ndarray]:
+def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
     """All distinct states (up to global phase) in the Clifford orbit of psi.
 
-    Deduplication keys on the d^2 entries of |psi><psi| rounded to
-    dedup_decimals digits.
+    Deduplication keys on the bytes of the d^2 entries of |psi><psi|
+    rounded to ORBIT_DEDUP_DECIMALS digits, signed zeros folded; each key
+    keeps its first state, in group order.
     """
-    group = projective_clifford_unitaries(n)
-    states = group @ psi
-    seen = {}
-    for s in states:
-        proj = np.outer(s, s.conj())
-        key = (np.round(proj.real, dedup_decimals) + 0.0).tobytes() + (
-            np.round(proj.imag, dedup_decimals) + 0.0
-        ).tobytes()
-        if key not in seen:
-            seen[key] = s
-    return list(seen.values())
+    states = projective_clifford_unitaries(n) @ psi
+    keys = (states[:, :, None] * states[:, None, :].conj()).reshape(len(states), -1).view(float)
+    np.round(keys, ORBIT_DEDUP_DECIMALS, out=keys)
+    keys += 0.0  # -0.0 becomes 0.0
+    # one byte string per state; a stable sort finds the first state of each
+    _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1] * 8))), return_index=True)
+    return list(states[np.sort(first)])

@@ -186,10 +186,10 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     mode samples uniform projective Cliffords and returns (estimate,
     standard error).  It draws them from rng in blocks of MC_BLOCK
     samples, each decoded and decomposed as one stack, and lifts each
-    block in chunks of at most clifford.STACK_ENTRIES matrix entries (128
-    samples at n = 3, one at n >= 7).  The draws follow the order of one
-    random_clifford call per sample, so a seed gives the same unitaries and
-    the same estimate at any block or chunk size.
+    block in clifford._lift_stacks chunks of at most STACK_ENTRIES matrix
+    entries (128 samples at n = 3, one at n >= 7).  The draws follow the
+    order of one random_clifford call per sample, so a seed gives the same
+    unitaries and the same estimate at any block or chunk size.
 
     The standard error is std / sqrt(samples), and on heavy-tailed orbits
     (n >= 4) it underestimates the true error badly: a sample that misses
@@ -209,12 +209,9 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
         vals = np.empty(samples)
-        step = max(clifford.STACK_ENTRIES >> (2 * n), 1)
         for lo in range(0, samples, MC_BLOCK):
-            words, lengths, labels = clifford._sample_words(n, rng, min(MC_BLOCK, samples - lo))
-            for c in range(0, len(lengths), step):
-                chunk = slice(c, c + step)
-                stack = clifford._lift_words(n, words[chunk], lengths[chunk], labels[chunk])
+            block = clifford._sample_words(n, rng, min(MC_BLOCK, samples - lo))
+            for c, stack in clifford._lift_stacks(n, *block):
                 for i, u in enumerate(stack, lo + c):
                     vals[i] = np.abs(np.vdot(psi, u @ psi)) ** (2 * t)
         est = float(vals.mean())

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 SP_ENUM_MAX_N = 3
+# enumerate_sp decodes this many consecutive indices as one stack
+SP_ENUM_BLOCK = 4096
 ISOTROPIC_MAX_N = 4
 
 
@@ -63,7 +65,7 @@ class F2Matrix:
         if len(self.rows) != 2 * self.n:
             raise DimensionError(f"expected {2 * self.n} rows, got {len(self.rows)}")
         mask = (1 << (2 * self.n)) - 1
-        if any(r < 0 or r > mask for r in self.rows):
+        if min(self.rows, default=0) < 0 or max(self.rows, default=0) > mask:
             raise DimensionError("row bitmask out of range")
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
@@ -288,10 +290,6 @@ def sp_order(n: int) -> int:
     return total
 
 
-def _pair_count(n: int) -> int:
-    return ((1 << (2 * n)) - 1) << (2 * n - 1)
-
-
 def _second_image(f1: int, b: int, n: int) -> int:
     """The b-th vector g with <f1, g> = 1, enumerated via an affine basis."""
     nn = 2 * n
@@ -357,7 +355,7 @@ def _symplectic_basis(form, m: int, pairs=(), u_pool=None) -> list[int]:
 
 
 def _pair_representative(q: int, n: int) -> tuple[int, ...]:
-    """Rows of the coset representative for pair index q in [0, _pair_count)."""
+    """Rows of the coset representative for pair index q in [0, (2^{2n}-1) 2^{2n-1})."""
     nn = 2 * n
     f1_idx, b = divmod(q, 1 << (nn - 1))
     f1 = f1_idx + 1
@@ -375,24 +373,10 @@ def _cols_to_rows(cols, nn):
     return rows
 
 
-def _embed_sub(rows_sub) -> tuple[int, ...]:
-    return (1, 2) + tuple(r << 2 for r in rows_sub)
-
-
-def _iter_sp_rows(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 1:
-        for q in range(_pair_count(1)):
-            yield _pair_representative(q, 1)
-        return
-    subs = [_embed_sub(s) for s in _iter_sp_rows(n - 1)]
-    for q in range(_pair_count(n)):
-        left = _pair_representative(q, n)
-        for m in subs:
-            yield _mat_mul(left, m)
-
-
 def enumerate_sp(n: int) -> Iterator[F2Matrix]:
-    """Yield every element of Sp(2n, F_2) exactly once (1 <= n <= 3)."""
+    """Yield every element of Sp(2n, F_2) exactly once (1 <= n <= 3), in
+    index order: symplectic_from_index(0, n), (1, n), ...  The indices are
+    decoded SP_ENUM_BLOCK at a time by the stack decoder."""
     if n < 1:
         raise DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if n > SP_ENUM_MAX_N:
@@ -400,8 +384,10 @@ def enumerate_sp(n: int) -> Iterator[F2Matrix]:
             f"|Sp({2 * n},F2)| = {sp_order(n)} is beyond exhaustive enumeration; "
             "use random_symplectic for sampling"
         )
-    for rows in _iter_sp_rows(n):
-        yield F2Matrix(rows, n)
+    total = sp_order(n)
+    for lo in range(0, total, SP_ENUM_BLOCK):
+        for rows in _rows_from_indices(range(lo, min(lo + SP_ENUM_BLOCK, total)), n).tolist():
+            yield F2Matrix(tuple(rows), n)
 
 
 def symplectic_from_index(index: int, n: int) -> F2Matrix:
@@ -416,8 +402,9 @@ def _rows_from_index(index: int, n: int) -> tuple[int, ...]:
     if n == 1:
         return _pair_representative(index, 1)
     q, r = divmod(index, sp_order(n - 1))
-    left = _pair_representative(q, n)
-    return _mat_mul(left, _embed_sub(_rows_from_index(r, n - 1)))
+    # the (n-1)-qubit factor acts on the trailing coordinates
+    sub = (1, 2) + tuple(row << 2 for row in _rows_from_index(r, n - 1))
+    return _mat_mul(_pair_representative(q, n), sub)
 
 
 # ---------------------------------------------------------------------------

@@ -410,25 +410,23 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
 
 
 def singer_unitary(n: int) -> clifford.CliffordElement:
-    """A Clifford basis cycler: projective order d+1, nondegenerate spectrum."""
+    """A Clifford basis cycler: projective order d+1."""
     U = clifford.lift_symplectic(singer_symplectic(n))
     d = U.d
     power = np.linalg.matrix_power(U.matrix, d + 1)
     scal = power[0, 0]
     if abs(abs(scal) - 1) > 1e-9 or not np.allclose(power, scal * np.eye(d), atol=1e-9):
         raise AssertionError("U^{d+1} is not scalar")
-    eigvals = np.linalg.eigvals(U.matrix)
-    phases = np.sort(np.angle(eigvals))
-    gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
-    if np.min(gaps) < 1e-6:
-        raise AssertionError("cycler spectrum is degenerate")
     return U
 
 
 def singer_eigenstates(n: int) -> np.ndarray:
-    """Eigenvectors of the basis cycler, one per row."""
-    U = singer_unitary(n)
-    _, vecs = np.linalg.eig(U.matrix)
+    """Eigenvectors of the basis cycler, one per row; its spectrum must be nondegenerate."""
+    eigvals, vecs = np.linalg.eig(singer_unitary(n).matrix)
+    phases = np.sort(np.angle(eigvals))
+    gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
+    if np.min(gaps) < 1e-6:
+        raise AssertionError("cycler spectrum is degenerate")
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     return vecs.T
 

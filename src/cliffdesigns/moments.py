@@ -42,6 +42,9 @@ __all__ = [
 
 # Tail frequencies are estimated from at least this many states.
 TAIL_MIN_SAMPLES = 10**4
+# haar_alphas draws states this many at a time; the seeded stream depends on
+# it, so changing it changes every seeded value
+HAAR_BATCH = 20000
 
 
 def sample_uniform_state(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,32 +113,28 @@ class MomentEstimate:
         return dict(self.__dict__)
 
 
-def haar_alphas(n: int, samples: int, seed: int, batch: int = 20000) -> np.ndarray:
-    """alpha_+ of `samples` Haar states from the Philox stream `seed`.
-
-    States are drawn and evaluated `batch` at a time, so the stream, and
-    with it every value, depends only on (n, samples, seed, batch).
-    """
+def haar_alphas(n: int, samples: int, seed: int) -> np.ndarray:
+    """alpha_+ of `samples` Haar states from the Philox stream `seed`,
+    drawn and evaluated HAAR_BATCH at a time."""
     d = 1 << n
     rng = np.random.Generator(np.random.Philox(seed))
     alphas = np.empty(samples)
-    for lo in range(0, samples, batch):
-        take = min(batch, samples - lo)
+    for lo in range(0, samples, HAAR_BATCH):
+        take = min(HAAR_BATCH, samples - lo)
         alphas[lo : lo + take] = alpha_plus_batch(_sample_uniform_batch(d, take, rng))
     return alphas
 
 
-def mc_moment_report(n: int, samples: int, seed: int, batch: int = 20000,
-                     alphas: np.ndarray | None = None) -> dict:
+def mc_moment_report(n: int, samples: int, seed: int, alphas: np.ndarray | None = None) -> dict:
     """Monte-Carlo alpha_+ and epsilon moments with the exact values attached.
 
     Uses a counter-based Philox stream; the seed is embedded in the report
     so any run replays bit-identically.  `alphas` passes values already
-    drawn by haar_alphas(n, samples, seed, batch).
+    drawn by haar_alphas(n, samples, seed).
     """
     d = 1 << n
     if alphas is None:
-        alphas = haar_alphas(n, samples, seed, batch)
+        alphas = haar_alphas(n, samples, seed)
     eps = epsilon_from_ell4(alphas * d**2, d)
     a_est, e_est = (
         MomentEstimate(

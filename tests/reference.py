@@ -9,7 +9,8 @@ computes in closed form or by exact combinatorics:
 * the code character tr(U^{x k} P_{n,k}) from the dense Clifford unitary,
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
-* the code overlap of a product of four states (designs).
+* the code overlap of a product of four states (designs),
+* the projective orbit deduplicated one state at a time (clifford).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cliffdesigns.clifford import projective_clifford_unitaries
 from cliffdesigns.designs import sym_dim
 from cliffdesigns.f2lin import CapacityError, fixed_space_dim
 from cliffdesigns.pauli import PauliLabel, _signed_perm, characteristic_function, pauli_product
@@ -275,3 +277,25 @@ def product_state_bound_check(psi1, psi2, psi3, psi4) -> float:
     if not -1e-10 <= val <= 1 / d + 1e-10:
         raise AssertionError(f"product-state overlap {val} outside [0, 1/d]")
     return val
+
+
+# ---------------------------------------------------------------------------
+# projective orbits
+
+
+def projective_orbit_loop(psi, n: int, decimals: int = 9) -> list[np.ndarray]:
+    """The distinct states of the Clifford orbit of psi, in group order.
+
+    One state at a time: the key is the bytes of |psi><psi| rounded to
+    `decimals` digits, real parts then imaginary parts, with signed zeros
+    folded; the first state of each key is kept.
+    """
+    seen = {}
+    for s in projective_clifford_unitaries(n) @ psi:
+        proj = np.outer(s, s.conj())
+        key = (np.round(proj.real, decimals) + 0.0).tobytes() + (
+            np.round(proj.imag, decimals) + 0.0
+        ).tobytes()
+        if key not in seen:
+            seen[key] = s
+    return list(seen.values())

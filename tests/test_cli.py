@@ -222,6 +222,10 @@ class TestMoments:
         ("--n", "6", "--samples", "1000"),
         ("--n", "2", "--samples", "1000", "--thresholds", "0.5"),
         ("--n", "2", "--samples", "20000", "--thresholds", "0.5,0"),
+        ("--n", "2", "--samples", "20000", "--thresholds", "abc"),
+        ("--n", "2", "--samples", "20000", "--thresholds", "0.5,nan"),
+        ("--n", "2", "--samples", "20000", "--thresholds", "0.5,inf"),
+        ("--n", "2", "--samples", "20000", "--thresholds", "0.5,,1"),
     ])
     def test_bad_input_rejected_before_sampling(self, capsys, monkeypatch, argv):
         from cliffdesigns import moments
@@ -236,6 +240,8 @@ class TestMoments:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert "sampled" not in captured.err
+        if "--thresholds" in argv and "--thresholds needs" not in captured.err:
+            assert "--thresholds must be comma-separated positive numbers" in captured.err
 
     def test_negative_seed_rejected(self, capsys):
         err = assert_rejected(capsys, "moments", "--n", "2", "--samples", "100", "--seed", "-1")
@@ -364,6 +370,25 @@ def test_no_bare_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--named", "psi_T"),
+    ("construct", "--alg2", "--n", "2"),
+    ("construct", "--weighted", "--n", "1"),
+], ids=["check", "alg2", "weighted"])
+def test_bad_tol_rejected_before_work(capsys, monkeypatch, argv, tol):
+    from cliffdesigns import designs, fiducial
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("computed before validating")
+
+    for mod, name in ((fiducial, "bisection_root"), (fiducial, "weighted_two_orbit"),
+                      (designs, "design_report")):
+        monkeypatch.setattr(mod, name, no_work)
+    err = assert_rejected(capsys, *argv, f"--tol={tol}")
+    assert "--tol must be a finite non-negative number" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from cliffdesigns import f2lin
 from cliffdesigns.clifford import (
     CliffordElement,
+    STACK_ENTRIES,
     NotCliffordError,
+    _lift_stacks,
     _lift_words,
+    _sample_words,
     _transvection_words,
     clifford_trace_check,
     compose_word,
@@ -24,8 +27,12 @@ from cliffdesigns.clifford import (
     transvection_decomposition,
 )
 from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
+from cliffdesigns.fiducial import psi_t, singer_eigenstates
 from cliffdesigns.pauli import PauliLabel, pauli_matrix
 from conftest import random_state
+from reference import projective_orbit_loop
+
+E0 = np.array([1, 0], dtype=complex)
 
 
 class TestGenerators:
@@ -254,6 +261,20 @@ class TestRandomClifford:
         assert np.array_equal(stack.view(float), seq.view(float))
         assert rng_a.integers(1 << 62) == rng_b.integers(1 << 62)
 
+    @pytest.mark.parametrize("n, count", [(1, 5000), (3, 300), (7, 3)])
+    def test_lift_chunks_bounded(self, n, count):
+        # chunks of at most STACK_ENTRIES entries, one sample at least, equal to one stack
+        words, lengths, labels = _sample_words(n, np.random.default_rng(43), count)
+        chunks = list(_lift_stacks(n, words, lengths, labels))
+        per = max(STACK_ENTRIES >> (2 * n), 1)
+        assert [lo for lo, _ in chunks] == list(range(0, count, per))
+        assert all(len(stack) <= per for _, stack in chunks)
+        whole = _lift_words(n, words, lengths, labels)
+        assert np.array_equal(np.concatenate([s for _, s in chunks]).view(float), whole.view(float))
+
+    def test_empty_stack_of_draws(self):
+        assert random_clifford_unitaries(3, np.random.default_rng(1), 0).shape == (0, 8, 8)
+
     def test_f_marginal_uniform_n1(self):
         from scipy.stats import chi2
 
@@ -339,3 +360,25 @@ class TestOrbits:
         with pytest.raises(f2lin.CapacityError):
             projective_orbit(np.zeros(8, dtype=complex), 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_group_rejects_nonpositive_n(self, n):
+        with pytest.raises(f2lin.DimensionError):
+            projective_clifford_unitaries(n)
+
+    @pytest.mark.parametrize("make", [
+        lambda: E0,
+        psi_t,
+        lambda: np.kron(E0, E0),
+        lambda: np.kron(psi_t(), psi_t()),
+        lambda: np.kron(singer_eigenstates(1)[0], psi_t()),
+        lambda: random_state(2, np.random.default_rng(1)),
+        lambda: random_state(4, np.random.default_rng(2)),
+        lambda: random_state(4, np.random.default_rng(3)),
+    ], ids=["e0", "psi_T", "e0^2", "psi_T^2", "cycler_psi_T", "random1", "random2a", "random2b"])
+    def test_dedup_equals_one_by_one_oracle(self, make):
+        psi = make()
+        n = len(psi).bit_length() - 1
+        got = projective_orbit(psi, n)
+        want = projective_orbit_loop(psi, n)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g.view(float), w.view(float)) for g, w in zip(got, want))

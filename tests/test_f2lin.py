@@ -99,6 +99,14 @@ class TestIsSymplectic:
         with pytest.raises(DimensionError):
             F2Matrix((1, 2, 3), 1)
 
+    @pytest.mark.parametrize("rows", [(1, -1), (-2, 1), (1, 4), (16, 2)])
+    def test_row_out_of_range_rejected(self, rows):
+        with pytest.raises(DimensionError):
+            F2Matrix(rows, 1)
+
+    def test_rows_at_range_ends_accepted(self):
+        assert F2Matrix((0, 15, 1, 8), 2).rows == (0, 15, 1, 8)
+
 
 class TestFixedSpaceDim:
     def test_identity(self):
@@ -163,9 +171,9 @@ class TestEnumeration:
         # every group element exactly once
         seen = set()
         count = 0
-        for rows in f2lin._iter_sp_rows(3):
+        for m in enumerate_sp(3):
             key = 0
-            for r in rows:
+            for r in m.rows:
                 key = (key << 6) | r
             seen.add(key)
             count += 1
@@ -317,7 +325,7 @@ class TestStackSampler:
     @pytest.mark.parametrize("n", [1, 2])
     def test_decode_exhaustive(self, n):
         got = f2lin._rows_from_indices(list(range(sp_order(n))), n)
-        want = [F.rows for F in enumerate_sp(n)]
+        want = [symplectic_from_index(i, n).rows for i in range(sp_order(n))]
         assert got.dtype == np.int64 and got.tolist() == [list(r) for r in want]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])

@@ -285,6 +285,15 @@ class TestSinger:
         with pytest.raises(f2lin.CapacityError):
             singer_symplectic(3)
 
+    def test_degenerate_spectrum_rejected(self, monkeypatch):
+        from cliffdesigns import clifford, fiducial
+
+        # the identity has one eigenvalue d times, so its eigenvectors are arbitrary
+        monkeypatch.setattr(fiducial, "singer_unitary",
+                            lambda n: clifford.CliffordElement(np.eye(2, dtype=complex), 1))
+        with pytest.raises(AssertionError, match="degenerate"):
+            singer_eigenstates(1)
+
     @pytest.mark.parametrize("n,digest", [
         (1, "dc4307c0856536f8d790253fc6f914ad433118405609c52f26d7c2ed9f3ec947"),
         (2, "32a6ce88949f4143b3acffd1f67a959a4e4a82332894970850a1e7270f6ed955"),
