@@ -225,7 +225,7 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
 
 
 def _check_bloch(x: float, y: float, z: float) -> None:
-    if abs(x * x + y * y + z * z - 1.0) > 1e-10:
+    if not abs(x * x + y * y + z * z - 1.0) <= 1e-10:
         raise ValueError("Bloch vector must have unit norm")
 
 

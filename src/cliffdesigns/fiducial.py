@@ -36,7 +36,7 @@ from .designs import (
     orbit_frame_potential,
     sym_dim,
 )
-from .pauli import alpha_plus_batch, characteristic_function, ell4_norm4
+from .pauli import _check_normalized, _hadamard, _infer_n, characteristic_function, ell4_norm4
 
 __all__ = [
     "BlochVector",
@@ -58,6 +58,10 @@ __all__ = [
 
 SINGER_SEARCH_MAX_N = 2
 SINGER_FIELD_NS = (1, 2, 4, 8)
+# eigenstates of one cycler share one deviation; they may differ by this much
+SPREAD_ATOL = 1e-9
+# largest error of the purity identity on the z-type line of a cycler eigenstate
+BALANCE_ATOL = 1e-9
 
 
 class InfeasibleError(ValueError):
@@ -111,7 +115,12 @@ def named_fiducial(name: str) -> np.ndarray:
     if name == "hoggar":
         return hoggar_fiducial()
     if name.startswith("bloch:"):
-        x, y, z = (float(t) for t in name[len("bloch:"):].split(","))
+        try:
+            x, y, z = (float(t) for t in name[len("bloch:"):].split(","))
+        except ValueError:
+            x = y = z = math.nan
+        if not all(map(math.isfinite, (x, y, z))):
+            raise ValueError(f"fiducial name {name!r} needs three finite numbers, as in bloch:x,y,z")
         return bloch_state(x, y, z)
     raise ValueError(f"unknown fiducial name {name!r}")
 
@@ -431,23 +440,47 @@ def singer_eigenstates(n: int) -> np.ndarray:
     return vecs.T
 
 
-def singer_epsilon_table(n_list=(1, 2, 4), spread_atol: float = 1e-9) -> list[dict]:
+def _cycler_ell4(vecs: np.ndarray) -> np.ndarray:
+    """||Xi||_4^4 of every row of a batch of basis-cycler eigenstates.
+
+    A cycler's action F permutes the d+1 lines of the z-type spread and
+    fixes each eigenstate up to a phase, so |Xi(Fa)| = |Xi(a)| and every
+    line carries the z-type line's sum:
+    ||Xi||_4^4 = 1 + (d+1) sum_{z != 0} Xi(z, 0)^4, where Xi(., 0) is the
+    Walsh-Hadamard transform of |v_k|^2.  The rows must be balanced across
+    the lines; the purity identity sum_{z != 0} Xi(z, 0)^2 = (d-1)/(d+1)
+    checks that and raises AssertionError beyond BALANCE_ATOL.
+    """
+    vecs = np.asarray(vecs)
+    n = _infer_n(vecs, ndim=2)
+    d = 1 << n
+    _check_normalized(vecs)
+    xi = ((vecs.real**2 + vecs.imag**2) @ _hadamard(n))[:, 1:]
+    x2 = xi * xi
+    balance = np.abs(x2.sum(axis=1) - (d - 1) / (d + 1)).max()
+    if not balance <= BALANCE_ATOL:
+        raise AssertionError(
+            f"z-type purity off (d-1)/(d+1) by {balance}: not balanced across a cycled spread")
+    return 1.0 + (d + 1) * (x2 * x2).sum(axis=1)
+
+
+def singer_epsilon_table(n_list=(1, 2, 4)) -> list[dict]:
     """epsilon(psi_n x psi_T) for cycler eigenstates psi_n, per qubit count.
 
     All eigenstates of one cycler share the same value; the spread across
-    the spectrum is asserted below spread_atol and reported.  The l4-norm
-    is multiplicative over tensor factors, so the whole spectrum is
-    evaluated in dimension d = 2^n in one batch and multiplied by
-    ||Xi(psi_T)||_4^4.
+    the spectrum is asserted below SPREAD_ATOL and reported.  The l4-norm
+    is multiplicative over tensor factors, so each eigenstate's norm is
+    taken in dimension d = 2^n, from its z-type Pauli line alone
+    (_cycler_ell4), and multiplied by ||Xi(psi_T)||_4^4.
     """
     ell4_t = ell4_norm4(characteristic_function(psi_t()))
     out = []
     for n in n_list:
         d = 1 << n
-        ell4 = alpha_plus_batch(singer_eigenstates(n)) * d**2
+        ell4 = _cycler_ell4(singer_eigenstates(n))
         eps = epsilon_from_ell4(ell4 * ell4_t, 2 * d)
         spread = float(eps.max() - eps.min())
-        if spread > spread_atol:
+        if not spread <= SPREAD_ATOL:
             raise AssertionError(f"eigenstate deviations differ by {spread} at n={n}")
         out.append(
             {

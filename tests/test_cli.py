@@ -391,6 +391,16 @@ def test_bad_tol_rejected_before_work(capsys, monkeypatch, argv, tol):
     assert "--tol must be a finite non-negative number" in err
 
 
+@pytest.mark.parametrize("spec", ["bloch:1,0", "bloch:1,0,0,0", "bloch:a,b,c", "bloch:nan,0,0"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--named"),
+    ("construct", "--alg1", "--n", "2", "--base"),
+], ids=["check", "alg1"])
+def test_malformed_bloch_name_rejected(capsys, argv, spec):
+    err = assert_rejected(capsys, *argv, spec)
+    assert f"fiducial name '{spec}' needs three finite numbers" in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_rejected(capsys, monkeypatch, threads):
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdesigns import f2lin
-from cliffdesigns.designs import design_report, epsilon, frame_potential, sym_dim
+from cliffdesigns.designs import bloch_state, design_report, epsilon, frame_potential, sym_dim
 from cliffdesigns.fiducial import (
     ConvergenceError,
     InfeasibleError,
@@ -26,10 +27,11 @@ from cliffdesigns.fiducial import (
     _gf_mul,
     _gf_pow,
     _primitive_polynomial,
+    _cycler_ell4,
     _singer_symplectic_field,
     _is_cycler_action,
 )
-from cliffdesigns.pauli import characteristic_function, ell4_norm4
+from cliffdesigns.pauli import NormalizationError, alpha_plus_batch, characteristic_function, ell4_norm4
 from conftest import random_state
 
 
@@ -56,6 +58,11 @@ class TestNamedFiducials:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_fiducial("nope")
+
+    def test_nan_bloch_vector_rejected(self):
+        # NaN fails every comparison, so the unit-norm check must not be a `>` test
+        with pytest.raises(ValueError, match="unit norm"):
+            bloch_state(math.nan, 0.0, 0.0)
 
 
 class TestBlochQuartic:
@@ -304,10 +311,48 @@ class TestSinger:
         rows = singer_symplectic(n).rows
         assert hashlib.sha256(str(rows).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n", [1, 2, 4, pytest.param(8, marks=pytest.mark.slow)])
+    def test_line_ell4_matches_kernel_oracle(self, n):
+        # the full d^2 Pauli sum, one eigenstate at a time
+        vecs = singer_eigenstates(n)
+        assert np.abs(_cycler_ell4(vecs) - alpha_plus_batch(vecs) * len(vecs) ** 2).max() <= 1e-11
+
+    @pytest.mark.parametrize("n, minus_eps", [(1, Fraction(2, 9)), (2, Fraction(3, 25)),
+                                              (4, Fraction(9, 289)), (8, Fraction(129, 66049))])
+    def test_table_closed_forms(self, n, minus_eps):
+        # MUB-balanced states: ||Xi||_4^4 = 3d^2/(d+1)^2, -epsilon = (d/2+1)/(d+1)^2
+        d = 1 << n
+        assert Fraction(d // 2 + 1, (d + 1) ** 2) == minus_eps
+        row = singer_epsilon_table((n,))[0]
+        assert abs(row["eigenstate_ell4"] - 3 * d**2 / (d + 1) ** 2) <= 1e-13
+        assert abs(-row["epsilon"] - float(minus_eps)) <= 1e-13
+
+    def test_table_skips_full_pauli_kernel(self, monkeypatch):
+        from cliffdesigns import pauli
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("d^2-Pauli kernel called")
+
+        monkeypatch.setattr(pauli, "_ell4_rows", no_kernel)
+        rows = singer_epsilon_table((1, 2, 4, 8))
+        assert [row["n"] for row in rows] == [1, 2, 4, 8]
+
+    def test_line_ell4_rejects_unnormalized_row(self):
+        vecs = singer_eigenstates(2).copy()
+        vecs[1] *= 1.001
+        with pytest.raises(NormalizationError, match="row 1"):
+            _cycler_ell4(vecs)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_line_ell4_rejects_unbalanced_states(self, n):
+        # a basis state has Xi = +-1 on the whole z-type line: d-1 there, not (d-1)/(d+1)
+        with pytest.raises(AssertionError, match="purity"):
+            _cycler_ell4(np.eye(1 << n, dtype=complex))
+
     @pytest.mark.slow
     def test_experimental_n8(self):
         # d = 256 cycler; the reference deviation is 0.0020 rounded
-        rows = singer_epsilon_table((8,), spread_atol=1e-8)
+        rows = singer_epsilon_table((8,))
         assert -rows[0]["epsilon"] == pytest.approx(0.0020, abs=5e-4)
         # the eigenstate l4-norm tends to 3 (the value 0 deviation would need)
         assert abs(rows[0]["eigenstate_ell4"] - 3.0) < 0.1
