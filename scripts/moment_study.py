@@ -10,30 +10,21 @@ in the output.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class StudyConfig:
-    ns: tuple
-    samples: int
-    seed: int
-    thresholds: tuple
-    pairs: int
-
-
-def run(cfg: StudyConfig) -> dict:
+def run(args: argparse.Namespace) -> dict:
     from cliffdesigns import moments
 
-    out = {"config": cfg.__dict__ | {"ns": list(cfg.ns), "thresholds": list(cfg.thresholds)}}
+    out = {"config": {"ns": args.n, "samples": args.samples, "seed": args.seed,
+                      "thresholds": args.thresholds, "pairs": args.pairs}}
     out["reports"] = []
-    for n in cfg.ns:
-        alphas = moments.haar_alphas(n, cfg.samples, cfg.seed)
-        rep = moments.mc_moment_report(n, cfg.samples, cfg.seed, alphas=alphas)
+    for n in args.n:
+        alphas = moments.haar_alphas(n, args.samples, args.seed)
+        rep = moments.mc_moment_report(n, args.samples, args.seed, alphas=alphas)
         rep["concentration"] = moments.concentration_report(
-            n, cfg.samples, cfg.thresholds, cfg.seed, alphas=alphas
+            n, args.samples, args.thresholds, args.seed, alphas=alphas
         )
-        rep["lipschitz"] = moments.lipschitz_probe(n, cfg.pairs, cfg.seed)
+        rep["lipschitz"] = moments.lipschitz_probe(n, args.pairs, args.seed)
         out["reports"].append(rep)
     out["pass"] = all(
         all(r["pass"].values()) and r["concentration"]["pass"] and r["lipschitz"]["within_proven"]
@@ -52,14 +43,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.samples < 10**4:
         ap.error("--samples must be at least 10000 for the tail study")
-    cfg = StudyConfig(
-        ns=tuple(args.n),
-        samples=args.samples,
-        seed=args.seed,
-        thresholds=tuple(args.thresholds),
-        pairs=args.pairs,
-    )
-    out = run(cfg)
+    out = run(args)
     print(json.dumps(out, indent=2, default=float))
     return 0 if out["pass"] else 1
 

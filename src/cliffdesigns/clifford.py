@@ -203,7 +203,7 @@ def extract_action(U: CliffordElement) -> tuple[F2Matrix, tuple[int, ...]]:
         b, f = _identify_signed_pauli(Um[:, k ^ x] * v @ Udag, n)
         cols.append(b)
         signs.append(f)
-    F = F2Matrix(tuple(f2lin._cols_to_rows(cols, 2 * n)), n)
+    F = F2Matrix(f2lin._transpose(cols, 2 * n), n)
     if not is_symplectic(F):
         raise NotCliffordError("extracted action is not symplectic")
     return F, tuple(signs)
@@ -250,7 +250,7 @@ def transvection_decomposition(F: F2Matrix) -> list[int]:
     if not is_symplectic(F):
         raise ValueError("input is not symplectic")
     n = F.n
-    cols = [F.column(j) for j in range(2 * n)]
+    cols = list(f2lin._transpose(F.rows, 2 * n))
     out = []
 
     def apply_left(v):
@@ -425,9 +425,10 @@ def lift_symplectic(F: F2Matrix) -> CliffordElement:
     Each transvection Z_v lifts to (1 + i W_v)/sqrt(2); an extra global
     phase keeps all matrix entries in Q[i] when the factor count is odd.
     The representative is one of the 4d^2 unitaries inducing F and is
-    deterministic but otherwise arbitrary.
+    deterministic but otherwise arbitrary, and carries F for .symplectic.
     """
-    return CliffordElement(_lift_words(F.n, *_padded(transvection_decomposition(F)))[0], F.n)
+    U = _lift_words(F.n, *_padded(transvection_decomposition(F)))[0]
+    return CliffordElement(U, F.n, symplectic=F)
 
 
 def _sample_words(n: int, rng: np.random.Generator, count: int):

@@ -159,9 +159,9 @@ def frame_potential(states, t: int, weights=None, block: int = 2048) -> float:
         w = np.full(k, 1.0 / k)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (k,) or np.any(w < 0):
+        if w.shape != (k,) or not (w >= 0).all():
             raise ValueError("weights must be nonnegative, one per state")
-        if abs(w.sum() - 1.0) > 1e-10:
+        if not abs(w.sum() - 1.0) <= 1e-10:
             raise NormalizationError(f"weights sum to {w.sum()}, not 1")
     conj = psis.conj()
     total = 0.0
@@ -172,8 +172,8 @@ def frame_potential(states, t: int, weights=None, block: int = 2048) -> float:
         np.power(p, t, out=p)
         total += float(np.einsum("i,ij,j->", w[lo : lo + block], p, w))
     d = psis.shape[1]
-    if total < 1.0 / sym_dim(d, t) - BOUND_SLACK:
-        raise AssertionError("frame potential below the design minimum")
+    if not total >= 1.0 / sym_dim(d, t) - BOUND_SLACK:
+        raise AssertionError(f"frame potential {total} is not at or above the design minimum")
     return total
 
 

@@ -77,12 +77,8 @@ class F2Matrix:
         """Matrix-vector product over GF(2)."""
         return _mat_vec(self.rows, v)
 
-    def column(self, j: int) -> int:
-        return _column(self.rows, j)
-
     def transpose(self) -> "F2Matrix":
-        nn = 2 * self.n
-        return F2Matrix(tuple(_column(self.rows, j) for j in range(nn)), self.n)
+        return F2Matrix(_transpose(self.rows, 2 * self.n), self.n)
 
     @staticmethod
     def identity(n: int) -> "F2Matrix":
@@ -160,11 +156,17 @@ def _mat_mul(a_rows, b_rows):
     return tuple(out)
 
 
-def _column(rows, j: int) -> int:
-    c = 0
-    for i, r in enumerate(rows):
-        c |= ((r >> j) & 1) << i
-    return c
+def _transpose(vecs, m: int) -> tuple[int, ...]:
+    """Transpose of the bit matrix with vectors vecs of m bits each: bit j
+    of out[i] is bit i of vecs[j].  Turns rows into columns and back."""
+    out = [0] * m
+    for j, v in enumerate(vecs):
+        bit = 1 << j
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return tuple(out)
 
 
 def _independent(rows) -> list[int]:
@@ -244,7 +246,7 @@ def _kernel(cols, m: int) -> list[int]:
 def is_symplectic(F: F2Matrix) -> bool:
     """True iff F J F^T = J, i.e. F preserves the form on all basis pairs."""
     nn = 2 * F.n
-    cols = [F.column(j) for j in range(nn)]
+    cols = _transpose(F.rows, nn)
     for i in range(nn):
         for j in range(i + 1, nn):
             want = 1 if j == i ^ 1 else 0
@@ -268,7 +270,7 @@ def transvection(a: int, v: int, n: int) -> int:
 def transvection_matrix(a: int, n: int) -> F2Matrix:
     nn = 2 * n
     cols = [transvection(a, 1 << j, n) for j in range(nn)]
-    return F2Matrix(tuple(_cols_to_rows(cols, nn)), n)
+    return F2Matrix(_transpose(cols, nn), n)
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +292,19 @@ def sp_order(n: int) -> int:
     return total
 
 
-def _second_image(f1: int, b: int, n: int) -> int:
-    """The b-th vector g with <f1, g> = 1, enumerated via an affine basis."""
-    nn = 2 * n
-    jstar = next(j for j in range(nn) if (f1 >> (j ^ 1)) & 1)
-    g = 1 << jstar
-    k = 0
-    for i in range(nn):
-        if i == jstar:
-            continue
-        if (b >> k) & 1:
-            h = 1 << i
-            if (f1 >> (i ^ 1)) & 1:
-                h ^= 1 << jstar
-            g ^= h
-        k += 1
-    return g
-
-
 def _omega(a: int, b: int) -> int:
     """<a,b> without the range check, for the inner loops."""
     return _parity(a & _swap_pairs(b))
+
+
+def _second_image(f1, b, form=_omega):
+    """The b-th vector g with <f1, g> = 1: the bits of b deposited around
+    j* = ctz(J f1), and bit j* set so that <f1, g> = 1.  Python ints with
+    form=_omega, or int64 arrays elementwise with form=_forms."""
+    jf = _swap_pairs(f1)
+    low = jf & -jf
+    dep = (b & (low - 1)) | ((b & -low) << 1)
+    return dep | low * (1 ^ form(dep, f1))
 
 
 def _project(pool, pairs, form) -> list[int]:
@@ -359,18 +353,8 @@ def _pair_representative(q: int, n: int) -> tuple[int, ...]:
     nn = 2 * n
     f1_idx, b = divmod(q, 1 << (nn - 1))
     f1 = f1_idx + 1
-    g = _second_image(f1, b, n)
-    cols = _symplectic_basis(_omega, nn, [(f1, g)])
-    return tuple(_cols_to_rows(cols, nn))
-
-
-def _cols_to_rows(cols, nn):
-    rows = [0] * nn
-    for j, c in enumerate(cols):
-        for i in range(nn):
-            if (c >> i) & 1:
-                rows[i] |= 1 << j
-    return rows
+    cols = _symplectic_basis(_omega, nn, [(f1, _second_image(f1, b))])
+    return _transpose(cols, nn)
 
 
 def enumerate_sp(n: int) -> Iterator[F2Matrix]:
@@ -438,22 +422,18 @@ def _is_symplectic_stack(cols: np.ndarray) -> np.ndarray:
 def _pair_representatives(q: np.ndarray, k: int) -> np.ndarray:
     """(S, 2k) columns of _pair_representative(q_s, k) for each pair index q_s.
 
-    g deposits b's bits around j* = ctz(J f1) and sets bit j* so that
-    <f1, g> = 1.  The basis is completed as in _symplectic_basis: each
-    round projects every unit vector onto the complement of the pairs so
-    far, u is the first nonzero projection and v the first that pairs
-    with u.  As projection is linear, these are the vectors the filtered
-    pool of _symplectic_basis gives.
+    g is _second_image of each (f1, b), and the basis is completed as in
+    _symplectic_basis: each round projects every unit vector onto the
+    complement of the pairs so far, u is the first nonzero projection and
+    v the first that pairs with u.  As projection is linear, these are the
+    vectors the filtered pool of _symplectic_basis gives.
     """
     m = 2 * k
     f1 = (q >> (m - 1)) + 1
     b = q & ((1 << (m - 1)) - 1)
-    jf = _swap_pairs(f1)
-    low = jf & -jf
-    dep = (b & (low - 1)) | ((b & -low) << 1)
     cols = np.empty((len(q), m), dtype=np.int64)
     cols[:, 0] = f1
-    cols[:, 1] = dep | low * (1 ^ (np.bitwise_count(dep & jf) & 1))
+    cols[:, 1] = _second_image(f1, b, _forms)
     proj = np.tile(1 << np.arange(m), (len(q), 1))
     s = np.arange(len(q))
     for r in range(2, m, 2):

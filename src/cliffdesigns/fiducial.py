@@ -79,7 +79,7 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        if abs(self.x**2 + self.y**2 + self.z**2 - 1.0) > 1e-12:
+        if not abs(self.x**2 + self.y**2 + self.z**2 - 1.0) <= 1e-12:
             raise ValueError("Bloch vector must be unit length")
 
     def state(self) -> np.ndarray:
@@ -137,7 +137,7 @@ def solve_bloch_quartic(c: float) -> BlochVector:
     which makes the output deterministic.
     """
     tau = c - 1.0
-    if tau < 1.0 / 3.0 - 1e-12 or tau > 1.0 + 1e-12:
+    if not 1.0 / 3.0 - 1e-12 <= tau <= 1.0 + 1e-12:
         raise InfeasibleError(f"target quartic {tau} outside [1/3, 1]")
     tau = min(max(tau, 1.0 / 3.0), 1.0)
     s = (1.0 + math.sqrt(max(0.0, 6.0 * tau - 2.0))) / 3.0
@@ -145,7 +145,7 @@ def solve_bloch_quartic(c: float) -> BlochVector:
     x = math.sqrt(s)
     y = z = math.sqrt(max(0.0, (1.0 - s) / 2.0))
     out = BlochVector(x, y, z)
-    if abs(out.quartic() - tau) > 1e-12:
+    if not abs(out.quartic() - tau) <= 1e-12:
         raise AssertionError("quartic residual too large")
     return out
 
@@ -358,47 +358,35 @@ def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     # it on the z-type coordinates makes the computational basis one of the
     # d+1 cycled bases
     cols = f2lin._symplectic_basis(form, m, u_pool=fq_basis)
-    pmat_rows = tuple(f2lin._cols_to_rows(cols, m))
+    pmat_rows = f2lin._transpose(cols, m)
     pinv_rows = f2lin._inverse(pmat_rows, m)
-    alpha_rows = tuple(f2lin._cols_to_rows(_mult_matrix_cols(alpha, p, m), m))
+    alpha_rows = f2lin._transpose(_mult_matrix_cols(alpha, p, m), m)
     F = f2lin.F2Matrix(
         f2lin._mat_mul(pinv_rows, f2lin._mat_mul(alpha_rows, pmat_rows)), n
     )
     if not f2lin.is_symplectic(F):
         raise AssertionError("field-built cycler action is not symplectic")
-    if not _is_cycler_action(F, n):
-        raise AssertionError("field-built action is not a cycler")
-    if not _cycles_z_spread(F, n):
-        raise AssertionError("field-built cycler misses the z-type spread line")
+    if not _is_basis_cycler(F, n):
+        raise AssertionError("field-built action is not a basis cycler")
     return F
 
 
-def _is_cycler_action(F: f2lin.F2Matrix, n: int) -> bool:
-    """Order d+1 with all powers F^1..F^d free of nonzero fixed points."""
-    d = 1 << n
-    power = F
-    for _ in range(d):
-        if f2lin.fixed_space_dim(power) != 0:
-            return False
-        power = power @ F
-    return power.rows == f2lin.F2Matrix.identity(n).rows
-
-
-def _cycles_z_spread(F: f2lin.F2Matrix, n: int) -> bool:
-    """Whether the orbit of the z-type subspace under F is a spread.
+def _is_basis_cycler(F: f2lin.F2Matrix, n: int) -> bool:
+    """Order d+1, powers F^1..F^d free of nonzero fixed points, and the
+    orbit of the z-type subspace a spread, checked in one walk.
 
     Then the d+1 bases U^k (computational basis) are pairwise mutually
     unbiased for any unitary U inducing F.
     """
     mz = tuple(1 << (2 * i) for i in range(n))
-    d = 1 << n
     power = F
-    for _ in range(d):
-        img = tuple(power.apply(b) for b in mz)
-        if f2lin._rank(img + mz) != 2 * n:
+    for _ in range(1 << n):
+        if f2lin.fixed_space_dim(power) != 0:
+            return False
+        if f2lin._rank(tuple(power.apply(b) for b in mz) + mz) != 2 * n:
             return False
         power = power @ F
-    return True
+    return power.rows == f2lin.F2Matrix.identity(n).rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,7 +398,7 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
     """
     if n <= SINGER_SEARCH_MAX_N:
         for F in f2lin.enumerate_sp(n):
-            if _is_cycler_action(F, n) and _cycles_z_spread(F, n):
+            if _is_basis_cycler(F, n):
                 return F
         raise AssertionError("no cycler found in exhaustive search")
     if n in SINGER_FIELD_NS:

@@ -10,7 +10,13 @@ computes in closed form or by exact combinatorics:
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
 * the code overlap of a product of four states (designs),
-* the projective orbit deduplicated one state at a time (clifford).
+* the projective orbit deduplicated one state at a time (clifford),
+* the letter-string orbits swept one string at a time (stabrep),
+* the second image of a hyperbolic pair built bit by bit, and the bit
+  matrix transposed one column or one row at a time (f2lin),
+* the Pauli product phase summed one qubit at a time (pauli),
+* the basis-cycler test as two walks over the powers, one for fixed
+  points and order, one for the z-type spread (fiducial).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from cliffdesigns.clifford import projective_clifford_unitaries
 from cliffdesigns.designs import sym_dim
-from cliffdesigns.f2lin import CapacityError, fixed_space_dim
+from cliffdesigns.f2lin import CapacityError, F2Matrix, _rank, fixed_space_dim
 from cliffdesigns.pauli import PauliLabel, _signed_perm, characteristic_function, pauli_product
 from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, stab_projector
 
@@ -299,3 +305,92 @@ def projective_orbit_loop(psi, n: int, decimals: int = 9) -> list[np.ndarray]:
         if key not in seen:
             seen[key] = s
     return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# letter-string orbits, GF(2) bit loops, the Pauli product phase and the
+# basis-cycler walks
+
+
+def string_orbit_sweep(n: int) -> tuple[int, int]:
+    """(orbits, orbits with two or more distinct nonzero letters) of the
+    strings over {0,1,2,3} of length n under relabeling of letters 1,2,3,
+    by canonicalizing all 4^n strings."""
+    perms3 = list(itertools.permutations((1, 2, 3)))
+    total = set()
+    type3 = set()
+    for s in itertools.product((0, 1, 2, 3), repeat=n):
+        canon = min(tuple(0 if c == 0 else p[c - 1] for c in s) for p in perms3)
+        total.add(canon)
+        if len({c for c in s if c != 0}) >= 2:
+            type3.add(canon)
+    return len(total), len(type3)
+
+
+def second_image_loop(f1: int, b: int, n: int) -> int:
+    """The b-th vector g with <f1, g> = 1, enumerated via an affine basis:
+    j* is the first coordinate j with bit j ^ 1 of f1 set, and bit k of b
+    selects the k-th unit vector other than e_{j*}, corrected to pair
+    trivially with f1."""
+    nn = 2 * n
+    jstar = next(j for j in range(nn) if (f1 >> (j ^ 1)) & 1)
+    g = 1 << jstar
+    k = 0
+    for i in range(nn):
+        if i == jstar:
+            continue
+        if (b >> k) & 1:
+            h = 1 << i
+            if (f1 >> (i ^ 1)) & 1:
+                h ^= 1 << jstar
+            g ^= h
+        k += 1
+    return g
+
+
+def column_loop(rows, j: int) -> int:
+    """Column j of the bit matrix with the given rows."""
+    c = 0
+    for i, r in enumerate(rows):
+        c |= ((r >> j) & 1) << i
+    return c
+
+
+def cols_to_rows_loop(cols, nn: int) -> list[int]:
+    """The nn rows of the bit matrix with the given columns."""
+    rows = [0] * nn
+    for j, c in enumerate(cols):
+        for i in range(nn):
+            if (c >> i) & 1:
+                rows[i] |= 1 << j
+    return rows
+
+
+def product_phase_loop(a: int, b: int, n: int) -> int:
+    """i-power phi with W_a W_b = i^phi W_{a^b}, summed qubit by qubit."""
+    phi = 0
+    for i in range(n):
+        z, x = (a >> 2 * i) & 1, (a >> 2 * i + 1) & 1
+        zp, xp = (b >> 2 * i) & 1, (b >> 2 * i + 1) & 1
+        phi += z * x + zp * xp + 2 * z * xp - (z ^ zp) * (x ^ xp)
+    return phi % 4
+
+
+def cycler_two_walks(F, n: int) -> bool:
+    """Order d+1 with all powers F^1..F^d free of nonzero fixed points (one
+    walk), and the orbit of the z-type subspace a spread (a second walk)."""
+    d = 1 << n
+    power = F
+    for _ in range(d):
+        if fixed_space_dim(power) != 0:
+            return False
+        power = power @ F
+    if power.rows != F2Matrix.identity(n).rows:
+        return False
+    mz = tuple(1 << (2 * i) for i in range(n))
+    power = F
+    for _ in range(d):
+        if _rank(tuple(power.apply(b) for b in mz) + mz) != 2 * n:
+            return False
+        power = power @ F
+    return True

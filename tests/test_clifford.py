@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdesigns import f2lin
+from cliffdesigns import clifford, f2lin
 from cliffdesigns.clifford import (
     CliffordElement,
     STACK_ENTRIES,
@@ -27,7 +27,7 @@ from cliffdesigns.clifford import (
     transvection_decomposition,
 )
 from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
-from cliffdesigns.fiducial import psi_t, singer_eigenstates
+from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic, singer_unitary
 from cliffdesigns.pauli import PauliLabel, pauli_matrix
 from conftest import random_state
 from reference import projective_orbit_loop
@@ -151,6 +151,20 @@ class TestLift:
                 F = f2lin.random_symplectic(n, rng)
                 got, _ = extract_action(lift_symplectic(F))
                 assert got.rows == F.rows
+
+    def test_lift_carries_its_symplectic(self, rng, monkeypatch):
+        def no_extraction(U):
+            raise AssertionError("extract_action called")
+
+        monkeypatch.setattr(clifford, "extract_action", no_extraction)
+        for n in (1, 2, 3, 4):
+            for _ in range(5):
+                F = f2lin.random_symplectic(n, rng)
+                u = lift_symplectic(F)
+                assert u.symplectic.rows == F.rows
+                assert clifford_trace_check(u).passed
+        for n in (1, 2, 4):
+            assert singer_unitary(n).symplectic == singer_symplectic(n)
 
     def test_identity_gives_empty_decomposition(self):
         assert transvection_decomposition(F2Matrix.identity(3)) == []

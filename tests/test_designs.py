@@ -90,6 +90,16 @@ class TestFramePotential:
         with pytest.raises(ValueError):
             frame_potential(states, 2, weights=[1.5, -0.5])
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_weight_rejected(self, weights):
+        with pytest.raises(ValueError):
+            frame_potential(np.eye(2), 2, weights=weights)
+
+    def test_nan_state_rejected(self, rng):
+        states = np.array([random_state(2, rng), [math.nan, 0.0]])
+        with pytest.raises(AssertionError):
+            frame_potential(states, 2)
+
     def test_weighted_matches_duplication(self, rng):
         # weight 2/3 on one state = counting it twice among three
         a, b = random_state(2, rng), random_state(2, rng)

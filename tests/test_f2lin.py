@@ -24,6 +24,7 @@ from cliffdesigns.f2lin import (
     symplectic_form,
     symplectic_from_index,
 )
+from reference import cols_to_rows_loop, column_loop, second_image_loop
 
 
 def rows_digest(mats):
@@ -240,7 +241,7 @@ class TestElimination:
     @staticmethod
     def greedy_kernel(cols, m):
         """Increasing scan of all 2^m vectors, kept when independent."""
-        rows = f2lin._cols_to_rows(cols, m)
+        rows = f2lin._transpose(cols, m)
         basis, span = [], {0}
         for v in range(1, 1 << m):
             if f2lin._mat_vec(rows, v) == 0 and v not in span:
@@ -267,6 +268,45 @@ class TestElimination:
             inv = f2lin._inverse(rows, m)
             assert f2lin._mat_mul(inv, rows) == tuple(1 << i for i in range(m))
             assert f2lin._mat_mul(rows, inv) == tuple(1 << i for i in range(m))
+
+
+class TestBitKernels:
+    @pytest.mark.parametrize("k, m", [(0, 3), (1, 1), (2, 2), (4, 4), (6, 6), (10, 10),
+                                      (16, 16), (3, 7), (9, 2), (5, 16)])
+    def test_transpose_matches_loops(self, rng, k, m):
+        for _ in range(40):
+            vecs = [int(v) for v in rng.integers(0, 1 << m, size=k)]
+            got = f2lin._transpose(vecs, m)
+            assert got == tuple(cols_to_rows_loop(vecs, m))
+            assert got == tuple(column_loop(vecs, j) for j in range(m))
+            assert all(type(v) is int for v in got)
+            assert f2lin._transpose(got, k) == tuple(vecs)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_matrix_transpose(self, rng, n):
+        for _ in range(10):
+            F = random_symplectic(n, rng)
+            T = F.transpose()
+            assert T.rows == tuple(column_loop(F.rows, j) for j in range(2 * n))
+            assert T.transpose() == F
+            assert is_symplectic(T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_second_image_exhaustive(self, n):
+        f1 = np.repeat(np.arange(1, 1 << (2 * n)), 1 << (2 * n - 1))
+        b = np.tile(np.arange(1 << (2 * n - 1)), (1 << (2 * n)) - 1)
+        want = [second_image_loop(x, y, n) for x, y in zip(f1.tolist(), b.tolist())]
+        assert [f2lin._second_image(x, y) for x, y in zip(f1.tolist(), b.tolist())] == want
+        assert f2lin._second_image(f1, b, f2lin._forms).tolist() == want
+        assert all(f2lin._omega(x, g) == 1 for x, g in zip(f1.tolist(), want))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_second_image_sampled(self, rng, n):
+        f1 = rng.integers(1, 1 << (2 * n), size=300)
+        b = rng.integers(0, 1 << (2 * n - 1), size=300)
+        want = [second_image_loop(x, y, n) for x, y in zip(f1.tolist(), b.tolist())]
+        assert [f2lin._second_image(x, y) for x, y in zip(f1.tolist(), b.tolist())] == want
+        assert f2lin._second_image(f1, b, f2lin._forms).tolist() == want
 
 
 class TestRandomSymplectic:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cliffdesigns import f2lin
 from cliffdesigns.designs import bloch_state, design_report, epsilon, frame_potential, sym_dim
 from cliffdesigns.fiducial import (
+    BlochVector,
     ConvergenceError,
     InfeasibleError,
     bisection_root,
@@ -29,10 +30,11 @@ from cliffdesigns.fiducial import (
     _primitive_polynomial,
     _cycler_ell4,
     _singer_symplectic_field,
-    _is_cycler_action,
+    _is_basis_cycler,
 )
 from cliffdesigns.pauli import NormalizationError, alpha_plus_batch, characteristic_function, ell4_norm4
 from conftest import random_state
+from reference import cycler_two_walks
 
 
 class TestNamedFiducials:
@@ -86,6 +88,15 @@ class TestBlochQuartic:
             solve_bloch_quartic(1.2)
         with pytest.raises(InfeasibleError):
             solve_bloch_quartic(2.1)
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(InfeasibleError):
+            solve_bloch_quartic(math.nan)
+
+    @pytest.mark.parametrize("xyz", [(math.nan, 0, 0), (0, math.nan, 1), (1, 0, math.inf)])
+    def test_non_finite_bloch_vector_rejected(self, xyz):
+        with pytest.raises(ValueError):
+            BlochVector(*xyz)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(1 / 3, 1))
@@ -237,14 +248,35 @@ class TestGF2m:
         for n in (1, 2):
             F = _singer_symplectic_field(n)
             assert f2lin.is_symplectic(F)
-            assert _is_cycler_action(F, n)
+            assert _is_basis_cycler(F, n)
 
 
 class TestSinger:
     def test_search_reference_n1_n2(self):
         for n in (1, 2):
             F = singer_symplectic(n)
-            assert _is_cycler_action(F, n)
+            assert _is_basis_cycler(F, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_walk_matches_two_walks(self, n):
+        # every element of Sp(2n, F2), so the search's first hit is unchanged
+        hits = [F for F in f2lin.enumerate_sp(n) if _is_basis_cycler(F, n)]
+        assert hits == [F for F in f2lin.enumerate_sp(n) if cycler_two_walks(F, n)]
+        assert hits[0] == singer_symplectic(n)
+
+    def test_field_cycler_walks_powers_once(self, monkeypatch):
+        calls = 0
+        matmul = f2lin.F2Matrix.__matmul__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(f2lin.F2Matrix, "__matmul__", counted)
+        F = _singer_symplectic_field.__wrapped__(8)
+        assert calls <= (1 << 8) + 1
+        assert cycler_two_walks(F, 8)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_unitary_is_projectively_cyclic(self, n):

@@ -7,6 +7,7 @@ from cliffdesigns.f2lin import DimensionError, symplectic_form
 from cliffdesigns.pauli import (
     NormalizationError,
     PauliLabel,
+    _product_phase,
     _signed_perm,
     _signed_perms,
     alpha_plus,
@@ -21,6 +22,7 @@ from cliffdesigns.pauli import (
     pauli_product,
 )
 from conftest import random_state
+from reference import product_phase_loop
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -113,6 +115,20 @@ class TestProduct:
                 wa, wb = pauli_matrix(PauliLabel(1, a)), pauli_matrix(PauliLabel(1, b))
                 sign = (-1) ** symplectic_form(a, b, 1)
                 assert np.allclose(wa @ wb, sign * wb @ wa)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phase_exhaustive_against_loop(self, n):
+        for a in range(4**n):
+            for b in range(4**n):
+                assert _product_phase(a, b, n) == product_phase_loop(a, b, n)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 40])
+    def test_phase_sampled_against_loop(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            a, b = (int.from_bytes(rng.bytes(n)) % 4**n for _ in range(2))
+            assert _product_phase(a, b, n) == product_phase_loop(a, b, n)
 
 
 class TestApply:

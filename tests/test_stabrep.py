@@ -23,7 +23,13 @@ from cliffdesigns.stabrep import (
     vec_pauli_basis,
     weyl_dim,
 )
-from reference import cycle_type, multiplicity_sum, numeric_symplectic_character, young_projector
+from reference import (
+    cycle_type,
+    multiplicity_sum,
+    numeric_symplectic_character,
+    string_orbit_sweep,
+    young_projector,
+)
 
 # the five-row ledger for one, two and three qubits: (specht, weyl, code, rest)
 LEDGER = {
@@ -113,6 +119,14 @@ class TestDimensionTable:
         if n <= 3:
             rows = dimension_table(n)
             assert (rows[0].D_plus, rows[1].D_plus) == (total, type3)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_orbit_count_matches_string_sweep(self, n):
+        assert orbit_counting_dims(n) == string_orbit_sweep(n)
+
+    def test_orbit_count_capped(self):
+        with pytest.raises(CapacityError):
+            orbit_counting_dims(7)
 
     def test_dense_trace_oracle_n1(self):
         # tr(P_{1,4} P_lam) = d_lam * D_plus, checked densely
