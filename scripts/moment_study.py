@@ -43,6 +43,8 @@ def main() -> int:
     args = ap.parse_args()
     if args.samples < 10**4:
         ap.error("--samples must be at least 10000 for the tail study")
+    if args.pairs < 10**3:
+        ap.error("--pairs must be at least 1000 for the Lipschitz probe")
     out = run(args)
     print(json.dumps(out, indent=2, default=float))
     return 0 if out["pass"] else 1

@@ -119,12 +119,24 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+# the z bits of the first 32 qubits; wider ints build their own mask
 _EVEN_BITS = 0x5555555555555555
 
 
 def _swap_pairs(v):
-    """J v: swap the (z, x) bits within every qubit pair (an int or an int64 array)."""
-    return ((v & _EVEN_BITS) << 1) | ((v >> 1) & _EVEN_BITS)
+    """J v: swap the (z, x) bits within every qubit pair.  Exact for an int
+    of any width; int64 arrays take the 64-bit mask."""
+    even = _EVEN_BITS
+    if isinstance(v, int) and v >> 64:
+        even = (1 << ((v.bit_length() | 1) + 1)) // 3
+    return ((v & even) << 1) | ((v >> 1) & even)
+
+
+def _omega(a: int, b: int) -> int:
+    """<a,b> without the range check, for the inner loops: _swap_pairs of
+    an int, inlined."""
+    even = _EVEN_BITS if not b >> 64 else (1 << ((b.bit_length() | 1) + 1)) // 3
+    return (a & ((b & even) << 1 | (b >> 1) & even)).bit_count() & 1
 
 
 def symplectic_form(a: int, b: int, n: int) -> int:
@@ -132,7 +144,7 @@ def symplectic_form(a: int, b: int, n: int) -> int:
     mask = (1 << (2 * n)) - 1
     if a < 0 or b < 0 or a > mask or b > mask:
         raise DimensionError("vector does not fit in 2n bits")
-    return _parity(a & _swap_pairs(b))
+    return _omega(a, b)
 
 
 def _mat_vec(rows, v: int) -> int:
@@ -290,11 +302,6 @@ def sp_order(n: int) -> int:
     for i in range(1, n + 1):
         total *= (1 << (2 * i)) - 1
     return total
-
-
-def _omega(a: int, b: int) -> int:
-    """<a,b> without the range check, for the inner loops."""
-    return _parity(a & _swap_pairs(b))
 
 
 def _second_image(f1, b, form=_omega):

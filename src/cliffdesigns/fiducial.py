@@ -62,6 +62,8 @@ SINGER_FIELD_NS = (1, 2, 4, 8)
 SPREAD_ATOL = 1e-9
 # largest error of the purity identity on the z-type line of a cycler eigenstate
 BALANCE_ATOL = 1e-9
+# a cycler's spectral projection of a unit vector this short counts as empty
+BIN_ATOL = 1e-9
 
 
 class InfeasibleError(ValueError):
@@ -417,15 +419,53 @@ def singer_unitary(n: int) -> clifford.CliffordElement:
     return U
 
 
+def _cycler_bins(M: np.ndarray, r: np.ndarray, mu=None):
+    """(d+1, d) projections of r onto the eigenspaces mu w^k, k = 0..d, of a
+    unitary M with M^{d+1} = c 1, and mu, a (d+1)-th root of c.
+
+    With w = e^{2 pi i/(d+1)} the projector onto mu w^k is the average of
+    (mu w^k)^{-j} M^j over j = 0..d, so the projections are the DFT bins
+    of the orbit mu^{-j} M^j r: one matrix-vector product per power and
+    one FFT.  Without mu, c is read from the closing vector M^{d+1} r.
+    """
+    from numpy.fft import fft
+
+    d = len(r)
+    orbit = np.empty((d + 2, d), dtype=complex)
+    orbit[0] = r
+    for j in range(d + 1):
+        np.dot(M, orbit[j], out=orbit[j + 1])
+    if mu is None:
+        # mu keeps the modulus of c, which rounding moves off 1; scaling
+        # the orbit by it stops each eigenvector leaking into other bins
+        mu = np.vdot(r, orbit[d + 1]) ** (1 / (d + 1))
+    return fft(orbit[:d + 1] * (mu ** -np.arange(d + 1.0))[:, None], axis=0) / (d + 1), mu
+
+
 def singer_eigenstates(n: int) -> np.ndarray:
-    """Eigenvectors of the basis cycler, one per row; its spectrum must be nondegenerate."""
-    eigvals, vecs = np.linalg.eig(singer_unitary(n).matrix)
-    phases = np.sort(np.angle(eigvals))
-    gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
-    if np.min(gaps) < 1e-6:
+    """Eigenvectors of the basis cycler U, one per row; its spectrum must be nondegenerate.
+
+    U^{d+1} = c 1, so its eigenvalues lie among the d+1 values mu w^k
+    (_cycler_bins) and a nondegenerate spectrum leaves exactly one of them
+    out.  The rows are ordered by k, cyclically from the missing value on:
+    row j has eigenvalue w^j times that of row 0.  The projections of e_0
+    give the eigenvectors, phased by a real positive first amplitude; a
+    second orbit from their normalized sum, whose overlaps with all of
+    them are equal, recomputes them to a uniform accuracy.
+    """
+    M = singer_unitary(n).matrix
+    d = len(M)
+    r = np.zeros(d, dtype=complex)
+    r[0] = 1.0
+    bins, mu = _cycler_bins(M, r)
+    norms = np.linalg.norm(bins, axis=1)
+    empty = np.flatnonzero(norms <= BIN_ATOL)
+    if len(empty) != 1:
         raise AssertionError("cycler spectrum is degenerate")
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    return vecs.T
+    keep = (empty[0] + 1 + np.arange(d)) % (d + 1)
+    vecs = bins[keep] / norms[keep, None]
+    bins = _cycler_bins(M, vecs.sum(axis=0) / math.sqrt(d), mu)[0][keep]
+    return bins / np.linalg.norm(bins, axis=1, keepdims=True)
 
 
 def _cycler_ell4(vecs: np.ndarray) -> np.ndarray:

@@ -84,6 +84,21 @@ class TestSymplecticForm:
         lhs = symplectic_form(a ^ b, c, 3)
         assert lhs == symplectic_form(a, c, 3) ^ symplectic_form(b, c, 3)
 
+    @pytest.mark.parametrize("q", [32, 33, 36, 70])
+    def test_qubits_past_the_64_bit_mask(self, q):
+        z, x = 1 << (2 * q - 2), 1 << (2 * q - 1)
+        assert symplectic_form(z, x, q) == symplectic_form(x, z, q) == 1
+        assert symplectic_form(z, z, q) == symplectic_form(x, x, q) == 0
+        assert f2lin._swap_pairs(z) == x and f2lin._swap_pairs(x) == z
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 36, 70, 200])
+    def test_wide_swap_and_omega_agree(self, rng, n):
+        for _ in range(100):
+            a, b = (int.from_bytes(rng.bytes(n)) % 4**n for _ in range(2))
+            assert f2lin._swap_pairs(f2lin._swap_pairs(b)) == b
+            assert f2lin._omega(a, b) == f2lin._parity(a & f2lin._swap_pairs(b))
+            assert f2lin._omega(a, b) == symplectic_form(b, a, n)
+
 
 class TestIsSymplectic:
     def test_identity(self):
@@ -313,6 +328,13 @@ class TestRandomSymplectic:
     def test_always_symplectic(self, rng):
         for n in (1, 2, 3, 4):
             assert is_symplectic(random_symplectic(n, rng))
+
+    @pytest.mark.parametrize("n", [33, 34, 40])
+    def test_symplectic_past_32_qubits(self, rng, n):
+        F = random_symplectic(n, rng)
+        assert is_symplectic(F)
+        a, b = (int.from_bytes(rng.bytes(n)) % 4**n for _ in range(2))
+        assert symplectic_form(F.apply(a), F.apply(b), n) == symplectic_form(a, b, n)
 
     def test_draws_pinned(self):
         rng = np.random.default_rng(7)

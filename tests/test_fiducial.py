@@ -390,6 +390,47 @@ class TestSinger:
         assert abs(rows[0]["eigenstate_ell4"] - 3.0) < 0.1
 
 
+class TestCyclerEigenbasis:
+    @pytest.mark.parametrize("n", [1, 2, 4, pytest.param(8, marks=pytest.mark.slow)])
+    def test_eigenbasis(self, n):
+        U = singer_unitary(n).matrix
+        d = len(U)
+        vecs = singer_eigenstates(n)
+        lam = np.einsum("ij,jk,ik->i", vecs.conj(), U, vecs)
+        assert np.linalg.norm(U @ vecs.T - vecs.T * lam) <= 1e-12
+        assert np.linalg.norm(vecs @ vecs.conj().T - np.eye(d)) <= 1e-12
+        # d distinct values mu w^k with mu^{d+1} = c, ordered by k
+        c = np.linalg.matrix_power(U, d + 1)[0, 0]
+        assert abs(lam[0] ** (d + 1) - c) <= 1e-12
+        w = np.exp(2j * np.pi / (d + 1))
+        assert np.abs(lam - lam[0] * w ** np.arange(d)).max() <= 1e-12
+        # phased by a real positive first amplitude
+        assert np.abs(vecs[:, 0].imag).max() <= 1e-12
+        assert vecs[:, 0].real.min() > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_matches_dense_eigensolver(self, n):
+        U = singer_unitary(n).matrix
+        eigvals, dense = np.linalg.eig(U)
+        vecs = singer_eigenstates(n)
+        lam = np.einsum("ij,jk,ik->i", vecs.conj(), U, vecs)
+        match = np.abs(lam[:, None] - eigvals[None, :]).argmin(axis=1)
+        assert sorted(match) == list(range(len(U)))
+        overlaps = np.abs(np.einsum("ij,ji->i", vecs.conj(), dense[:, match]))
+        assert np.abs(overlaps / np.linalg.norm(dense[:, match], axis=0) - 1).max() <= 1e-10
+
+    def test_no_dense_eigensolver(self, monkeypatch):
+        from cliffdesigns import cli
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        rows = singer_epsilon_table((1, 2, 4, 8))
+        assert [row["n"] for row in rows] == [1, 2, 4, 8]
+        assert cli.main(["construct", "--alg2", "--n", "3"]) == 0
+
+
 class TestFiveDesignProbe:
     def test_requires_root(self):
         with pytest.raises(InfeasibleError):

@@ -109,6 +109,19 @@ class TestProduct:
         assert delta == 2 * symplectic_form(p.a, q.a, n) % 4
         assert commutes(p, q) == (delta == 0)
 
+    @pytest.mark.parametrize("q", [36, 70])
+    def test_commutation_past_32_qubits(self, q):
+        # Z and X on qubit q, and random labels, against the exact product phases
+        rng = np.random.default_rng(q)
+        pairs = [(1 << (2 * q - 2), 1 << (2 * q - 1))]
+        pairs += [tuple(int.from_bytes(rng.bytes(q)) % 4**q for _ in range(2)) for _ in range(200)]
+        for a, b in pairs:
+            p, r = PauliLabel(q, a), PauliLabel(q, b)
+            delta = (pauli_product(p, r).phase_exp - pauli_product(r, p).phase_exp) % 4
+            assert delta == 2 * symplectic_form(a, b, q)
+            assert commutes(p, r) == (delta == 0)
+        assert not commutes(PauliLabel(q, pairs[0][0]), PauliLabel(q, pairs[0][1]))
+
     def test_exhaustive_commutation_n1(self):
         for a in range(4):
             for b in range(4):
