@@ -9,6 +9,7 @@ in the output.
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -41,6 +42,16 @@ def main() -> int:
     ap.add_argument("--thresholds", type=float, nargs="+", default=[0.25, 0.5])
     ap.add_argument("--pairs", type=int, default=3000)
     args = ap.parse_args()
+    from cliffdesigns.cli import MOMENTS_MAX_N
+
+    if not all(1 <= n <= MOMENTS_MAX_N for n in args.n):
+        ap.error(f"--n must lie in 1..{MOMENTS_MAX_N}, as for the moments command, "
+                 f"got --n {' '.join(map(str, args.n))}")
+    if args.seed < 0:
+        ap.error(f"--seed must be a non-negative integer, got --seed {args.seed}")
+    if not all(0 < x < math.inf for x in args.thresholds):  # also false for nan
+        ap.error("--thresholds must be positive finite numbers, "
+                 f"got --thresholds {' '.join(map(str, args.thresholds))}")
     if args.samples < 10**4:
         ap.error("--samples must be at least 10000 for the tail study")
     if args.pairs < 10**3:

@@ -83,8 +83,11 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         _flatten("", payload, lines)
         text = "\n".join(f"{k},{v}" for k, v in lines) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValueError(f"cannot write --out {out}: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -99,11 +102,11 @@ def _flatten(prefix: str, obj, lines: list) -> None:
 
 
 def cmd_tables(args) -> tuple[dict, bool]:
-    from . import stabrep
+    from . import f2lin, stabrep
 
     n_max = args.n
-    if not 1 <= n_max <= 6:
-        raise ValueError(f"tables needs 1 <= --n <= 6 for the orbit-counting oracle, got --n {n_max}")
+    if n_max < 1:
+        raise ValueError(f"tables needs --n >= 1, got --n {n_max}")
     per_n = []
     ok = True
     for n in range(1, n_max + 1):
@@ -116,8 +119,18 @@ def cmd_tables(args) -> tuple[dict, bool]:
         oracle = stabrep.orbit_counting_dims(n)
         entry["string_orbit_oracle"] = list(oracle)
         ok &= oracle == (rows[0].D_plus, rows[1].D_plus)
-        entry["multiplicity_sum_k4"] = _rational(stabrep.sp_multiplicity_sum(n, 4))
-        entry["frame_potential_t4"] = _rational(stabrep.clifford_frame_potential(n, 4))
+        ms = stabrep.sp_multiplicity_sum(n, 4)
+        fp = stabrep.clifford_frame_potential(n, 4)
+        entry["multiplicity_sum_k4"] = _rational(ms)
+        entry["frame_potential_t4"] = _rational(fp)
+        # second route to both sums: the group averages of 4^dim and 8^dim
+        # of the fixed space (Burnside), from the fixed-dimension histogram
+        hist = f2lin.fixed_dim_histogram(n)
+        order = f2lin.sp_order(n)
+        entry["fixed_dim_histogram"] = list(hist)
+        ok &= sum(hist) == order
+        ok &= Fraction(sum(c << 3 * k for k, c in enumerate(hist)), order) == fp
+        ok &= Fraction(sum(c << 2 * k for k, c in enumerate(hist)), order) == ms
         per_n.append(entry)
     return {"tables": per_n, "pass": ok}, ok
 
@@ -278,17 +291,12 @@ def cmd_singer(args) -> tuple[dict, bool]:
     from . import fiducial
 
     n = args.n
-    rows = fiducial.singer_epsilon_table((n,))
-    row = rows[0]
-    ref, tol = _SINGER_REFERENCE.get(n, (None, None))
+    row = fiducial.singer_epsilon_table((n,))[0]
+    ref, tol = _SINGER_REFERENCE[n]
+    ok = abs(-row["epsilon"] - ref) <= tol
     payload = {"n": n, "minus_epsilon": -row["epsilon"], "spread": row["spread"],
-               "eigenstate_ell4": row["eigenstate_ell4"]}
-    ok = True
-    if ref is not None:
-        payload["reference"] = ref
-        payload["tolerance"] = tol
-        ok = abs(-row["epsilon"] - ref) <= tol
-        payload["pass"] = ok
+               "eigenstate_ell4": row["eigenstate_ell4"], "reference": ref, "tolerance": tol,
+               "pass": ok}
     return payload, ok
 
 
@@ -371,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", help="comma-separated |epsilon| tail thresholds")
 
     p = sub.add_parser("singer", help="basis-cycler deviation table", parents=[output])
-    p.add_argument("--n", type=int, default=1, choices=(1, 2, 4, 8))
+    p.add_argument("--n", type=int, default=1, choices=tuple(_SINGER_REFERENCE))
 
     p = sub.add_parser("orbit", help="orbit frame potential", parents=[output])
     _add_state_source(p)

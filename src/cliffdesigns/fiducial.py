@@ -56,8 +56,6 @@ __all__ = [
     "five_design_probe",
 ]
 
-SINGER_SEARCH_MAX_N = 2
-SINGER_FIELD_NS = (1, 2, 4, 8)
 # eigenstates of one cycler share one deviation; they may differ by this much
 SPREAD_ATOL = 1e-9
 # largest error of the purity identity on the z-type line of a cycler eigenstate
@@ -320,19 +318,19 @@ def _gf_trace_vector(p: int, m: int) -> int:
     return t
 
 
-def _mult_matrix_cols(g: int, p: int, m: int) -> list[int]:
-    return [_gf_mul(g, 1 << i, p, m) for i in range(m)]
-
-
 @functools.lru_cache(maxsize=None)
-def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
-    """Order-(d+1) fixed-point-free symplectic matrix from GF(4^n) arithmetic.
+def singer_symplectic(n: int) -> f2lin.F2Matrix:
+    """Symplectic action of a basis cycler: order d+1, fixed-point-free powers.
 
-    Multiplication by a norm-one element of order 2^n + 1 preserves the
-    alternating form Tr(u v^{2^n} beta) once beta is trace-orthogonal to
-    the subfield GF(2^n); expressing that form in a symplectic basis gives
-    a standard-form matrix.
+    Built from GF(4^n) arithmetic for every n >= 1: multiplication by a
+    norm-one element of order 2^n + 1 preserves the alternating form
+    Tr(u v^{2^n} beta) once beta is trace-orthogonal to the subfield
+    GF(2^n); expressing that form in a symplectic basis gives a
+    standard-form matrix.  The one-walk cycler test and the symplectic
+    check are its proof.
     """
+    if n < 1:
+        raise f2lin.DimensionError(f"basis cyclers need n >= 1, got n={n}")
     m = 2 * n
     p = _primitive_polynomial(m)
     tr = _gf_trace_vector(p, m)
@@ -362,7 +360,7 @@ def _singer_symplectic_field(n: int) -> f2lin.F2Matrix:
     cols = f2lin._symplectic_basis(form, m, u_pool=fq_basis)
     pmat_rows = f2lin._transpose(cols, m)
     pinv_rows = f2lin._inverse(pmat_rows, m)
-    alpha_rows = f2lin._transpose(_mult_matrix_cols(alpha, p, m), m)
+    alpha_rows = f2lin._transpose([_gf_mul(alpha, 1 << i, p, m) for i in range(m)], m)
     F = f2lin.F2Matrix(
         f2lin._mat_mul(pinv_rows, f2lin._mat_mul(alpha_rows, pmat_rows)), n
     )
@@ -391,32 +389,16 @@ def _is_basis_cycler(F: f2lin.F2Matrix, n: int) -> bool:
     return power.rows == f2lin.F2Matrix.identity(n).rows
 
 
-@functools.lru_cache(maxsize=None)
-def singer_symplectic(n: int) -> f2lin.F2Matrix:
-    """Symplectic action of a basis cycler: order d+1, fixed-point-free powers.
-
-    For n <= 2 found by exhaustive search (the reference path); for
-    n in {4, 8} built from finite-field multiplication.
-    """
-    if n <= SINGER_SEARCH_MAX_N:
-        for F in f2lin.enumerate_sp(n):
-            if _is_basis_cycler(F, n):
-                return F
-        raise AssertionError("no cycler found in exhaustive search")
-    if n in SINGER_FIELD_NS:
-        return _singer_symplectic_field(n)
-    raise f2lin.CapacityError(f"basis cyclers provided for n in {SINGER_FIELD_NS}")
-
-
 def singer_unitary(n: int) -> clifford.CliffordElement:
-    """A Clifford basis cycler: projective order d+1."""
-    U = clifford.lift_symplectic(singer_symplectic(n))
-    d = U.d
-    power = np.linalg.matrix_power(U.matrix, d + 1)
-    scal = power[0, 0]
-    if abs(abs(scal) - 1) > 1e-9 or not np.allclose(power, scal * np.eye(d), atol=1e-9):
-        raise AssertionError("U^{d+1} is not scalar")
-    return U
+    """A Clifford basis cycler: projective order d+1.
+
+    The walk of singer_symplectic proves F^{d+1} = 1 with F free of nonzero
+    fixed points, so U^{d+1} = lambda W_b for some Pauli W_b.  U commutes
+    with its own power, so W_{Fb} is proportional to W_b: Fb = b, hence
+    b = 0 and U^{d+1} is scalar.  _cycler_bins checks this numerically on
+    every orbit it builds.
+    """
+    return clifford.lift_symplectic(singer_symplectic(n))
 
 
 def _cycler_bins(M: np.ndarray, r: np.ndarray, mu=None):
@@ -426,7 +408,9 @@ def _cycler_bins(M: np.ndarray, r: np.ndarray, mu=None):
     With w = e^{2 pi i/(d+1)} the projector onto mu w^k is the average of
     (mu w^k)^{-j} M^j over j = 0..d, so the projections are the DFT bins
     of the orbit mu^{-j} M^j r: one matrix-vector product per power and
-    one FFT.  Without mu, c is read from the closing vector M^{d+1} r.
+    one FFT.  Without mu, c is read from the closing vector M^{d+1} r of
+    a unit r.  The closing vector must equal c r within BIN_ATOL, which
+    checks M^{d+1} = c 1 along the orbit at no extra product.
     """
     from numpy.fft import fft
 
@@ -435,10 +419,13 @@ def _cycler_bins(M: np.ndarray, r: np.ndarray, mu=None):
     orbit[0] = r
     for j in range(d + 1):
         np.dot(M, orbit[j], out=orbit[j + 1])
+    c = np.vdot(r, orbit[d + 1]) if mu is None else mu ** (d + 1)
+    if not np.linalg.norm(orbit[d + 1] - c * r) <= BIN_ATOL:
+        raise AssertionError("U^{d+1} is not scalar")
     if mu is None:
         # mu keeps the modulus of c, which rounding moves off 1; scaling
         # the orbit by it stops each eigenvector leaking into other bins
-        mu = np.vdot(r, orbit[d + 1]) ** (1 / (d + 1))
+        mu = c ** (1 / (d + 1))
     return fft(orbit[:d + 1] * (mu ** -np.arange(d + 1.0))[:, None], axis=0) / (d + 1), mu
 
 

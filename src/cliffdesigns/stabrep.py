@@ -218,8 +218,6 @@ def orbit_counting_dims(n: int) -> tuple[int, int]:
     it is (4^n + 3 2^n + 2)/6.  Less the 2^n orbits with at most one
     distinct nonzero letter, it gives the antisymmetric part.
     """
-    if n > 6:
-        raise CapacityError("string-orbit counting supported for n <= 6")
     total = ((1 << (2 * n)) + 3 * (1 << n) + 2) // 6
     return total, total - (1 << n)
 

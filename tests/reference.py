@@ -16,7 +16,8 @@ computes in closed form or by exact combinatorics:
   matrix transposed one column or one row at a time (f2lin),
 * the Pauli product phase summed one qubit at a time (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
-  points and order, one for the z-type spread (fiducial).
+  points and order, one for the z-type spread, and the basis cycler found
+  by exhaustive search over Sp(2n, F2) (fiducial).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from cliffdesigns.clifford import projective_clifford_unitaries
 from cliffdesigns.designs import sym_dim
-from cliffdesigns.f2lin import CapacityError, F2Matrix, _rank, fixed_space_dim
+from cliffdesigns.f2lin import CapacityError, F2Matrix, _rank, enumerate_sp, fixed_space_dim
+from cliffdesigns.fiducial import _is_basis_cycler
 from cliffdesigns.pauli import PauliLabel, _signed_perm, characteristic_function, pauli_product
 from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, stab_projector
 
@@ -394,3 +396,9 @@ def cycler_two_walks(F, n: int) -> bool:
             return False
         power = power @ F
     return True
+
+
+def singer_search(n: int) -> F2Matrix:
+    """First basis cycler in the enumeration order of Sp(2n, F2), found by
+    exhaustive search (n <= 2 in practice; |Sp(6, F2)| = 1451520)."""
+    return next(F for F in enumerate_sp(n) if _is_basis_cycler(F, n))

@@ -61,8 +61,34 @@ class TestTables:
     def test_nonpositive_n_rejected(self, capsys, n):
         assert_rejected(capsys, "tables", "--n", n)
 
-    def test_n7_rejected(self, capsys):
-        assert "--n 7" in assert_rejected(capsys, "tables", "--n", "7")
+    def test_past_six_qubits(self, capsys):
+        code, out = run_cli(capsys, "tables", "--n", "12")
+        assert code == 0
+        tables = json.loads(out)["tables"]
+        for entry in tables[6:]:
+            d = entry["d"]
+            rows = entry["rows"]
+            assert entry["string_orbit_oracle"] == [rows[0]["code_part"], rows[1]["code_part"]]
+            assert sum(r["specht_dim"] * r["code_part"] for r in rows) == d * d
+            assert entry["frame_potential_t4"]["fraction"] == "30/1"
+            assert entry["multiplicity_sum_k4"]["fraction"] == "6/1"
+        assert [e["n"] for e in tables[6:]] == list(range(7, 13))
+
+    def test_fixed_dim_histogram(self, capsys):
+        # counts of dim ker(F - 1) over Sp(2, F2) = S_3 and Sp(4, F2) = S_6
+        code, out = run_cli(capsys, "tables", "--n", "2")
+        assert code == 0
+        tables = json.loads(out)["tables"]
+        assert tables[0]["fixed_dim_histogram"] == [2, 3, 1]
+        assert tables[1]["fixed_dim_histogram"] == [304, 300, 100, 15, 1]
+
+    def test_histogram_disagreement_fails(self, capsys, monkeypatch):
+        from cliffdesigns import f2lin
+
+        monkeypatch.setattr(f2lin, "fixed_dim_histogram", lambda n: (1, 4, 1))
+        code, out = run_cli(capsys, "tables", "--n", "1")
+        assert code == 1
+        assert json.loads(out)["pass"] is False
 
     def test_exact_group_sums_for_every_n(self, capsys):
         code, out = run_cli(capsys, "tables", "--n", "6")
@@ -148,6 +174,18 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert abs(data["report"]["epsilon"]) <= 1e-8
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_alg2_any_cycler_size(self, capsys, n):
+        # seeded by the (n-1)-qubit cycler, which the field construction gives for every n
+        from cliffdesigns.designs import epsilon
+
+        code, out = run_cli(capsys, "construct", "--alg2", "--n", str(n))
+        assert code == 0
+        state = json.loads(out)["state"]
+        amps = np.array([complex(r, i) for r, i in state["amplitudes"]])
+        assert state["n"] == n and len(amps) == 1 << n
+        assert abs(epsilon(amps)) <= 1e-8
 
     def test_weighted(self, capsys):
         code, out = run_cli(capsys, "construct", "--weighted", "--n", "1")
@@ -426,6 +464,13 @@ def test_config_echoes_the_parsed_options(capsys, argv, config):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["config"] == config
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["no-dir", "is-dir"])
+def test_unwritable_out_rejected(capsys, tmp_path, target):
+    path = tmp_path / target
+    err = assert_rejected(capsys, "tables", "--n", "1", "--out", str(path))
+    assert err.startswith(f"error: cannot write --out {path}: ")
 
 
 def test_threads_overrides_environment(capsys, monkeypatch):

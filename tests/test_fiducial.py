@@ -29,12 +29,11 @@ from cliffdesigns.fiducial import (
     _gf_pow,
     _primitive_polynomial,
     _cycler_ell4,
-    _singer_symplectic_field,
     _is_basis_cycler,
 )
 from cliffdesigns.pauli import NormalizationError, alpha_plus_batch, characteristic_function, ell4_norm4
 from conftest import random_state
-from reference import cycler_two_walks
+from reference import cycler_two_walks, singer_search
 
 
 class TestNamedFiducials:
@@ -246,7 +245,7 @@ class TestGF2m:
 
     def test_field_route_matches_search_invariants(self):
         for n in (1, 2):
-            F = _singer_symplectic_field(n)
+            F = singer_symplectic(n)
             assert f2lin.is_symplectic(F)
             assert _is_basis_cycler(F, n)
 
@@ -262,7 +261,15 @@ class TestSinger:
         # every element of Sp(2n, F2), so the search's first hit is unchanged
         hits = [F for F in f2lin.enumerate_sp(n) if _is_basis_cycler(F, n)]
         assert hits == [F for F in f2lin.enumerate_sp(n) if cycler_two_walks(F, n)]
-        assert hits[0] == singer_symplectic(n)
+        assert hits[0] == singer_search(n)
+        assert singer_symplectic(n) in hits
+
+    @pytest.mark.parametrize("n", [*range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                                                    for n in (9, 10))])
+    def test_field_cycler_every_n(self, n):
+        F = singer_symplectic(n)
+        assert f2lin.is_symplectic(F)
+        assert _is_basis_cycler(F, n)
 
     def test_field_cycler_walks_powers_once(self, monkeypatch):
         calls = 0
@@ -274,7 +281,7 @@ class TestSinger:
             return matmul(self, other)
 
         monkeypatch.setattr(f2lin.F2Matrix, "__matmul__", counted)
-        F = _singer_symplectic_field.__wrapped__(8)
+        F = singer_symplectic.__wrapped__(8)
         assert calls <= (1 << 8) + 1
         assert cycler_two_walks(F, 8)
 
@@ -321,8 +328,17 @@ class TestSinger:
         assert rows[1]["eigenstate_ell4"] == pytest.approx(1.92, abs=1e-10)
 
     def test_unsupported_n(self):
-        with pytest.raises(f2lin.CapacityError):
-            singer_symplectic(3)
+        with pytest.raises(f2lin.DimensionError):
+            singer_symplectic(0)
+
+    def test_nonscalar_power_rejected(self, monkeypatch):
+        from cliffdesigns import clifford, fiducial
+
+        # X^3 = X is no scalar, whatever the phase
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        monkeypatch.setattr(fiducial, "singer_unitary", lambda n: clifford.CliffordElement(x, 1))
+        with pytest.raises(AssertionError, match="not scalar"):
+            singer_eigenstates(1)
 
     def test_degenerate_spectrum_rejected(self, monkeypatch):
         from cliffdesigns import clifford, fiducial
@@ -335,12 +351,20 @@ class TestSinger:
 
     @pytest.mark.parametrize("n,digest", [
         (1, "dc4307c0856536f8d790253fc6f914ad433118405609c52f26d7c2ed9f3ec947"),
-        (2, "32a6ce88949f4143b3acffd1f67a959a4e4a82332894970850a1e7270f6ed955"),
+        (2, "bd62d391068830b28ab85f92ba36894d776531385ee265be92a876572733cb95"),
         (4, "999c296b749a2c22577fab66d4f8e43fd74468432b3732c1003faecc3516ddd8"),
         (8, "c0fecc114e9c1e97b1e58d894746d3121eeef42411e65b96563689b2112540ae"),
     ])
     def test_actions_pinned(self, n, digest):
         rows = singer_symplectic(n).rows
+        assert hashlib.sha256(str(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,digest", [
+        (1, "dc4307c0856536f8d790253fc6f914ad433118405609c52f26d7c2ed9f3ec947"),
+        (2, "32a6ce88949f4143b3acffd1f67a959a4e4a82332894970850a1e7270f6ed955"),
+    ])
+    def test_search_actions_pinned(self, n, digest):
+        rows = singer_search(n).rows
         assert hashlib.sha256(str(rows).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [1, 2, 4, pytest.param(8, marks=pytest.mark.slow)])

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
@@ -32,3 +34,21 @@ def test_moment_study_rejects_few_pairs():
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert errors == ["moment_study.py: error: --pairs must be at least 1000 for the Lipschitz probe"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--n", "0"), "--n must lie in 1..5, as for the moments command, got --n 0"),
+    (("--n", "2", "6"), "--n must lie in 1..5, as for the moments command, got --n 2 6"),
+    (("--seed", "-1"), "--seed must be a non-negative integer, got --seed -1"),
+    (("--thresholds", "0"), "--thresholds must be positive finite numbers, got --thresholds 0.0"),
+    (("--thresholds", "0.5", "nan"),
+     "--thresholds must be positive finite numbers, got --thresholds 0.5 nan"),
+], ids=["n0", "n6", "seed", "threshold0", "threshold-nan"])
+def test_moment_study_rejects_bad_input(args, message):
+    # --seed 1 comes first, so a later --seed overrides it
+    proc = run_script("moment_study.py", "--seed", "1", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert errors == [f"moment_study.py: error: {message}"]
