@@ -46,8 +46,6 @@ ORBIT_DEDUP_DECIMALS = 9
 # A lifted stack holds at most this many matrix entries (but at least one
 # sample), which bounds the memory that a stack and its temporaries add
 STACK_ENTRIES = 1 << 13
-# _midpoints tests this many candidate vectors per sample at a time
-_MIDPOINT_BLOCK = 64
 
 _H2 = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]], dtype=complex)
 _S2 = np.array([[1, 0], [0, -1j]], dtype=complex)
@@ -245,6 +243,32 @@ def _identify_signed_pauli(V: np.ndarray, n: int, atol: float = 1e-10) -> tuple[
 # lifting symplectic matrices
 
 
+def _midpoint(c, j, form=f2lin._omega):
+    """The smallest w on coordinates >= j & ~1 (so that earlier qubits stay
+    fixed) with <c, w> = <e_j, w> = 1 and, for odd j, <e_{j-1}, w> = 1,
+    whenever one exists.  The pairings with unit vectors force the bits
+    `fixed`; if <c, fixed> = 0, w adds the lowest other bit of J c there.
+    Python ints with form=f2lin._omega, or int64 arrays elementwise with
+    form=f2lin._forms."""
+    lo = j & ~1
+    fixed = (2 | (j & 1)) << lo
+    free = f2lin._swap_pairs(c) & -(1 << lo) & ~fixed
+    return fixed | (1 ^ form(c, fixed)) * (free & -free)
+
+
+def _transvection_step(c, j: int, form=f2lin._omega):
+    """The vectors (u, v) with Z_v Z_u c = e_j, zero for a factor left out,
+    for column j of a symplectic whose columns before j are already unit
+    vectors; Z_u and Z_v fix those columns.  One factor c ^ e_j when
+    <c, e_j> = 1, none when c = e_j, else two through w = _midpoint(c, j).
+    Elementwise like _midpoint."""
+    target = 1 << j
+    hit = form(c, target)
+    need = (1 ^ hit) * (c != target)
+    w = _midpoint(c, j, form)
+    return hit * (c ^ target) | need * (c ^ w), need * (w ^ target)
+
+
 def transvection_decomposition(F: F2Matrix) -> list[int]:
     """Vectors v_1..v_m with F = Z_{v_1} Z_{v_2} ... Z_{v_m} (at most 4 per pair)."""
     if not is_symplectic(F):
@@ -252,40 +276,16 @@ def transvection_decomposition(F: F2Matrix) -> list[int]:
     n = F.n
     cols = list(f2lin._transpose(F.rows, 2 * n))
     out = []
-
-    def apply_left(v):
-        # cols <- Z_v cols: c -> c ^ v wherever <c, v> = 1
-        jv = f2lin._swap_pairs(v)
-        cols[:] = [c ^ v if f2lin._parity(c & jv) else c for c in cols]
-        out.append(v)
-
-    for k in range(n):
-        for j, extra in ((2 * k, []), (2 * k + 1, [(1 << (2 * k), 1)])):
-            target = 1 << j
-            c = cols[j]
-            if c == target:
-                continue
-            if f2lin._omega(c, target):
-                apply_left(c ^ target)
-            else:
-                w = _midpoint(c, target, extra, k, n)
-                apply_left(c ^ w)
-                apply_left(w ^ target)
+    for j in range(2 * n):
+        for v in _transvection_step(cols[j], j):
+            if v:
+                # cols <- Z_v cols: c -> c ^ v wherever <c, v> = 1
+                jv = f2lin._swap_pairs(v)
+                cols = [c ^ v if f2lin._parity(c & jv) else c for c in cols]
+                out.append(v)
     if cols != [1 << i for i in range(2 * n)]:
         raise AssertionError("transvections did not reduce F to the identity")
     return out
-
-
-def _midpoint(c: int, target: int, extra, k: int, n: int) -> int:
-    # search a w supported on coordinates >= 2k with <c,w> = <target,w> = 1
-    # and the given extra pairings, so earlier basis pairs stay fixed
-    want = [(f2lin._swap_pairs(c), 1), (f2lin._swap_pairs(target), 1)]
-    want += [(f2lin._swap_pairs(v), bit) for v, bit in extra]
-    for raw in range(1, 1 << (2 * (n - k))):
-        w = raw << (2 * k)
-        if all(f2lin._parity(w & jv) == bit for jv, bit in want):
-            return w
-    raise AssertionError("no transvection midpoint found")
 
 
 def _transvection_words(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +294,7 @@ def _transvection_words(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
 
     Each step applies one transvection to every sample, the zero vector
     (Z_0 = 1) where a sample has none to apply; a sample's vectors are
-    those of its one-at-a-time decomposition.
+    those of its one-at-a-time decomposition, by the same _transvection_step.
     """
     nn = 2 * n
     cols = f2lin._transpose_stack(rows, nn)
@@ -302,52 +302,16 @@ def _transvection_words(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
         raise ValueError("input is not symplectic")
     words = np.zeros((len(cols), 4 * n), dtype=np.int64)
     lengths = np.zeros(len(cols), dtype=np.int64)
-
-    def apply_left(v):
-        # cols <- Z_v cols, and v appended to the words where v != 0
-        cols[:] ^= v[:, None] * f2lin._forms(cols, v[:, None])
-        hit = np.flatnonzero(v)
-        words[hit, lengths[hit]] = v[hit]
-        lengths[hit] += 1
-
-    for k in range(n):
-        for j in (2 * k, 2 * k + 1):
-            target = 1 << j
-            c = cols[:, j].copy()
-            first = np.where(f2lin._forms(c, target) == 1, c ^ target, 0)
-            second = np.zeros_like(first)
-            mid = np.flatnonzero((first == 0) & (c != target))
-            if len(mid):
-                w = _midpoints(c[mid], target, j, k, n)
-                first[mid] = c[mid] ^ w
-                second[mid] = w ^ target
-            apply_left(first)
-            apply_left(second)
+    for j in range(nn):
+        for v in _transvection_step(cols[:, j], j, f2lin._forms):
+            # cols <- Z_v cols, and v appended to the words where v != 0
+            cols ^= v[:, None] * f2lin._forms(cols, v[:, None])
+            hit = np.flatnonzero(v)
+            words[hit, lengths[hit]] = v[hit]
+            lengths[hit] += 1
     if (cols != 1 << np.arange(nn)).any():
         raise AssertionError("transvections did not reduce F to the identity")
     return words[:, :lengths.max(initial=0)], lengths
-
-
-def _midpoints(c: np.ndarray, target: int, j: int, k: int, n: int) -> np.ndarray:
-    """_midpoint(c_s, target, extra, k, n) for each c_s of c, extra as in
-    transvection_decomposition; the candidates are tested in blocks of
-    _MIDPOINT_BLOCK, so the temporaries do not grow with 4^n."""
-    jc = f2lin._swap_pairs(c)[:, None]
-    fixed = [f2lin._swap_pairs(target)] + ([f2lin._swap_pairs(1 << (2 * k))] if j % 2 else [])
-    out = np.zeros_like(c)
-    todo = np.arange(len(c))
-    end = 1 << (2 * (n - k))
-    for lo in range(1, end, _MIDPOINT_BLOCK):
-        w = np.arange(lo, min(lo + _MIDPOINT_BLOCK, end)) << (2 * k)
-        ok = np.bitwise_count(w & jc[todo]) & 1 == 1
-        for jv in fixed:
-            ok &= np.bitwise_count(w & jv) & 1 == 1
-        hit = ok.any(axis=1)
-        out[todo[hit]] = w[ok[hit].argmax(axis=1)]
-        todo = todo[~hit]
-        if not len(todo):
-            return out
-    raise AssertionError("no transvection midpoint found")
 
 
 def _lift_words(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> np.ndarray:

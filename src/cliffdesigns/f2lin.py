@@ -107,9 +107,6 @@ class IsotropicSubspace:
             out += [v ^ b for v in out]
         return out
 
-    def contains(self, v: int) -> bool:
-        return _reduce(v, self.basis) == 0
-
 
 # ---------------------------------------------------------------------------
 # elementary bit operations
@@ -197,15 +194,6 @@ def _independent(rows) -> list[int]:
 
 def _rank(rows) -> int:
     return len(_independent(rows))
-
-
-def _reduce(v: int, basis) -> int:
-    """Reduce v modulo the span of basis rows (any echelon order)."""
-    for b in basis:
-        h = b.bit_length() - 1
-        if (v >> h) & 1:
-            v ^= b
-    return v
 
 
 def _gauss_jordan(rows, m: int) -> tuple[dict[int, int], list[int]]:
@@ -296,6 +284,7 @@ def transvection_matrix(a: int, n: int) -> F2Matrix:
 # an index <-> element bijection used for exactly-uniform sampling.
 
 
+@functools.cache
 def sp_order(n: int) -> int:
     """|Sp(2n, F_2)| = 2^{n^2} prod_{i=1..n} (4^i - 1)."""
     total = 1 << (n * n)
@@ -521,12 +510,14 @@ def random_symplectic(n: int, rng: np.random.Generator) -> F2Matrix:
 # orbit counts and fixed-space statistics, in closed form
 
 
+@functools.cache
 def _gaussian_binomial(m: int, r: int) -> int:
     """Number of r-dimensional subspaces of F_2^m."""
     num = math.prod((1 << (m - i)) - 1 for i in range(r))
     return num // math.prod((1 << (i + 1)) - 1 for i in range(r))
 
 
+@functools.cache
 def _gl_order(k: int) -> int:
     """|GL(k, F_2)|."""
     return math.prod((1 << k) - (1 << i) for i in range(k))

@@ -14,6 +14,8 @@ computes in closed form or by exact combinatorics:
 * the letter-string orbits swept one string at a time (stabrep),
 * the second image of a hyperbolic pair built bit by bit, and the bit
   matrix transposed one column or one row at a time (f2lin),
+* the transvection midpoint found by a search over candidate vectors
+  (clifford),
 * the Pauli product phase summed one qubit at a time (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
   points and order, one for the z-type spread, and the basis cycler found
@@ -30,7 +32,14 @@ import numpy as np
 
 from cliffdesigns.clifford import projective_clifford_unitaries
 from cliffdesigns.designs import sym_dim
-from cliffdesigns.f2lin import CapacityError, F2Matrix, _rank, enumerate_sp, fixed_space_dim
+from cliffdesigns.f2lin import (
+    CapacityError,
+    F2Matrix,
+    _rank,
+    enumerate_sp,
+    fixed_space_dim,
+    symplectic_form,
+)
 from cliffdesigns.fiducial import _is_basis_cycler
 from cliffdesigns.pauli import PauliLabel, _signed_perm, characteristic_function, pauli_product
 from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, stab_projector
@@ -348,6 +357,18 @@ def second_image_loop(f1: int, b: int, n: int) -> int:
             g ^= h
         k += 1
     return g
+
+
+def midpoint_search(c: int, j: int, n: int) -> int | None:
+    """The first w = raw << 2k, raw = 1, 2, ..., with k = j // 2, that pairs
+    to 1 with c, with e_j and, for odd j, with e_{2k}; None if no w does."""
+    k = j // 2
+    want = [c, 1 << j] + ([1 << (2 * k)] if j % 2 else [])
+    for raw in range(1, 1 << (2 * (n - k))):
+        w = raw << (2 * k)
+        if all(symplectic_form(w, v, n) for v in want):
+            return w
+    return None
 
 
 def column_loop(rows, j: int) -> int:

@@ -12,6 +12,7 @@ from cliffdesigns.clifford import (
     NotCliffordError,
     _lift_stacks,
     _lift_words,
+    _midpoint,
     _sample_words,
     _transvection_words,
     clifford_trace_check,
@@ -30,9 +31,15 @@ from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
 from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic, singer_unitary
 from cliffdesigns.pauli import PauliLabel, pauli_matrix
 from conftest import random_state
-from reference import projective_orbit_loop
+from reference import midpoint_search, projective_orbit_loop
 
 E0 = np.array([1, 0], dtype=complex)
+
+
+def qubit_swap(n: int) -> F2Matrix:
+    """The symplectic of the swap of qubits 0 and n - 1."""
+    swap = {0: n - 1, n - 1: 0}
+    return F2Matrix(tuple(1 << (2 * swap.get(i // 2, i // 2) + i % 2) for i in range(2 * n)), n)
 
 
 class TestGenerators:
@@ -204,8 +211,8 @@ class TestLift:
     def test_stack_decomposition_random(self, n):
         rng = np.random.default_rng(70 + n)
         mats = [f2lin.random_symplectic(n, rng) for _ in range(60)]
-        # swapping the first and last qubit needs midpoints far past the
-        # first block of candidates
+        # swapping the first and last qubit needs midpoints with bits on
+        # the last qubit
         swap = {0: n - 1, n - 1: 0}
         mats.append(F2Matrix(tuple(1 << (2 * swap.get(i // 2, i // 2) + i % 2)
                                    for i in range(2 * n)), n))
@@ -213,6 +220,29 @@ class TestLift:
         words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
         assert [w[:k].tolist() for w, k in zip(words, lengths)] == [
             transvection_decomposition(F) for F in mats]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_midpoint_formula_equals_search(self, n):
+        cases = [(c, j, midpoint_search(c, j, n))
+                 for c in range(1 << (2 * n)) for j in range(2 * n)]
+        cases = [case for case in cases if case[2] is not None]
+        c, j, w = (np.array(col, dtype=np.int64) for col in zip(*cases))
+        assert [_midpoint(*case[:2]) for case in cases] == w.tolist()
+        assert _midpoint(c, j, f2lin._forms).tolist() == w.tolist()
+
+    @pytest.mark.parametrize("n", [12, 20, 31, 33, 40])
+    def test_qubit_swap_decomposition_any_n(self, n):
+        # the first column's midpoint sets bit 2n - 1, so a search over
+        # candidates in increasing order would test about 2^(2n-1) of them
+        F = qubit_swap(n)
+        word = transvection_decomposition(F)
+        product = F2Matrix.identity(n)
+        for v in word:
+            product = product @ f2lin.transvection_matrix(v, n)
+        assert product == F
+        if n <= 31:  # the stack path holds the 2n coordinates in an int64
+            words, lengths = _transvection_words(np.array([F.rows]), n)
+            assert words[0, :lengths[0]].tolist() == word
 
     def test_stack_decomposition_rejects_non_symplectic(self):
         rows = np.array([[1, 2], [0b11, 0b11]])
