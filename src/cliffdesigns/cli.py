@@ -168,6 +168,9 @@ def cmd_construct(args) -> tuple[dict, bool]:
     if args.max_iter < 1:
         raise ValueError(f"construct needs --max-iter >= 1, got --max-iter {args.max_iter}")
     _check_tol(args.tol)
+    if mode != "alg2":
+        # only --alg2 reads these, so the echoed config leaves them out
+        del args.tol, args.max_iter, args.mode
     if mode == "alg1":
         base = fiducial.named_fiducial(args.base) if args.base else _default_base(n)
         psi = fiducial.tensor_completion(base, n)

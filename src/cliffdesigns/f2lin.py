@@ -536,15 +536,23 @@ def sp_orbit_count(n: int, m: int) -> int:
         raise DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if m < 0:
         raise ValueError(f"tuple length must be >= 0, got {m}")
-    total = 0
-    for r in range(m + 1):
-        forms = sum(
+    return _orbit_counts(n, m)[m]
+
+
+def _orbit_counts(n: int, m_max: int) -> list[int]:
+    """sp_orbit_count(n, m) for m = 0..m_max; the number of forms on the
+    quotient F_2^r is summed once per r and shared by every m."""
+    forms = [
+        sum(
             _gaussian_binomial(r, 2 * s) * _gl_order(2 * s) // sp_order(s)
-            for s in range(r // 2 + 1)
-            if r - s <= n
+            for s in range(max(r - n, 0), r // 2 + 1)
         )
-        total += _gaussian_binomial(m, r) * forms
-    return total
+        for r in range(m_max + 1)
+    ]
+    return [
+        sum(_gaussian_binomial(m, r) * forms[r] for r in range(m + 1))
+        for m in range(m_max + 1)
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,19 +561,26 @@ def fixed_dim_histogram(n: int) -> tuple[int, ...]:
 
     By Burnside's lemma sum_k c_k 2^{mk} = |Sp| sp_orbit_count(n, m); the
     equations m = 0..2n form a Vandermonde system in the nodes 2^k, solved
-    exactly by Lagrange interpolation.
+    exactly by Lagrange interpolation.  The Lagrange numerators
+    prod_{j != k} (x - 2^j) come from one product over every j by
+    synthetic division.
     """
     nn = 2 * n
-    moments = [sp_order(n) * sp_orbit_count(n, m) for m in range(nn + 1)]
+    moments = [sp_order(n) * c for c in _orbit_counts(n, nn)]
+    # prod_j (x - 2^j), coefficients lowest first
+    full = [1]
+    for j in range(nn + 1):
+        full = [a - (b << j) for a, b in zip([0] + full, full + [0])]
     counts = []
     for k in range(nn + 1):
-        # prod_{j != k} (x - 2^j), coefficients lowest first, over den
-        poly, den = [1], 1
-        for j in range(nn + 1):
-            if j != k:
-                poly = [a - (b << j) for a, b in zip([0] + poly, poly + [0])]
-                den *= (1 << k) - (1 << j)
-        c, rem = divmod(sum(p * mom for p, mom in zip(poly, moments)), den)
+        # full / (x - 2^k): the quotient's coefficients, highest first
+        poly, q = [], 0
+        for a in reversed(full[1:]):
+            q = a + (q << k)
+            poly.append(q)
+        num = sum(p * mom for p, mom in zip(reversed(poly), moments))
+        den = math.prod((1 << k) - (1 << j) for j in range(nn + 1) if j != k)
+        c, rem = divmod(num, den)
         if rem or c < 0:
             raise AssertionError(f"fixed-space count at dim {k} is not a count")
         counts.append(c)
@@ -581,25 +596,34 @@ def maximal_isotropic_subspaces(n: int) -> tuple[IsotropicSubspace, ...]:
     """All dimension-n isotropic subspaces of F_2^{2n}, in canonical form.
 
     Their number is prod_{i=1..n} (2^i + 1).  Reduced echelon bases are
-    grown row by row with descending pivots: a new row has its pivot below
-    every pivot so far, at a bit no earlier row sets, and is orthogonal to
-    every row.  Each subspace is reached once, in sorted order.
+    grown one row per level with descending pivots, the whole frontier of
+    partial bases at once: a new row v has its pivot h below the last
+    pivot so far, at a bit no earlier row sets, with room below h for the
+    pivots still to come, and is orthogonal to every row.  Each level lists
+    the (basis, h) pairs, expands each to its candidates v in
+    [2^h, 2^{h+1}) and keeps the orthogonal ones.  Parents stay in order
+    and their candidates ascend, so the frontier stays sorted and each
+    subspace is reached once, in sorted order.
     """
     if n > ISOTROPIC_MAX_N:
         raise CapacityError(f"isotropic enumeration supported for n <= {ISOTROPIC_MAX_N}")
-    out = []
-
-    def grow(basis: tuple[int, ...], used: int, top: int) -> None:
-        if len(basis) == n:
-            out.append(IsotropicSubspace(basis, n))
-            return
-        for v in range(1, 1 << top):
-            h = v.bit_length() - 1
-            if not (used >> h) & 1 and not any(_omega(v, b) for b in basis):
-                grow(basis + (v,), used | v, h)
-
-    grow((), 0, 2 * n)
-    return tuple(out)
+    bits = np.arange(2 * n)
+    bases = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)  # OR of each basis's rows
+    top = np.array([2 * n])  # last pivot of each basis
+    for level in range(n):
+        free = (used[:, None] >> bits & 1) == 0
+        room = np.cumsum(free, axis=1) - free >= n - level - 1
+        parent, h = np.nonzero(free & room & (bits < top[:, None]))
+        size = 1 << h
+        start = np.cumsum(size) - size
+        parent, h = np.repeat(parent, size), np.repeat(h, size)
+        v = (1 << h) + np.arange(len(h)) - np.repeat(start, size)
+        keep = ~_forms(bases[parent], v[:, None]).any(axis=1)
+        parent, h, v = parent[keep], h[keep], v[keep]
+        bases = np.concatenate([bases[parent], v[:, None]], axis=1)
+        used, top = used[parent] | v, h
+    return tuple(IsotropicSubspace(tuple(b), n) for b in bases.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -73,15 +73,39 @@ class PauliLabel:
         return PauliLabel(self.n, self.a, -self.phase_exp)
 
 
+@functools.cache
+def _split_table() -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """(z, x) nibbles of each label byte, the byte's first qubit in the top
+    bit: as Python ints for int labels and as a (256, 2) array."""
+    pairs = tuple(
+        tuple(sum((b >> 2 * i + s & 1) << 3 - i for i in range(4)) for s in (0, 1))
+        for b in range(256)
+    )
+    return pairs, np.array(pairs)
+
+
 def label_split(a: int, n: int) -> tuple[int, int]:
     """Compressed (z_mask, x_mask) in state-bit order (qubit 1 = MSB).
 
-    a may also be an int array, split elementwise."""
+    a may also be an int array, split elementwise.  Each byte of a holds
+    four qubits and is looked up in one table; the nibbles of the qubits
+    past n are shifted out at the end."""
+    pairs, table = _split_table()
+    nbytes = (n + 3) // 4
+    pad = 4 * nbytes - n
+    if isinstance(a, np.ndarray):
+        zx = table.take(a & 255, axis=0)
+        for j in range(1, nbytes):
+            zx <<= 4
+            zx |= table.take(a >> 8 * j & 255, axis=0)
+        zx >>= pad
+        return zx[..., 0], zx[..., 1]
     z = x = 0
-    for i in range(n):
-        z = z << 1 | a >> 2 * i & 1
-        x = x << 1 | a >> 2 * i + 1 & 1
-    return z, x
+    for j in range(nbytes):
+        zb, xb = pairs[a >> 8 * j & 255]
+        z = z << 4 | zb
+        x = x << 4 | xb
+    return z >> pad, x >> pad
 
 
 def label_join(z: int, x: int, n: int) -> int:

@@ -12,11 +12,15 @@ computes in closed form or by exact combinatorics:
 * the code overlap of a product of four states (designs),
 * the projective orbit deduplicated one state at a time (clifford),
 * the letter-string orbits swept one string at a time (stabrep),
-* the second image of a hyperbolic pair built bit by bit, and the bit
-  matrix transposed one column or one row at a time (f2lin),
+* the second image of a hyperbolic pair built bit by bit, the bit
+  matrix transposed one column or one row at a time, the maximal
+  isotropic subspaces grown depth first one candidate at a time, and the
+  orbit counts and fixed-space histogram with every sum and Lagrange
+  numerator formed afresh (f2lin),
 * the transvection midpoint found by a search over candidate vectors
   (clifford),
-* the Pauli product phase summed one qubit at a time (pauli),
+* the Pauli product phase summed, and a label split, one qubit at a
+  time (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
   points and order, one for the z-type spread, and the basis cycler found
   by exhaustive search over Sp(2n, F2) (fiducial).
@@ -35,9 +39,14 @@ from cliffdesigns.designs import sym_dim
 from cliffdesigns.f2lin import (
     CapacityError,
     F2Matrix,
+    IsotropicSubspace,
+    _gaussian_binomial,
+    _gl_order,
+    _omega,
     _rank,
     enumerate_sp,
     fixed_space_dim,
+    sp_order,
     symplectic_form,
 )
 from cliffdesigns.fiducial import _is_basis_cycler
@@ -423,3 +432,62 @@ def singer_search(n: int) -> F2Matrix:
     """First basis cycler in the enumeration order of Sp(2n, F2), found by
     exhaustive search (n <= 2 in practice; |Sp(6, F2)| = 1451520)."""
     return next(F for F in enumerate_sp(n) if _is_basis_cycler(F, n))
+
+
+def isotropic_grow(n: int) -> tuple[IsotropicSubspace, ...]:
+    """All dimension-n isotropic subspaces of F_2^{2n}, their reduced
+    echelon bases grown depth first, one candidate row at a time."""
+    out = []
+
+    def grow(basis: tuple[int, ...], used: int, top: int) -> None:
+        if len(basis) == n:
+            out.append(IsotropicSubspace(basis, n))
+            return
+        for v in range(1, 1 << top):
+            h = v.bit_length() - 1
+            if not (used >> h) & 1 and not any(_omega(v, b) for b in basis):
+                grow(basis + (v,), used | v, h)
+
+    grow((), 0, 2 * n)
+    return tuple(out)
+
+
+def orbit_count_loop(n: int, m: int) -> int:
+    """sp_orbit_count(n, m), summing the forms on F_2^r afresh for each r."""
+    total = 0
+    for r in range(m + 1):
+        forms = sum(
+            _gaussian_binomial(r, 2 * s) * _gl_order(2 * s) // sp_order(s)
+            for s in range(r // 2 + 1)
+            if r - s <= n
+        )
+        total += _gaussian_binomial(m, r) * forms
+    return total
+
+
+def histogram_lagrange_loop(n: int) -> tuple[int, ...]:
+    """fixed_dim_histogram(n), each Lagrange numerator prod_{j != k} (x - 2^j)
+    multiplied out afresh."""
+    nn = 2 * n
+    moments = [sp_order(n) * orbit_count_loop(n, m) for m in range(nn + 1)]
+    counts = []
+    for k in range(nn + 1):
+        poly, den = [1], 1
+        for j in range(nn + 1):
+            if j != k:
+                poly = [a - (b << j) for a, b in zip([0] + poly, poly + [0])]
+                den *= (1 << k) - (1 << j)
+        c, rem = divmod(sum(p * mom for p, mom in zip(poly, moments)), den)
+        if rem or c < 0:
+            raise AssertionError(f"fixed-space count at dim {k} is not a count")
+        counts.append(c)
+    return tuple(counts)
+
+
+def label_split_loop(a, n: int):
+    """pauli.label_split one bit per qubit: (z, x) in state-bit order."""
+    z = x = 0
+    for i in range(n):
+        z = z << 1 | a >> 2 * i & 1
+        x = x << 1 | a >> 2 * i + 1 & 1
+    return z, x

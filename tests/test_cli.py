@@ -455,12 +455,19 @@ def test_threads_below_one_rejected(capsys, monkeypatch, threads):
      {"command": "moments", "format": "json", "n": 1, "samples": 10, "seed": 3}),
     (["orbit", "--named", "psi_T"],
      {"command": "orbit", "format": "json", "named": "psi_T", "t": 4, "mode": "exact"}),
+    # a construction echoes only the construct options it reads
     (["--threads", "1", "construct", "--weighted", "--n", "1"],
      {"threads": 1, "command": "construct", "format": "json", "construction": "weighted",
-      "n": 1, "tol": 1e-8, "max_iter": 200, "mode": "bisect"}),
+      "n": 1}),
+    (["construct", "--alg1", "--n", "2", "--base", "psi_T", "--tol", "1e-3"],
+     {"command": "construct", "format": "json", "construction": "alg1", "base": "psi_T",
+      "n": 2}),
+    (["construct", "--alg2", "--n", "2"],
+     {"command": "construct", "format": "json", "construction": "alg2", "n": 2,
+      "tol": 1e-8, "max_iter": 200, "mode": "bisect"}),
 ])
 def test_config_echoes_the_parsed_options(capsys, argv, config):
-    # the echoed config holds exactly the options the command parsed
+    # the echoed config holds exactly the options the command parsed and reads
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["config"] == config

@@ -24,7 +24,14 @@ from cliffdesigns.f2lin import (
     symplectic_form,
     symplectic_from_index,
 )
-from reference import cols_to_rows_loop, column_loop, second_image_loop
+from reference import (
+    cols_to_rows_loop,
+    column_loop,
+    histogram_lagrange_loop,
+    isotropic_grow,
+    orbit_count_loop,
+    second_image_loop,
+)
 
 
 def rows_digest(mats):
@@ -222,6 +229,10 @@ class TestHistogram:
         assert sum(hist) == sp_order(n)
         assert hist[2 * n] == 1
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_fresh_lagrange_numerators(self, n):
+        assert fixed_dim_histogram(n) == histogram_lagrange_loop(n)
+
 
 class TestOrbitCount:
     @pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4),
@@ -244,6 +255,11 @@ class TestOrbitCount:
         for m in range(5):
             total = sum(c * 2 ** (m * k) for k, c in enumerate(hist))
             assert total == sp_order(2) * sp_orbit_count(2, m)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equals_fresh_form_sums(self, n):
+        assert [sp_orbit_count(n, m) for m in range(2 * n + 3)] == [
+            orbit_count_loop(n, m) for m in range(2 * n + 3)]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DimensionError):
@@ -467,6 +483,11 @@ class TestIsotropic:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             maximal_isotropic_subspaces(5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_depth_first_growth(self, n):
+        # element by element and in order, against the recursive search
+        assert maximal_isotropic_subspaces(n) == isotropic_grow(n)
 
 
 class TestSerialization:

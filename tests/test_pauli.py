@@ -22,7 +22,7 @@ from cliffdesigns.pauli import (
     pauli_product,
 )
 from conftest import random_state
-from reference import product_phase_loop
+from reference import label_split_loop, product_phase_loop
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -189,6 +189,21 @@ class TestLabelSplit:
         z, x = label_split(labels, 3)
         assert [(int(p), int(q)) for p, q in zip(z.ravel(), x.ravel())] == [
             label_split(a, 3) for a in range(4**3)]
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_equals_bit_loop(self, n):
+        # Python ints of any width, bits past 2n included, and int64 arrays
+        rng = np.random.default_rng(n)
+        ints = [0, 4**n - 1, 4**n + 0x5A5, int(rng.integers(1 << 62)) << n]
+        for a in ints:
+            got = label_split(a, n)
+            assert got == label_split_loop(a, n)
+            assert all(type(m) is int for m in got)
+        arr = rng.integers(0, min(4**n, 1 << 62), size=(3, 4))
+        arr[0, 0] = np.iinfo(np.int64).max
+        for got, want in zip(label_split(arr, n), label_split_loop(arr, n)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 class TestSignedPerms:
