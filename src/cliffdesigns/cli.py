@@ -18,6 +18,7 @@ State files are JSON: {"n": int, "amplitudes": [[re, im], ...]}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -165,6 +166,8 @@ def cmd_construct(args) -> tuple[dict, bool]:
     least = 1 if mode == "weighted" else 2  # alg1 and alg2 extend an (n-1)-qubit state
     if n < least:
         raise ValueError(f"construct --{mode} needs --n >= {least}, got --n {n}")
+    if args.base is not None and mode != "alg1":
+        raise ValueError(f"construct --base applies only to --alg1, not --{mode}")
     if args.max_iter < 1:
         raise ValueError(f"construct needs --max-iter >= 1, got --max-iter {args.max_iter}")
     _check_tol(args.tol)
@@ -348,7 +351,9 @@ def _add_state_source(p: argparse.ArgumentParser) -> None:
     g.add_argument("--file", help="JSON state file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     ap = argparse.ArgumentParser(prog="cliffdesigns", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--threads", type=int, help="cap BLAS worker threads")

@@ -326,7 +326,8 @@ def _lift_words(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> 
     _signed_perms call gives every (x, v) of the stack, the labels in an
     extra last column.  A step is U <- (U + i (U W_v))/sqrt(2), with U W_v
     gathered by a flat take at indices [s, r, k ^ x_s]: as x_s < d, XOR
-    with the flat index [s, r, k] changes k alone.  These are the
+    with the flat index [s, r, k] changes k alone; the labels go on by
+    _pauli_times.  These are the
     elementwise operations of a one-by-one lift, so every entry of a
     stack equals the entry of that sample lifted alone, bit for bit.
     """
@@ -353,23 +354,33 @@ def _lift_words(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> 
             # their entries in Q[i]
             U[done:m] *= _EIGHTH_PHASE
     if labels is not None:
-        # row j of W_a U is v[j ^ x] times row j ^ x of U
-        U = np.take(v[:, width, :, None] * U, flat ^ (x[:, width, None, None] << n))
+        U = _pauli_times(U, np.arange(count), x[:, width], v[:, width])
     out = np.empty_like(U)
     out[order] = U
     return out
 
 
-def _lift_stacks(n: int, words: np.ndarray, lengths: np.ndarray, labels):
+def _pauli_times(U: np.ndarray, s: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(S, d, d) stack of W_i U[s_i], i < S, for the Paulis W_i with
+    (x_i, v_i) from _signed_perms: row j of W U is v[j ^ x] times row
+    j ^ x of U.  s and x have shape (S,) and v shape (S, d); the rows
+    are gathered by one fancy index over the whole stack."""
+    rows = np.arange(U.shape[-1]) ^ x[:, None]
+    out = U[s[:, None], rows]
+    return np.multiply(v[np.arange(len(s))[:, None], rows][..., None], out, out=out)
+
+
+def _lift_stacks(n: int, words: np.ndarray, lengths: np.ndarray, labels=None):
     """Yield (lo, stack): _lift_words of samples lo, lo + 1, ... in chunks
     of at most STACK_ENTRIES matrix entries, but at least one sample."""
     step = max(STACK_ENTRIES >> (2 * n), 1)
     for lo in range(0, len(lengths), step):
         chunk = slice(lo, lo + step)
-        yield lo, _lift_words(n, words[chunk], lengths[chunk], labels[chunk])
+        yield lo, _lift_words(n, words[chunk], lengths[chunk],
+                              None if labels is None else labels[chunk])
 
 
-def _lifted(n: int, words: np.ndarray, lengths: np.ndarray, labels) -> np.ndarray:
+def _lifted(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> np.ndarray:
     """The (S, d, d) stack of _lift_words, filled chunk by chunk, so the
     lift's temporaries never outgrow one chunk."""
     out = np.empty((len(lengths), 1 << n, 1 << n), dtype=complex)
@@ -450,9 +461,15 @@ def clifford_trace_check(U: CliffordElement, atol: float = 1e-8) -> TraceCheckRe
 
 @functools.lru_cache(maxsize=None)
 def projective_clifford_unitaries(n: int) -> np.ndarray:
-    """One unitary per projective Clifford element, shape (|Sp| d^2, d, d).
+    """One unitary per projective Clifford element, shape (|Sp| d^2, d, d),
+    read-only as it is shared by every caller.
 
-    Supported for n <= 2 (24 and 11 520 elements)."""
+    Supported for n <= 2 (24 and 11 520 elements).  Element i d^2 + a is
+    W_a times the lift of symplectic i: each of the |Sp| transvection
+    words is lifted once, and the d^2 Paulis go on as one signed row
+    gather over the whole group (_pauli_times).  These are the elementwise
+    steps of lifting each labelled word alone, so every entry is the
+    same, bit for bit."""
     if n < 1:
         raise f2lin.DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if n > ORBIT_MAX_N:
@@ -461,10 +478,13 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
             " elements; orbits are materialized only for n <= 2"
         )
     d2 = 1 << (2 * n)
-    words, lengths = _transvection_words(f2lin._rows_from_indices(range(f2lin.sp_order(n)), n), n)
+    order = f2lin.sp_order(n)
+    lifts = _lifted(n, *_transvection_words(f2lin._rows_from_indices(range(order), n), n))
     # symplectic i with Pauli label a is element i d^2 + a
-    return _lifted(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
-                   np.tile(np.arange(d2), len(lengths)))
+    x, v = _signed_perms(n, np.tile(np.arange(d2), order))
+    group = _pauli_times(lifts, np.repeat(np.arange(order), d2), x, v)
+    group.flags.writeable = False
+    return group
 
 
 def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:

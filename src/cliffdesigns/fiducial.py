@@ -334,25 +334,26 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
     m = 2 * n
     p = _primitive_polynomial(m)
     tr = _gf_trace_vector(p, m)
-
-    def trace(u: int) -> int:
-        return (u & tr).bit_count() & 1
-
-    def frob_n(u: int) -> int:
-        return _gf_pow(u, 1 << n, p, m)
-
-    alpha = _gf_pow(2, (1 << n) - 1, p, m)
-    # basis of the subfield GF(2^n) = fixed points of u -> u^{2^n}
-    frob_cols = [frob_n(1 << i) ^ (1 << i) for i in range(m)]
-    fq_basis = f2lin._kernel(frob_cols, m)
+    # the trace form Tr(u w) = parity(u & gram w): gram[i][j] = Tr(x^{i+j})
+    powers = [1]
+    for _ in range(2 * m - 2):
+        powers.append(_gf_mul(powers[-1], 2, p, m))
+    traces = [f2lin._parity(x & tr) for x in powers]
+    gram = tuple(sum(traces[i + j] << j for j in range(m)) for i in range(m))
+    # columns of the Frobenius map u -> u^{2^n}; its fixed points are the
+    # subfield GF(2^n)
+    frob_cols = [_gf_pow(1 << i, 1 << n, p, m) for i in range(m)]
+    fq_basis = f2lin._kernel([c ^ (1 << i) for i, c in enumerate(frob_cols)], m)
     if len(fq_basis) != n:
         raise AssertionError(f"subfield GF(2^{n}) has a basis of {len(fq_basis)} elements")
-    beta = next(
-        b for b in range(1, 1 << m) if all(trace(_gf_mul(c, b, p, m)) == 0 for c in fq_basis)
-    )
+    fq_gram = [f2lin._mat_vec(gram, c) for c in fq_basis]
+    beta = next(b for b in range(1, 1 << m) if not any(f2lin._parity(b & g) for g in fq_gram))
+    # Tr(u v^{2^n} beta) = parity(u & form_rows v), form_rows = gram (beta .) Frobenius
+    beta_rows = f2lin._transpose([_gf_mul(beta, 1 << i, p, m) for i in range(m)], m)
+    form_rows = f2lin._mat_mul(gram, f2lin._mat_mul(beta_rows, f2lin._transpose(frob_cols, m)))
 
     def form(u: int, v: int) -> int:
-        return trace(_gf_mul(_gf_mul(u, frob_n(v), p, m), beta, p, m))
+        return f2lin._parity(u & f2lin._mat_vec(form_rows, v))
 
     # the subfield is one line of the spread the cycler permutes; anchoring
     # it on the z-type coordinates makes the computational basis one of the
@@ -360,6 +361,7 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
     cols = f2lin._symplectic_basis(form, m, u_pool=fq_basis)
     pmat_rows = f2lin._transpose(cols, m)
     pinv_rows = f2lin._inverse(pmat_rows, m)
+    alpha = _gf_pow(2, (1 << n) - 1, p, m)
     alpha_rows = f2lin._transpose([_gf_mul(alpha, 1 << i, p, m) for i in range(m)], m)
     F = f2lin.F2Matrix(
         f2lin._mat_mul(pinv_rows, f2lin._mat_mul(alpha_rows, pmat_rows)), n
@@ -373,20 +375,55 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
 
 def _is_basis_cycler(F: f2lin.F2Matrix, n: int) -> bool:
     """Order d+1, powers F^1..F^d free of nonzero fixed points, and the
-    orbit of the z-type subspace a spread, checked in one walk.
+    orbit of the z-type subspace L a spread, checked in one walk.
 
     Then the d+1 bases U^k (computational basis) are pairwise mutually
     unbiased for any unitary U inducing F.
+
+    The walk starts from the d-1 nonzero vectors s of L and applies F d
+    times as int64 arrays, one XOR table per byte of a vector.  It fails
+    as soon as some F^k s equals s (1 <= k <= d), and it passes iff
+    F^{d+1} s = s for every s and the d-1 orbits have distinct minima.
+    Proof of equivalence.  If the walk passes, each orbit has exactly d+1
+    elements, and distinct minima make the d-1 orbits distinct, hence
+    disjoint: together they hold (d-1)(d+1) = d^2-1 vectors, every
+    nonzero one.  Each is some F^j s, so F^{d+1} = 1, and F^k v = v with
+    v = F^j s != 0 and 1 <= k <= d would give F^k s = s.  A nonzero v in
+    L and in F^k L (1 <= k <= d) is some s and some F^k s', so s and s'
+    share an orbit, s = s' and F^k s = s; so L meets F^k L only in 0,
+    hence F^j L meets F^{j+k} L only in 0, and the d+1 subspaces of
+    dimension n form a spread.  Conversely, if
+    F is such a cycler, no F^k s equals s, F^{d+1} s = s, and two
+    s != s' in one orbit would give s' = F^k s in L and F^k L, so the
+    orbits and their minima are distinct.
     """
-    mz = tuple(1 << (2 * i) for i in range(n))
-    power = F
+    nn = 2 * n
+    if nn > 63:
+        raise f2lin.CapacityError(f"the cycler walk holds 2n = {nn} bits in an int64, "
+                                  "which has room for 63")
+    cols = np.array(f2lin._transpose(F.rows, nn) + (0,) * (-nn % 8), dtype=np.int64)
+    # tables[b][u]: F applied to the vector with byte b equal to u, other bytes 0
+    bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    tables = [np.bitwise_xor.reduce(bits * cols[8 * b:8 * b + 8], axis=1)
+              for b in range(len(cols) // 8)]
+
+    def apply(v):
+        out = tables[0][v & 255]
+        for b, table in enumerate(tables[1:], 1):
+            out ^= table[v >> 8 * b & 255]
+        return out
+
+    # the nonzero vectors of L: the bits of 1..d-1 on the z coordinates
+    k = np.arange(1, 1 << n)
+    start = ((k[:, None] >> np.arange(n) & 1) << 2 * np.arange(n)).sum(axis=1)
+    cur = lo = start
     for _ in range(1 << n):
-        if f2lin.fixed_space_dim(power) != 0:
+        cur = apply(cur)
+        if (cur == start).any():
             return False
-        if f2lin._rank(tuple(power.apply(b) for b in mz) + mz) != 2 * n:
-            return False
-        power = power @ F
-    return power.rows == f2lin.F2Matrix.identity(n).rows
+        lo = np.minimum(lo, cur)
+    lo = np.sort(lo)
+    return bool((apply(cur) == start).all() and (lo[1:] != lo[:-1]).all())
 
 
 def singer_unitary(n: int) -> clifford.CliffordElement:

@@ -10,7 +10,8 @@ computes in closed form or by exact combinatorics:
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
 * the code overlap of a product of four states (designs),
-* the projective orbit deduplicated one state at a time (clifford),
+* the projective orbit deduplicated one state at a time, and the
+  projective group lifted one labelled word per element (clifford),
 * the letter-string orbits swept one string at a time (stabrep),
 * the second image of a hyperbolic pair built bit by bit, the bit
   matrix transposed one column or one row at a time, the maximal
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cliffdesigns.clifford import projective_clifford_unitaries
+from cliffdesigns.clifford import _lifted, _transvection_words, projective_clifford_unitaries
 from cliffdesigns.designs import sym_dim
 from cliffdesigns.f2lin import (
     CapacityError,
@@ -44,6 +45,7 @@ from cliffdesigns.f2lin import (
     _gl_order,
     _omega,
     _rank,
+    _rows_from_indices,
     enumerate_sp,
     fixed_space_dim,
     sp_order,
@@ -325,6 +327,16 @@ def projective_orbit_loop(psi, n: int, decimals: int = 9) -> list[np.ndarray]:
         if key not in seen:
             seen[key] = s
     return list(seen.values())
+
+
+def projective_group_repeat(n: int) -> np.ndarray:
+    """projective_clifford_unitaries(n) with every symplectic's transvection
+    word repeated d^2 times, once per Pauli label, and each labelled word
+    lifted as its own sample."""
+    d2 = 1 << (2 * n)
+    words, lengths = _transvection_words(_rows_from_indices(range(sp_order(n)), n), n)
+    return _lifted(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
+                   np.tile(np.arange(d2), len(lengths)))
 
 
 # ---------------------------------------------------------------------------

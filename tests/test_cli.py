@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,11 @@ class TestConstruct:
         assert code == 0
         data = json.loads(out)
         assert data["phi4"] == pytest.approx(0.2, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["alg2", "weighted"])
+    def test_base_outside_alg1_rejected(self, capsys, mode):
+        err = assert_rejected(capsys, "construct", f"--{mode}", "--n", "2", "--base", "psi_T")
+        assert err == f"error: construct --base applies only to --alg1, not --{mode}\n"
 
     def test_alg2_needs_two_qubits(self, capsys):
         assert_rejected(capsys, "construct", "--alg2", "--n", "1")
@@ -488,3 +495,23 @@ def test_threads_overrides_environment(capsys, monkeypatch):
     code, _ = run_cli(capsys, "--threads", "2", "tables", "--n", "1")
     assert code == 0
     assert [os.environ[var] for var in names] == ["2", "2", "2"]
+
+
+def test_main_calls_in_one_process_print_as_alone(capsys):
+    # the parser is built once per process, so a call must leave nothing
+    # behind for the next; each prints what a fresh interpreter prints
+    src = str(Path(cliffdesigns.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["tables", "--n", "1"],
+                 ["construct", "--weighted", "--n", "1", "--base", "psi_T"],
+                 ["tables", "--n", "x"],
+                 ["singer", "--n", "1", "--format", "csv"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "cliffdesigns", *argv],
+                               capture_output=True, text=True, env=env, timeout=300)
+        assert (code, got.out, got.err) == (alone.returncode, alone.stdout, alone.stderr)

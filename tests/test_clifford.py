@@ -31,7 +31,7 @@ from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
 from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic, singer_unitary
 from cliffdesigns.pauli import PauliLabel, pauli_matrix
 from conftest import random_state
-from reference import midpoint_search, projective_orbit_loop
+from reference import midpoint_search, projective_group_repeat, projective_orbit_loop
 
 E0 = np.array([1, 0], dtype=complex)
 
@@ -392,6 +392,16 @@ class TestOrbits:
         group = projective_clifford_unitaries(n)
         assert group.dtype == complex and group.flags.c_contiguous
         assert hashlib.sha256(group.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_group_equals_one_lift_per_element(self, n):
+        # one lift per symplectic and one Pauli gather, against a lift per labelled word
+        assert projective_clifford_unitaries(n).tobytes() == projective_group_repeat(n).tobytes()
+
+    def test_group_is_read_only(self):
+        group = projective_clifford_unitaries(1)
+        with pytest.raises(ValueError):
+            group[0, 0, 0] = 0
 
     @pytest.mark.slow
     def test_two_qubit_stabilizer_orbit_size(self):

@@ -274,6 +274,27 @@ class TestSinger:
         assert calls <= (1 << 8) + 1
         assert cycler_two_walks(F, 8)
 
+    def test_walk_matches_two_walks_n3(self):
+        # random draws are rarely cyclers; conjugating the field cycler by
+        # them keeps its order and fixed points, and some conjugates lose
+        # the spread
+        F = singer_symplectic(3)
+        assert _is_basis_cycler(F, 3) and cycler_two_walks(F, 3)
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            G = f2lin.random_symplectic(3, rng)
+            conj = G @ F @ f2lin.F2Matrix(f2lin._inverse(G.rows, 6), 3)
+            assert _is_basis_cycler(G, 3) == cycler_two_walks(G, 3)
+            assert _is_basis_cycler(conj, 3) == cycler_two_walks(conj, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_matrix_is_no_cycler(self, n):
+        assert not _is_basis_cycler(f2lin.F2Matrix((0,) * (2 * n), n), n)
+
+    def test_walk_past_int64_raises(self):
+        with pytest.raises(f2lin.CapacityError):
+            _is_basis_cycler(f2lin.F2Matrix.identity(32), 32)
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_unitary_is_projectively_cyclic(self, n):
         u = singer_unitary(n)
