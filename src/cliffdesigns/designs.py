@@ -27,9 +27,8 @@ import numpy as np
 from .pauli import (
     NormalizationError,
     alpha_plus,
-    characteristic_function,
-    ell4_norm4,
     _check_normalized,
+    _ell4_rows,
     _infer_n,
 )
 
@@ -107,7 +106,7 @@ def design_report(psi: np.ndarray) -> DesignReport:
     n = _infer_n(psi)
     _check_normalized(psi)
     d = 1 << n
-    ell4 = ell4_norm4(characteristic_function(psi))
+    ell4 = float(_ell4_rows(psi[None, :])[0])
     alpha = ell4 / d**2
     eps = epsilon_from_ell4(ell4, d)
     d_plus = (d + 1) * (d + 2) // 6

@@ -178,24 +178,6 @@ def _transpose(vecs, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _independent(rows) -> list[int]:
-    """The rows that are independent of the rows before them."""
-    out = []
-    pivots = {}
-    for v in rows:
-        r = v
-        while r and (h := r.bit_length() - 1) in pivots:
-            r ^= pivots[h]
-        if r:
-            pivots[h] = r
-            out.append(v)
-    return out
-
-
-def _rank(rows) -> int:
-    return len(_independent(rows))
-
-
 def _gauss_jordan(rows, m: int) -> tuple[dict[int, int], list[int]]:
     """Gauss-Jordan elimination of the augmented rows [rows | I] on bits 0..m-1.
 
@@ -256,10 +238,12 @@ def is_symplectic(F: F2Matrix) -> bool:
 
 
 def fixed_space_dim(F: F2Matrix) -> int:
-    """dim ker(F - 1) over GF(2); the number of fixed vectors is 2^result."""
-    nn = 2 * F.n
-    rows = tuple(r ^ (1 << i) for i, r in enumerate(F.rows))
-    return nn - _rank(rows)
+    """dim ker(F - 1) over GF(2); the number of fixed vectors is 2^result.
+
+    F - 1 is square, so its rows satisfy as many independent relations as
+    its kernel has dimensions."""
+    rows = [r ^ (1 << i) for i, r in enumerate(F.rows)]
+    return len(_gauss_jordan(rows, 2 * F.n)[1])
 
 
 def transvection(a: int, v: int, n: int) -> int:
@@ -303,45 +287,38 @@ def _second_image(f1, b, form=_omega):
     return dep | low * (1 ^ form(dep, f1))
 
 
-def _project(pool, pairs, form) -> list[int]:
-    """Project pool onto the form-complement of the hyperbolic pairs and
-    keep the projections that are independent of those before them."""
-    out = []
-    for c in pool:
-        for (a, b) in pairs:
-            if form(a, c):
-                c ^= b
-            if form(b, c):
-                c ^= a
-        out.append(c)
-    return _independent(out)
-
-
 def _symplectic_basis(form, m: int, pairs=(), u_pool=None) -> list[int]:
     """Columns (u1, v1, u2, v2, ...) in which the nondegenerate alternating
     form on F_2^m is standard: form(u_i, v_i) = 1, all other pairs 0.
 
     The basis starts with the given hyperbolic pairs.  Each round projects
-    the unit vectors onto the complement of the pairs so far (the pool
-    shrinks to the independent projections), takes u from the pool and v
-    as the first pool vector pairing with u.  With u_pool, u is drawn from
-    the projections of u_pool instead; an isotropic u_pool of dimension
-    m/2 then becomes the span of the u_i.
+    the unit vectors, and u_pool when given, onto the form-complement of
+    the pairs so far, c -> c ^ v form(u, c) ^ u form(v, c) per pair (u, v).
+    The new u is the first nonzero projection, of u_pool when given and of
+    the unit vectors otherwise, and the new v is the first projection of a
+    unit vector that pairs with u.  An isotropic u_pool of dimension m/2
+    thus becomes the span of the u_i.
+
+    Projection is linear and the rounds' projections compose, so a vector
+    that some round finds dependent on the vectors before it stays
+    dependent on their projections in every later round.  It is then
+    neither the first with a nonzero projection nor the first whose
+    projection pairs with u, as a vector before it would be.  Keeping only
+    the independent projections of each round picks the same u and v.
     """
-    pairs = list(pairs)
-    pool = [1 << j for j in range(m)]
-    new = pairs
-    while 2 * len(pairs) < m:
-        pool = _project(pool, new, form)
-        if u_pool is None:
-            u = pool[0]
-        else:
-            u_pool = _project(u_pool, new, form)
-            u = u_pool[0]
-        v = next(c for c in pool if form(u, c))
-        new = [(u, v)]
-        pairs += new
-    return [c for pair in pairs for c in pair]
+    cols = [c for pair in pairs for c in pair]
+    units = [1 << j for j in range(m)]
+    # v comes from the unit vectors, u from u_pool when given
+    pools = [units] if u_pool is None else [units, list(u_pool)]
+    new = cols
+    while len(cols) < m:
+        for u, v in zip(new[::2], new[1::2]):
+            pools = [[c ^ v * form(u, c) ^ u * form(v, c) for c in pool] for pool in pools]
+        u = next(c for c in pools[-1] if c)
+        v = next(c for c in pools[0] if form(u, c))
+        new = [u, v]
+        cols += new
+    return cols
 
 
 def _pair_representative(q: int, n: int) -> tuple[int, ...]:
@@ -353,10 +330,11 @@ def _pair_representative(q: int, n: int) -> tuple[int, ...]:
     return _transpose(cols, nn)
 
 
-def enumerate_sp(n: int) -> Iterator[F2Matrix]:
+def enumerate_sp(n: int) -> Iterator[np.ndarray]:
     """Yield every element of Sp(2n, F_2) exactly once (1 <= n <= 3), in
-    index order: symplectic_from_index(0, n), (1, n), ...  The indices are
-    decoded SP_ENUM_BLOCK at a time by the stack decoder."""
+    index order: the rows of symplectic_from_index(0, n), (1, n), ... as
+    (S, 2n) int64 stacks of at most SP_ENUM_BLOCK consecutive indices,
+    decoded by the stack decoder."""
     if n < 1:
         raise DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if n > SP_ENUM_MAX_N:
@@ -366,8 +344,7 @@ def enumerate_sp(n: int) -> Iterator[F2Matrix]:
         )
     total = sp_order(n)
     for lo in range(0, total, SP_ENUM_BLOCK):
-        for rows in _rows_from_indices(range(lo, min(lo + SP_ENUM_BLOCK, total)), n).tolist():
-            yield F2Matrix(tuple(rows), n)
+        yield _rows_from_indices(range(lo, min(lo + SP_ENUM_BLOCK, total)), n)
 
 
 def symplectic_from_index(index: int, n: int) -> F2Matrix:
@@ -418,11 +395,8 @@ def _is_symplectic_stack(cols: np.ndarray) -> np.ndarray:
 def _pair_representatives(q: np.ndarray, k: int) -> np.ndarray:
     """(S, 2k) columns of _pair_representative(q_s, k) for each pair index q_s.
 
-    g is _second_image of each (f1, b), and the basis is completed as in
-    _symplectic_basis: each round projects every unit vector onto the
-    complement of the pairs so far, u is the first nonzero projection and
-    v the first that pairs with u.  As projection is linear, these are the
-    vectors the filtered pool of _symplectic_basis gives.
+    g is _second_image of each (f1, b), and the basis is completed by the
+    rule of _symplectic_basis, for every sample at once.
     """
     m = 2 * k
     f1 = (q >> (m - 1)) + 1

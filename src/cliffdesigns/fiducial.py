@@ -36,7 +36,8 @@ from .designs import (
     orbit_frame_potential,
     sym_dim,
 )
-from .pauli import _check_normalized, _hadamard, _infer_n, characteristic_function, ell4_norm4
+from .pauli import (_check_normalized, _ell4_rows, _hadamard, _infer_n,
+                    characteristic_function, ell4_norm4)
 
 __all__ = [
     "BlochVector",
@@ -161,7 +162,7 @@ def tensor_completion(psi_prev: np.ndarray, n: int) -> np.ndarray:
     d = 1 << n
     if psi_prev.shape != (d // 2,):
         raise ValueError("psi_prev must be an (n-1)-qubit state")
-    ell = ell4_norm4(characteristic_function(psi_prev))
+    ell = float(_ell4_rows(psi_prev[None, :])[0])
     lo, hi = 2 * d / (d + 2), 3 * d / (d + 3)
     if not lo - 1e-9 <= ell <= hi + 1e-9:
         raise InfeasibleError(

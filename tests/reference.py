@@ -15,9 +15,11 @@ computes in closed form or by exact combinatorics:
 * the letter-string orbits swept one string at a time (stabrep),
 * the second image of a hyperbolic pair built bit by bit, the bit
   matrix transposed one column or one row at a time, the maximal
-  isotropic subspaces grown depth first one candidate at a time, and the
+  isotropic subspaces grown depth first one candidate at a time, the
   orbit counts and fixed-space histogram with every sum and Lagrange
-  numerator formed afresh (f2lin),
+  numerator formed afresh, the symplectic basis completed from a pool
+  filtered to its independent projections, and Sp(2n, F2) streamed as
+  one F2Matrix per element (f2lin),
 * the transvection midpoint found by a search over candidate vectors
   (clifford),
 * the Pauli product phase summed, and a label split, one qubit at a
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from cliffdesigns.f2lin import (
     _gaussian_binomial,
     _gl_order,
     _omega,
-    _rank,
     _rows_from_indices,
     enumerate_sp,
     fixed_space_dim,
@@ -434,7 +436,7 @@ def cycler_two_walks(F, n: int) -> bool:
     mz = tuple(1 << (2 * i) for i in range(n))
     power = F
     for _ in range(d):
-        if _rank(tuple(power.apply(b) for b in mz) + mz) != 2 * n:
+        if len(independent_rows(tuple(power.apply(b) for b in mz) + mz)) != 2 * n:
             return False
         power = power @ F
     return True
@@ -442,8 +444,66 @@ def cycler_two_walks(F, n: int) -> bool:
 
 def singer_search(n: int) -> F2Matrix:
     """First basis cycler in the enumeration order of Sp(2n, F2), found by
-    exhaustive search (n <= 2 in practice; |Sp(6, F2)| = 1451520)."""
-    return next(F for F in enumerate_sp(n) if _is_basis_cycler(F, n))
+    exhaustive search over the object stream (n <= 2)."""
+    return next(F for F in sp_elements(n) if _is_basis_cycler(F, n))
+
+
+def sp_elements(n: int) -> Iterator[F2Matrix]:
+    """Every element of Sp(2n, F2) as an F2Matrix, in index order: the row
+    stacks of enumerate_sp one object per row, for n <= 2."""
+    if n > 2:
+        raise CapacityError(f"{sp_order(n)} F2Matrix objects; use enumerate_sp's stacks")
+    for stack in enumerate_sp(n):
+        for rows in stack.tolist():
+            yield F2Matrix(tuple(rows), n)
+
+
+def independent_rows(rows) -> list[int]:
+    """The rows that are independent of the rows before them."""
+    out = []
+    pivots = {}
+    for v in rows:
+        r = v
+        while r and (h := r.bit_length() - 1) in pivots:
+            r ^= pivots[h]
+        if r:
+            pivots[h] = r
+            out.append(v)
+    return out
+
+
+def symplectic_basis_filtered(form, m: int, pairs=(), u_pool=None) -> list[int]:
+    """f2lin._symplectic_basis with the pools filtered: each round projects
+    the pools onto the complement of the newest pairs and keeps the
+    projections independent of those before them; u is the first of the
+    u pool (or of the unit pool), v the first unit-pool vector pairing
+    with u."""
+
+    def project(pool, new):
+        out = []
+        for c in pool:
+            for (a, b) in new:
+                if form(a, c):
+                    c ^= b
+                if form(b, c):
+                    c ^= a
+            out.append(c)
+        return independent_rows(out)
+
+    pairs = list(pairs)
+    pool = [1 << j for j in range(m)]
+    new = pairs
+    while 2 * len(pairs) < m:
+        pool = project(pool, new)
+        if u_pool is None:
+            u = pool[0]
+        else:
+            u_pool = project(u_pool, new)
+            u = u_pool[0]
+        v = next(c for c in pool if form(u, c))
+        new = [(u, v)]
+        pairs += new
+    return [c for pair in pairs for c in pair]
 
 
 def isotropic_grow(n: int) -> tuple[IsotropicSubspace, ...]:

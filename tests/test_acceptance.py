@@ -59,6 +59,7 @@ from reference import (
     multiplicity_sum,
     numeric_symplectic_character,
     product_state_bound_check,
+    sp_elements,
     young_projector,
 )
 
@@ -111,7 +112,7 @@ def test_c03_trace_identities():
             rep = clifford_trace_check(random_clifford(n, rng))
             assert rep.passed
     for n in (1, 2):
-        for F in f2lin.enumerate_sp(n):
+        for F in sp_elements(n):
             exact = symplectic_character(F, 4)
             got = numeric_symplectic_character(lift_symplectic(F), 4)
             assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact))

@@ -307,6 +307,34 @@ class TestSinger:
         assert data["minus_epsilon"] == pytest.approx(2 / 9, abs=1e-10)
         assert data["pass"]
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_graded_against_closed_form(self, capsys, n):
+        code, out = run_cli(capsys, "singer", "--n", str(n))
+        d = 1 << n
+        data = json.loads(out)
+        assert data["reference"] == (d // 2 + 1) / (d + 1) ** 2
+        assert data["tolerance"] == 1e-12
+        assert code == 0 and data["pass"]
+
+    def test_value_off_closed_form_fails(self, capsys, monkeypatch):
+        # the paper's rounded -epsilon = 0.12 at n = 2 is 3/25; 0.124 is wrong
+        from cliffdesigns import fiducial
+
+        row = {"epsilon": -0.124, "spread": 0.0, "eigenstate_ell4": 48 / 25}
+        monkeypatch.setattr(fiducial, "singer_epsilon_table", lambda n_list: [row])
+        code, out = run_cli(capsys, "singer", "--n", "2")
+        assert code == 1 and not json.loads(out)["pass"]
+
+    @pytest.mark.parametrize("n", ["0", "11", "-1"])
+    def test_n_outside_range_rejected(self, capsys, monkeypatch, n):
+        from cliffdesigns import fiducial
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("table built before validating")
+
+        monkeypatch.setattr(fiducial, "singer_epsilon_table", no_table)
+        assert "1 <= --n <= 10" in assert_rejected(capsys, "singer", "--n", n)
+
 
 class TestOrbit:
     def test_stabilizer_orbit_t4(self, capsys):

@@ -31,7 +31,7 @@ from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
 from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic, singer_unitary
 from cliffdesigns.pauli import PauliLabel, pauli_matrix
 from conftest import random_state
-from reference import midpoint_search, projective_group_repeat, projective_orbit_loop
+from reference import midpoint_search, projective_group_repeat, projective_orbit_loop, sp_elements
 
 E0 = np.array([1, 0], dtype=complex)
 
@@ -144,7 +144,7 @@ class TestExtractAction:
 class TestLift:
     @pytest.mark.parametrize("n", [1, 2])
     def test_roundtrip_exhaustive(self, n):
-        for F in f2lin.enumerate_sp(n):
+        for F in sp_elements(n):
             u = lift_symplectic(F)
             got, _ = extract_action(u)
             assert got.rows == F.rows
@@ -194,7 +194,7 @@ class TestLift:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_batched_lift_equals_single_lifts(self, n):
-        mats = list(f2lin.enumerate_sp(n))
+        mats = list(sp_elements(n))
         words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
         stack = _lift_words(n, words, lengths)
         single = np.array([lift_symplectic(F).matrix for F in mats])
@@ -202,7 +202,7 @@ class TestLift:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_stack_decomposition_exhaustive(self, n):
-        mats = list(f2lin.enumerate_sp(n))
+        mats = list(sp_elements(n))
         words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
         assert [w[:k].tolist() for w, k in zip(words, lengths)] == [
             transvection_decomposition(F) for F in mats]
@@ -256,7 +256,7 @@ class TestLift:
     @pytest.mark.parametrize("n", [1, 2])
     def test_entries_are_gaussian_rationals(self, n):
         # dyadic denominators: some 2^k clears all entries to Z[i]
-        for F in f2lin.enumerate_sp(n):
+        for F in sp_elements(n):
             u = lift_symplectic(F).matrix
             ok = False
             for k in range(0, 13):
@@ -320,13 +320,19 @@ class TestRandomClifford:
         assert random_clifford_unitaries(3, np.random.default_rng(1), 0).shape == (0, 8, 8)
 
     def test_f_marginal_uniform_n1(self):
+        # random_clifford(1) draws an index below |Sp(2, F2)| = 6 and a label
+        # below 4, then decodes the index; drawn and decoded as stacks, the
+        # symplectics are the same as those of 60000 random_clifford calls
         from scipy.stats import chi2
 
-        rng = np.random.default_rng(123)
-        counts = {m.rows: 0 for m in f2lin.enumerate_sp(1)}
         draws = 60000
-        for _ in range(draws):
-            counts[random_clifford(1, rng).symplectic.rows] += 1
+        idx = f2lin._rand_below_many(np.random.default_rng(123), [6, 4] * draws)[0::2]
+        rows = f2lin._rows_from_indices(idx, 1).tolist()
+        rng = np.random.default_rng(123)
+        assert rows[:500] == [list(random_clifford(1, rng).symplectic.rows) for _ in range(500)]
+        counts = {m.rows: 0 for m in sp_elements(1)}
+        for r in rows:
+            counts[tuple(r)] += 1
         expect = draws / 6
         stat = sum((c - expect) ** 2 / expect for c in counts.values())
         assert stat < chi2.isf(0.001, df=5)

@@ -43,6 +43,14 @@ class TestDesignReport:
             )
             assert all(r.bounds_ok.values())
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_epsilon_is_epsilon_exactly(self, rng, n):
+        # one ||Xi||_4^4 route, so a search on epsilon and a verdict on the
+        # report read the same number
+        for _ in range(40):
+            psi = random_state(1 << n, rng)
+            assert design_report(psi).epsilon == epsilon(psi)
+
     def test_stabilizer_epsilon(self):
         for n in (1, 2, 3):
             d = 2**n

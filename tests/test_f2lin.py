@@ -24,13 +24,17 @@ from cliffdesigns.f2lin import (
     symplectic_form,
     symplectic_from_index,
 )
+from cliffdesigns.fiducial import singer_symplectic
 from reference import (
     cols_to_rows_loop,
     column_loop,
     histogram_lagrange_loop,
+    independent_rows,
     isotropic_grow,
     orbit_count_loop,
     second_image_loop,
+    sp_elements,
+    symplectic_basis_filtered,
 )
 
 
@@ -39,6 +43,22 @@ def rows_digest(mats):
     for F in mats:
         h.update(str(F.rows).encode())
     return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sp3_stream():
+    """One pass over the stacks of enumerate_sp(3): the rows_digest of its
+    element stream, the stack lengths, and each 6x6 matrix packed into one
+    36-bit int, first row highest."""
+    h = hashlib.sha256()
+    sizes, keys = [], []
+    for stack in enumerate_sp(3):
+        assert stack.dtype == np.int64 and stack.shape[1:] == (6,)
+        # str(tuple(row)) of each row, formatted for the whole stack at once
+        h.update(("(%d, %d, %d, %d, %d, %d)" * len(stack) % tuple(stack.ravel().tolist())).encode())
+        sizes.append(len(stack))
+        keys.append((stack << np.arange(30, -1, -6)).sum(axis=1))
+    return h.hexdigest(), sizes, np.concatenate(keys)
 
 
 def tuple_orbit_count(n, m):
@@ -137,7 +157,7 @@ class TestFixedSpaceDim:
             assert fixed_space_dim(F2Matrix.identity(n)) == 2 * n
 
     def test_sp2_multiset(self):
-        dims = sorted(fixed_space_dim(F) for F in enumerate_sp(1))
+        dims = sorted(fixed_space_dim(F) for F in sp_elements(1))
         assert dims == [0, 0, 1, 1, 1, 2]
 
     def test_transvection_dim_one(self):
@@ -147,12 +167,12 @@ class TestFixedSpaceDim:
 
 class TestEnumeration:
     def test_n1_matches_brute_force(self):
-        enum = sorted(m.rows for m in enumerate_sp(1))
+        enum = sorted(m.rows for m in sp_elements(1))
         assert enum == sorted(brute_force_sp1())
 
     def test_n2_count_distinct_symplectic(self):
         seen = set()
-        for m in enumerate_sp(2):
+        for m in sp_elements(2):
             assert is_symplectic(m)
             seen.add(m.rows)
         assert len(seen) == sp_order(2) == 720
@@ -172,15 +192,23 @@ class TestEnumeration:
             next(enumerate_sp(n))
 
     @pytest.mark.slow
-    def test_n3_order_pinned(self):
+    def test_n3_order_pinned(self, sp3_stream):
         # the enumeration order is the index map of symplectic_from_index
         # and random_symplectic, so seeded draws depend on it
-        assert rows_digest(enumerate_sp(3)) == (
+        assert sp3_stream[0] == (
             "f9f6c103abd2e5d651bb124aa19bb27e6b36351de06ae0f03ffd6f434e7ff56a"
         )
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stacks_are_index_blocks(self, n):
+        stacks = list(enumerate_sp(n))
+        assert [s.shape for s in stacks] == [(sp_order(n), 2 * n)]
+        assert stacks[0].dtype == np.int64
+        assert stacks[0].tolist() == [list(symplectic_from_index(i, n).rows)
+                                      for i in range(sp_order(n))]
+
     def test_from_index_roundtrip_n2(self):
-        mats = list(enumerate_sp(2))
+        mats = list(sp_elements(2))
         for idx in (0, 1, 17, 333, 719):
             assert symplectic_from_index(idx, 2).rows == mats[idx].rows
 
@@ -189,19 +217,14 @@ class TestEnumeration:
             symplectic_from_index(sp_order(2), 2)
 
     @pytest.mark.slow
-    def test_n3_stream_is_complete(self):
-        # pack each 6x6 matrix into one 36-bit int; the stream must hit
-        # every group element exactly once
-        seen = set()
-        count = 0
-        for m in enumerate_sp(3):
-            key = 0
-            for r in m.rows:
-                key = (key << 6) | r
-            seen.add(key)
-            count += 1
-        assert count == sp_order(3)
-        assert len(seen) == sp_order(3)
+    def test_n3_stream_is_complete(self, sp3_stream):
+        # the stream must hit every group element exactly once, in stacks
+        # of SP_ENUM_BLOCK consecutive indices
+        _, sizes, keys = sp3_stream
+        full, rest = divmod(sp_order(3), f2lin.SP_ENUM_BLOCK)
+        assert sizes == [f2lin.SP_ENUM_BLOCK] * full + [rest] * (rest > 0)
+        assert len(keys) == sp_order(3)
+        assert (np.diff(np.sort(keys)) != 0).all()
 
 
 class TestHistogram:
@@ -214,13 +237,13 @@ class TestHistogram:
 
     def test_n2_against_direct_enumeration(self):
         counts = [0] * 5
-        for m in enumerate_sp(2):
+        for m in sp_elements(2):
             counts[fixed_space_dim(m)] += 1
         assert tuple(counts) == fixed_dim_histogram(2)
 
     def test_n3_pinned(self):
-        # the counts of an exhaustive enumerate_sp(3) + fixed_space_dim
-        # sweep, which is too slow for the suite
+        # the counts of fixed_space_dim swept over all of Sp(6, F2), which
+        # is too slow for the suite
         assert fixed_dim_histogram(3) == (608768, 608832, 202944, 28980, 1932, 63, 1)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -250,7 +273,7 @@ class TestOrbitCount:
 
     def test_burnside_against_enumeration_n2(self):
         hist = [0] * 5
-        for F in enumerate_sp(2):
+        for F in sp_elements(2):
             hist[fixed_space_dim(F)] += 1
         for m in range(5):
             total = sum(c * 2 ** (m * k) for k, c in enumerate(hist))
@@ -291,7 +314,7 @@ class TestElimination:
         while found < 50:
             m = int(rng.integers(1, 9))
             rows = tuple(int(r) for r in rng.integers(0, 1 << m, size=m))
-            if f2lin._rank(rows) < m:
+            if len(independent_rows(rows)) < m:
                 with pytest.raises(ValueError):
                     f2lin._inverse(rows, m)
                 continue
@@ -340,6 +363,45 @@ class TestBitKernels:
         assert f2lin._second_image(f1, b, f2lin._forms).tolist() == want
 
 
+class TestBasisCompletion:
+    """The one completion rule against the pool filtered each round."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_every_first_pair(self, m):
+        for f1 in range(1, 1 << m):
+            for b in range(1 << (m - 1)):
+                pairs = [(f1, f2lin._second_image(f1, b))]
+                assert f2lin._symplectic_basis(f2lin._omega, m, pairs) == (
+                    symplectic_basis_filtered(f2lin._omega, m, pairs))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_singer_form_with_u_pool(self, monkeypatch, n):
+        calls = []
+        basis = f2lin._symplectic_basis
+
+        def record(form, m, pairs=(), u_pool=None):
+            cols = basis(form, m, pairs, u_pool)
+            want = symplectic_basis_filtered(form, m, pairs, u_pool)
+            calls.append((u_pool is not None, cols, want))
+            return cols
+
+        monkeypatch.setattr(f2lin, "_symplectic_basis", record)
+        singer_symplectic.__wrapped__(n)
+        assert len(calls) == 1
+        pooled, cols, want = calls[0]
+        assert pooled and cols == want
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_random_first_pairs_past_32_qubits(self, rng, n):
+        m = 2 * n
+        for _ in range(10):
+            f1 = 1 + int.from_bytes(rng.bytes(n)) % (4**n - 1)
+            b = int.from_bytes(rng.bytes(n)) % 2 ** (m - 1)
+            pairs = [(f1, f2lin._second_image(f1, b))]
+            assert f2lin._symplectic_basis(f2lin._omega, m, pairs) == (
+                symplectic_basis_filtered(f2lin._omega, m, pairs))
+
+
 class TestRandomSymplectic:
     def test_always_symplectic(self, rng):
         for n in (1, 2, 3, 4):
@@ -368,7 +430,7 @@ class TestRandomSymplectic:
 
         draws = 60000
         rng = np.random.default_rng(99)
-        counts = {m.rows: 0 for m in enumerate_sp(1)}
+        counts = {m.rows: 0 for m in sp_elements(1)}
         for _ in range(draws):
             counts[random_symplectic(1, rng).rows] += 1
         expect = draws / 6
@@ -498,5 +560,5 @@ class TestSerialization:
         assert matrix_from_hex(text, 2).rows == F.rows
 
     def test_enumerated_roundtrip(self):
-        for m in list(enumerate_sp(2))[::97]:
+        for m in list(sp_elements(2))[::97]:
             assert matrix_from_hex(matrix_to_hex(m), 2).rows == m.rows

@@ -27,6 +27,7 @@ from reference import (
     cycle_type,
     multiplicity_sum,
     numeric_symplectic_character,
+    sp_elements,
     string_orbit_sweep,
     young_projector,
 )
@@ -255,7 +256,7 @@ class TestSymplecticCharacter:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_exhaustive_numeric_match_k4(self, n):
-        for F in f2lin.enumerate_sp(n):
+        for F in sp_elements(n):
             exact = symplectic_character(F, 4)
             got = numeric_symplectic_character(lift_symplectic(F), 4)
             assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact))
@@ -265,7 +266,7 @@ class TestSymplecticCharacter:
         assert symplectic_character(t, 4) == -2
 
     def test_k8_numeric_n1(self):
-        for F in f2lin.enumerate_sp(1):
+        for F in sp_elements(1):
             exact = symplectic_character(F, 8)
             got = numeric_symplectic_character(lift_symplectic(F), 8)
             assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact))
@@ -284,7 +285,7 @@ class TestGroupSums:
         assert sp_multiplicity_sum(3, 4) == 6
 
     def test_multiplicity_sum_list_api(self):
-        assert multiplicity_sum(list(f2lin.enumerate_sp(1)), 4) == 5
+        assert multiplicity_sum(list(sp_elements(1)), 4) == 5
 
     def test_trivial_group(self):
         for n in (1, 2):
@@ -292,7 +293,7 @@ class TestGroupSums:
             assert val == (2**n) ** 4
 
     def test_non_group_flagged(self):
-        mats = [m for m in f2lin.enumerate_sp(1)][:3]
+        mats = [m for m in sp_elements(1)][:3]
         with pytest.raises(ValueError):
             multiplicity_sum(mats, 4)
 
@@ -312,7 +313,7 @@ class TestGroupSums:
         for n in (1, 2):
             total = Fraction(0)
             count = 0
-            for F in f2lin.enumerate_sp(n):
+            for F in sp_elements(n):
                 total += symplectic_character(F, 4) ** 2
                 count += 1
             assert total / count == sp_multiplicity_sum(n, 4)
