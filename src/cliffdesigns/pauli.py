@@ -13,11 +13,14 @@ matrices, the action on states and matrices, and the Clifford lift all
 read W_a from it, so the sign and i-power conventions live in one place.
 
 The characteristic function of a state collects all d^2 real expectation
-values <psi|W_a|psi>.  One kernel computes it for a batch of states, by
-real Walsh-Hadamard GEMMs H_d = H_{d/b} (x) H_b, b = min(d, 32), for every
-X-mask: 2 d^2 (d/b + b) real multiply-adds per state, not d^3 complex ones.
-It takes the batch in chunks of at most 2^16 Xi entries, so memory stays a
-few MB plus index tables of max(2^16, d^2) entries per d.
+values <psi|W_a|psi>.  One kernel computes it for a batch of states.  Per
+X-mask m it keeps one product conj(psi_k) psi_{k^m} of each Hermitian pair
+{k, k^m} and transforms its real and imaginary parts by real Walsh-Hadamard
+GEMMs of length L = d/2, H_L = H_{L/b} (x) H_b, b = min(L, 32): 2 d L (L/b + b)
+real multiply-adds per state, not d^3 complex ones.  The purity identity
+checks each state's transform.  It takes the batch in chunks of at most 2^16
+transformed entries, so memory stays a few MB plus index tables of
+max(2^16, d^2) entries per d.
 """
 
 from __future__ import annotations
@@ -201,9 +204,14 @@ class CharacteristicFunction:
 
 def _check_normalized(psis: np.ndarray) -> None:
     """A state, or every row of a batch of states, has unit norm; NaN fails."""
-    nrm = np.linalg.norm(psis, axis=-1).reshape(-1)
-    bad = np.flatnonzero(~(np.abs(nrm - 1.0) <= NORM_ATOL))
-    if bad.size:
+    _check_norms(np.linalg.norm(psis, axis=-1).reshape(-1))
+
+
+def _check_norms(nrm: np.ndarray) -> None:
+    """Every entry of nrm, a row's norm, is 1 within NORM_ATOL; NaN fails."""
+    ok = np.abs(nrm - 1.0) <= NORM_ATOL
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         raise NormalizationError(
             f"state norm {nrm[bad[0]]} (row {bad[0]}) differs from 1 beyond {NORM_ATOL}")
 
@@ -211,16 +219,33 @@ def _check_normalized(psis: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # the characteristic-function kernel
 #
-# Xi(label_join(z, m)) = (-i)^{|z&m|} sum_k (-1)^{|z&k|} conj(psi_k) psi_{k^m},
-# with |.| the popcount: a Walsh-Hadamard transform over k per X-mask m.  The
-# real and imaginary parts of the products are transformed apart; odd |z&m|
-# keeps Im, even keeps Re, and the other half is the imaginary residue.  With
-# H_d = H_{d/b} (x) H_b and arrays laid out [z_hi, row, z_lo] (k likewise),
-# row = state * d + m, both factors are plain 2-D GEMMs.  A chunk holds
-# _CHUNK // d rows, at most _CHUNK entries of Xi, a shape fixed by d alone.
+# Xi(label_join(z, m)) = (-i)^{|z&m|} sum_k (-1)^{|z&k|} f_m(k), with
+# f_m(k) = conj(psi_k) psi_{k^m} and |.| the popcount: a Walsh-Hadamard
+# transform over k per X-mask m.  As f_m(k^m) = conj(f_m(k)), the sum runs
+# over one k of each Hermitian pair {k, k^m}: the k with bit j of m clear,
+# j the top bit of m.  With g = f_m on those d/2 representatives, indexed by
+# the other bits of k, Xi(., m) is +-2 H_{d/2}(Re g) where |z&m| is even and
+# +-2 H_{d/2}(Im g) where it is odd, the sign 1 - (|z&m| & 2) either way.
+# The real line m = 0 takes j = n - 1 and g = ((p_0 + p_1) + i (p_0 - p_1)) / 2,
+# p_0 and p_1 the values |psi_k|^2 on the two halves of k, so it is 2 H(Re g)
+# on z_j = 0 and 2 H(Im g) on z_j = 1; the /2 and x2 are exact.  No half of
+# a transform is thrown away, and ||Xi||_4^4 = 16 sum (H Re g)^4 + (H Im g)^4
+# needs no sign.
+#
+# With L = d/2, H_L = H_{L/b} (x) H_b, b = min(L, 32), and arrays laid out
+# [u_hi, Re/Im, row, u_lo] (the representative u likewise), row = state * d
+# + m, both factors are plain 2-D GEMMs: 2 d L (L/b + b) multiply-adds per
+# state, about a quarter of the 2 d^2 (d/b + b) that full-length transforms
+# of both parts take.  A chunk holds _CHUNK // d rows, at most _CHUNK
+# transformed entries, a shape fixed by d alone.  The purity identity
+# sum_a Xi(a)^2 = d Xi(0)^2 checks the transform of every state.
 
 _CHUNK = 1 << 16
 _WHT_BLOCK = 32
+
+# relative bound on the purity gap; over Haar states at n = 1..12 the worst
+# gap is 2.0e-15
+PURITY_RTOL = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,89 +258,123 @@ def _hadamard(n: int) -> np.ndarray:
 
 def _blocks(d: int) -> tuple[int, int]:
     """(b, rows per chunk) for dimension d."""
-    return min(d, _WHT_BLOCK), max(_CHUNK // d, 1)
+    return min(d // 2, _WHT_BLOCK), max(_CHUNK // d, 1)
+
+
+def _pair_split(u: np.ndarray, m: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, top): top is the top bit of the mask m, and d/2 for m = 0, and k
+    is u with a 0 put in at that bit, the representative of a Hermitian
+    pair {k, k ^ m} (of the halves {k, k ^ d/2} for m = 0)."""
+    top = np.left_shift(1, np.frexp(np.where(m, m, d >> 1))[1] - 1)
+    return (u & -top) << 1 | (u & top - 1), top
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_tables(n: int):
-    """Gather indices and Re/Im selectors over max(chunk, d) rows, [z_hi, row, z_lo]."""
+def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of k and k ^ m over max(chunk, d) rows, [u_hi, row, u_lo]."""
     d = 1 << n
     b, step = _blocks(d)
-    k = np.arange(d).reshape(d // b, 1, b)
     r = np.arange(max(step, d)).reshape(1, -1, 1)
     m = r % d
-    pc = np.bitwise_count(k & m)  # k doubles as z: same layout
-    return r - m + (k ^ m), (pc & 1).astype(bool), 1.0 - (pc & 2)
+    k = _pair_split(np.arange(d // 2).reshape(-1, 1, b), m, d)[0]
+    return r - m + k, r - m + (k ^ m)
 
 
-def _xi_chunks(psis: np.ndarray, imag_atol: float = 1e-12):
-    """Yield (lo, xi) covering Xi of every row of an (S, d) batch of states.
+def _xi_chunks(psis: np.ndarray):
+    """Yield (lo, t) covering Xi of every row of an (S, d) batch of states.
 
-    xi[z_hi, r, z_lo] is Xi(z_hi * b + z_lo, m) of state s, where
-    lo + r = s * d + m.  Raises NormalizationError for a row off the unit
-    sphere and AssertionError when the imaginary residue exceeds imag_atol.
+    t[u_hi, h, r, u_lo] is H_{d/2}(Re g) (h = 0) or H_{d/2}(Im g) (h = 1)
+    at u_hi * b + u_lo for the row lo + r = s * d + m; the caller may
+    overwrite it.  After the last chunk it raises NormalizationError for a
+    row off the unit sphere and AssertionError for a state whose transform
+    breaks the purity identity; both read Xi(0) = ||psi||^2 off the
+    transform.
     """
     psis = np.asarray(psis)
     n = _infer_n(psis, ndim=2)
+    if n < 1:
+        raise DimensionError("the characteristic function needs a state of at least one qubit")
     s, d = psis.shape
-    _check_normalized(psis)
     flat = np.ascontiguousarray(psis, dtype=complex).ravel()
-    src, odd, sign = _kernel_tables(n)
+    own, partner = _kernel_tables(n)
     b, step = _blocks(d)
-    q = d // b
-    had_lo, had_hi = _hadamard(b.bit_length() - 1), _hadamard(n - b.bit_length() + 1)
+    q = d // 2 // b
+    had_lo, had_hi = _hadamard(b.bit_length() - 1), _hadamard(q.bit_length() - 1)
+    purity, xi0 = np.zeros(s), np.zeros(s)
     for lo in range(0, s * d, step):
         rows = min(step, s * d - lo)
-        first, m0 = lo - lo % d, lo % d
-        cols = slice(m0, m0 + rows)
-        states = max(rows // d, 1)
-        own = flat[first : first + states * d].reshape(states, q, 1, b).transpose(1, 0, 2, 3)
-        prod = own.conj() * flat[first:][src[:, cols]].reshape(q, states, -1, b)
+        first, cols = lo - lo % d, slice(lo % d, lo % d + rows)
+        prod = flat[first:][own[:, cols]]
+        np.conjugate(prod, out=prod)
+        prod *= flat[first:][partner[:, cols]]
         w = np.empty((q, 2, rows, b))
-        w[:, 0] = prod.reshape(q, rows, b).real
-        w[:, 1] = prod.reshape(q, rows, b).imag
+        w[:, 0] = prod.real
+        w[:, 1] = prod.imag
+        # the real lines, rows m = 0, of the states that start in this chunk
+        new = slice(-(-lo // d), -(-(lo + rows) // d))
+        zero = slice(new.start * d - lo, rows, d)
+        sq = flat[new.start * d : new.stop * d]
+        sq = (sq.real**2 + sq.imag**2).reshape(-1, 2, q, b).transpose(1, 2, 0, 3)
+        np.add(sq[0], sq[1], out=w[:, 0, zero])
+        np.subtract(sq[0], sq[1], out=w[:, 1, zero])
+        w[:, :, zero] *= 0.5
         t = (w.reshape(-1, b) @ had_lo).reshape(q, -1)
         if q > 1:
             t = had_hi @ t
         t = t.reshape(q, 2, rows, b)
-        pick = odd[:, cols]
-        residue = np.abs(np.where(pick, t[:, 0], t[:, 1]))
-        if residue.max() > imag_atol:
-            raise AssertionError(f"imaginary residue {residue.max()} in Pauli expectations")
-        xi = np.where(pick, t[:, 1], t[:, 0])
-        xi *= sign[:, cols]
-        yield lo, xi
+        blocks = t.reshape(2 * q, max(rows // d, 1), -1)
+        purity[lo // d : lo // d + len(blocks[0])] += np.einsum("psx,psx->s", blocks, blocks)
+        xi0[new] = t[0, 0, zero, 0]
+        yield lo, t
+    _check_norms(np.sqrt(2 * xi0))
+    _check_purity(purity, xi0, d)
+
+
+def _check_purity(purity: np.ndarray, xi0: np.ndarray, d: int) -> None:
+    """sum_a Xi(a)^2 = d Xi(0)^2 for every state, where sum_a Xi(a)^2 =
+    4 purity and Xi(0) = 2 xi0, within PURITY_RTOL; NaN fails."""
+    x2 = d * xi0 * xi0
+    gap = purity - x2
+    ok = np.abs(gap) <= PURITY_RTOL * x2
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        raise AssertionError(
+            f"purity identity off by {4 * gap[bad[0]]} (row {bad[0]}) beyond {PURITY_RTOL} relative")
 
 
 def _ell4_rows(psis: np.ndarray) -> np.ndarray:
     """||Xi||_4^4 of every row, each summed in an order fixed by d alone."""
-    out = np.zeros(len(psis))
-    for lo, xi in _xi_chunks(psis):
-        q, rows, b = xi.shape
-        d = q * b
-        states = max(rows // d, 1)
-        x4 = xi * xi
-        x4 *= x4
-        out[lo // d : lo // d + states] += x4.reshape(q, states, -1).sum(axis=2).sum(axis=0)
-    return out
+    out, d = np.zeros(len(psis)), psis.shape[-1]
+    for lo, t in _xi_chunks(psis):
+        t *= t
+        blocks = t.reshape(2 * len(t), max(t.shape[2] // d, 1), -1)
+        # per state and [u_hi, h] block, then the builtin sum adds the
+        # blocks in turn: an order fixed by d, for any number of states
+        out[lo // d : lo // d + len(blocks[0])] += sum(np.einsum("psx,psx->ps", blocks, blocks))
+    return 16.0 * out
 
 
 @functools.lru_cache(maxsize=None)
-def _label_table(n: int) -> np.ndarray:
-    """label_join(z, m) for every (z, m), in the kernel's [z_hi, m, z_lo] layout."""
+def _label_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """label_join(z, m) and the factor +-2 that carry each entry of t to
+    Xi(z, m), in the kernel's [u_hi, h, m, u_lo] layout over d rows."""
     d = 1 << n
     b, _ = _blocks(d)
-    z, m = np.broadcast_arrays(np.arange(d).reshape(d // b, 1, b), np.arange(d).reshape(1, d, 1))
-    return label_join(z, m, n)
+    h = np.arange(2).reshape(1, 2, 1, 1)
+    m = np.arange(d).reshape(1, 1, d, 1)
+    k, top = _pair_split(np.arange(d // 2).reshape(-1, 1, 1, b), m, d)
+    z = k | top * (h ^ np.bitwise_count(k & m) & 1)  # |z & m| has the parity h, or z_top = h
+    return label_join(z, m, n), 2.0 - 2.0 * (np.bitwise_count(z & m) & 2)
 
 
-def characteristic_function(psi: np.ndarray, imag_atol: float = 1e-12) -> CharacteristicFunction:
+def characteristic_function(psi: np.ndarray) -> CharacteristicFunction:
     """Expectation values of all d^2 Pauli operators on a normalized state."""
     n = _infer_n(psi)
     out = np.empty(1 << (2 * n))
-    labels = _label_table(n)
-    for lo, xi in _xi_chunks(psi[None, :], imag_atol):
-        out[labels[:, lo : lo + xi.shape[1]]] = xi
+    for lo, t in _xi_chunks(psi[None, :]):
+        labels, signs = _label_table(n)
+        cols = slice(lo, lo + t.shape[2])
+        out[labels[:, :, cols]] = t * signs[:, :, cols]
     return CharacteristicFunction(out, n)
 
 
@@ -335,9 +394,11 @@ def alpha_plus_batch(psis: np.ndarray) -> np.ndarray:
     """alpha_plus for a batch of normalized states, one per row.
 
     Validates each row as alpha_plus does and matches it bit for bit, at
-    any batch size.  A state costs 2 d^2 (d/b + b) real multiply-adds,
-    b = min(d, 32), and memory stays a few MB however many rows there are;
-    this is the hot path of the Monte-Carlo moment studies.
+    any batch size.  A state costs 2 d L (L/b + b) real multiply-adds,
+    L = d/2 and b = min(L, 32): two real transforms of length L per X-mask,
+    over one product of each Hermitian pair, and their fourth powers need
+    no signs.  Memory stays a few MB however many rows there are; this is
+    the hot path of the Monte-Carlo moment studies.
     """
     psis = np.asarray(psis)
     return _ell4_rows(psis) / psis.shape[-1] ** 2

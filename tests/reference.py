@@ -23,7 +23,9 @@ computes in closed form or by exact combinatorics:
 * the transvection midpoint found by a search over candidate vectors
   (clifford),
 * the Pauli product phase summed, and a label split, one qubit at a
-  time (pauli),
+  time, and the characteristic function by full-length Walsh-Hadamard
+  transforms of both the real and the imaginary part of every product,
+  the unused half checked as an imaginary residue (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
   points and order, one for the z-type spread, and the basis cycler found
   by exhaustive search over Sp(2n, F2) (fiducial).
@@ -54,7 +56,16 @@ from cliffdesigns.f2lin import (
     symplectic_form,
 )
 from cliffdesigns.fiducial import _is_basis_cycler
-from cliffdesigns.pauli import PauliLabel, _signed_perm, characteristic_function, pauli_product
+from cliffdesigns.pauli import (
+    PauliLabel,
+    _check_normalized,
+    _hadamard,
+    _infer_n,
+    _signed_perm,
+    characteristic_function,
+    label_join,
+    pauli_product,
+)
 from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, stab_projector
 
 YOUNG_DENSE_MAX_N = 2
@@ -563,3 +574,85 @@ def label_split_loop(a, n: int):
         z = z << 1 | a >> 2 * i & 1
         x = x << 1 | a >> 2 * i + 1 & 1
     return z, x
+
+
+_FULL_CHUNK = 1 << 16
+
+
+@functools.cache
+def _full_length_tables(n: int):
+    """Gather indices k ^ m, Re/Im selectors and signs over max(chunk, d)
+    rows, laid out [z_hi, row, z_lo]."""
+    d = 1 << n
+    b, step = min(d, 32), max(_FULL_CHUNK // d, 1)
+    k = np.arange(d).reshape(d // b, 1, b)
+    r = np.arange(max(step, d)).reshape(1, -1, 1)
+    m = r % d
+    pc = np.bitwise_count(k & m)  # k doubles as z: same layout
+    return r - m + (k ^ m), (pc & 1).astype(bool), 1.0 - (pc & 2)
+
+
+def xi_full_length(psis, imag_atol: float = 1e-12):
+    """Yield (lo, xi): Xi of every row of an (S, d) batch, xi[z_hi, r, z_lo]
+    = Xi(z_hi * b + z_lo, m) of state s where lo + r = s * d + m.
+
+    Every product conj(psi_k) psi_{k^m} is formed for all d values of k and
+    both its real and imaginary parts are transformed at length d; odd
+    |z&m| keeps Im, even keeps Re, and the other half must vanish within
+    imag_atol (AssertionError otherwise).
+    """
+    psis = np.asarray(psis)
+    n = _infer_n(psis, ndim=2)
+    s, d = psis.shape
+    _check_normalized(psis)
+    flat = np.ascontiguousarray(psis, dtype=complex).ravel()
+    src, odd, sign = _full_length_tables(n)
+    b, step = min(d, 32), max(_FULL_CHUNK // d, 1)
+    q = d // b
+    had_lo, had_hi = _hadamard(b.bit_length() - 1), _hadamard(q.bit_length() - 1)
+    for lo in range(0, s * d, step):
+        rows = min(step, s * d - lo)
+        first, m0 = lo - lo % d, lo % d
+        cols = slice(m0, m0 + rows)
+        states = max(rows // d, 1)
+        own = flat[first : first + states * d].reshape(states, q, 1, b).transpose(1, 0, 2, 3)
+        prod = own.conj() * flat[first:][src[:, cols]].reshape(q, states, -1, b)
+        w = np.empty((q, 2, rows, b))
+        w[:, 0] = prod.reshape(q, rows, b).real
+        w[:, 1] = prod.reshape(q, rows, b).imag
+        t = (w.reshape(-1, b) @ had_lo).reshape(q, -1)
+        if q > 1:
+            t = had_hi @ t
+        t = t.reshape(q, 2, rows, b)
+        pick = odd[:, cols]
+        residue = np.abs(np.where(pick, t[:, 0], t[:, 1]))
+        if residue.max() > imag_atol:
+            raise AssertionError(f"imaginary residue {residue.max()} in Pauli expectations")
+        xi = np.where(pick, t[:, 1], t[:, 0])
+        xi *= sign[:, cols]
+        yield lo, xi
+
+
+def ell4_rows_full_length(psis) -> np.ndarray:
+    """||Xi||_4^4 of every row of a batch, from xi_full_length."""
+    psis = np.asarray(psis)
+    d = psis.shape[-1]
+    out = np.zeros(len(psis))
+    for lo, xi in xi_full_length(psis):
+        states = max(xi.shape[1] // d, 1)
+        x2 = xi * xi
+        out[lo // d : lo // d + states] += (x2 * x2).reshape(len(xi), states, -1).sum(axis=(0, 2))
+    return out
+
+
+def characteristic_full_length(psi) -> np.ndarray:
+    """All d^2 values Xi(a) of one state, indexed by the label a, from xi_full_length."""
+    n = _infer_n(psi)
+    d = 1 << n
+    b = min(d, 32)
+    z, m = np.broadcast_arrays(np.arange(d).reshape(d // b, 1, b), np.arange(d).reshape(1, d, 1))
+    labels = label_join(z, m, n)
+    out = np.empty(d * d)
+    for lo, xi in xi_full_length(psi[None, :]):
+        out[labels[:, lo : lo + xi.shape[1]]] = xi
+    return out

@@ -14,10 +14,12 @@ import numpy as np
 
 from cliffdesigns import f2lin
 from cliffdesigns.clifford import (
+    CliffordElement,
     clifford_trace_check,
     lift_symplectic,
     projective_orbit,
     random_clifford,
+    random_clifford_unitaries,
 )
 from cliffdesigns.designs import (
     bloch_state,
@@ -106,10 +108,21 @@ def test_c02_frame_potential_integers():
 
 
 def test_c03_trace_identities():
-    rng = np.random.default_rng(314159)
+    # the 3x10^4 random_clifford draws of one default_rng(314159), n = 1, 2, 3
+    # in turn, drawn as stacks: a twin generator gives the same words to the
+    # symplectic indices that the stack sampler decodes and lifts
+    rng, twin = np.random.default_rng(314159), np.random.default_rng(314159)
     for n in (1, 2, 3):
-        for _ in range(10**4):
-            rep = clifford_trace_check(random_clifford(n, rng))
+        draws = f2lin._rand_below_many(twin, [f2lin.sp_order(n), 4**n] * 10**4)
+        mats = random_clifford_unitaries(n, rng, 10**4)
+        rows = f2lin._rows_from_indices(draws[0::2], n).tolist()
+        if n == 1:
+            fresh = np.random.default_rng(314159)
+            for U, F in zip(mats[:100], rows):
+                one = random_clifford(1, fresh)
+                assert one.matrix.tobytes() == U.tobytes() and list(one.symplectic.rows) == F
+        for U, F in zip(mats, rows):
+            rep = clifford_trace_check(CliffordElement(U, n, symplectic=f2lin.F2Matrix(tuple(F), n)))
             assert rep.passed
     for n in (1, 2):
         for F in sp_elements(n):

@@ -426,13 +426,18 @@ class TestRandomSymplectic:
         assert a.rows == b.rows
 
     def test_uniform_chi_square_n1(self):
+        # random_symplectic(1) draws an index below |Sp(2, F2)| = 6 and decodes
+        # it; drawn and decoded as a stack, the draws are those of 60000 calls
         from scipy.stats import chi2
 
         draws = 60000
+        rows = f2lin._rows_from_indices(
+            f2lin._rand_below_many(np.random.default_rng(99), [6] * draws), 1).tolist()
         rng = np.random.default_rng(99)
+        assert rows[:500] == [list(random_symplectic(1, rng).rows) for _ in range(500)]
         counts = {m.rows: 0 for m in sp_elements(1)}
-        for _ in range(draws):
-            counts[random_symplectic(1, rng).rows] += 1
+        for r in rows:
+            counts[tuple(r)] += 1
         expect = draws / 6
         stat = sum((c - expect) ** 2 / expect for c in counts.values())
         assert stat < chi2.isf(0.001, df=5)

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffdesigns import pauli
 from cliffdesigns.f2lin import DimensionError, symplectic_form
 from cliffdesigns.pauli import (
     NormalizationError,
     PauliLabel,
+    _ell4_rows,
     _product_phase,
     _signed_perm,
     _signed_perms,
@@ -22,7 +24,12 @@ from cliffdesigns.pauli import (
     pauli_product,
 )
 from conftest import random_state
-from reference import label_split_loop, product_phase_loop
+from reference import (
+    characteristic_full_length,
+    ell4_rows_full_length,
+    label_split_loop,
+    product_phase_loop,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -278,9 +285,42 @@ class TestCharacteristicFunction:
                 want = (psi.conj() @ pauli_matrix(PauliLabel(n, int(a))) @ psi).real
                 assert abs(xi.value(int(a)) - want) < 1e-12
 
-    def test_imaginary_residue_is_checked(self, rng):
-        with pytest.raises(AssertionError):
-            characteristic_function(random_state(4, rng), imag_atol=-1.0)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_full_length_oracle(self, n):
+        # n = 7 is the first half-length transform split as H_{L/32} (x) H_32;
+        # a state fills one chunk at n = 8 and spans four at n = 9
+        rng = np.random.default_rng(100 + n)
+        d = 2**n
+        psis = np.array([random_state(d, rng) for _ in range(3)])
+        assert np.abs(_ell4_rows(psis) - ell4_rows_full_length(psis)).max() <= 1e-13 * d
+        for psi in psis[:2]:
+            got = characteristic_function(psi).values
+            assert np.abs(got - characteristic_full_length(psi)).max() <= 1e-13 * d
+
+    def test_purity_identity_is_checked(self, rng, monkeypatch):
+        psi = random_state(4, rng)
+        monkeypatch.setattr(pauli, "PURITY_RTOL", -1.0)
+        with pytest.raises(AssertionError, match="purity"):
+            characteristic_function(psi)
+        with pytest.raises(AssertionError, match="purity"):
+            alpha_plus_batch(psi[None, :])
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_corrupted_transform_is_caught(self, n, rng, monkeypatch):
+        # one sign of the Walsh-Hadamard matrix flipped breaks the purity identity
+        hadamard = pauli._hadamard
+
+        def corrupted(k):
+            h = hadamard(k).copy()
+            h[-1, -1] *= -1
+            return h
+
+        monkeypatch.setattr(pauli, "_hadamard", corrupted)
+        psi = random_state(2**n, rng)
+        with pytest.raises(AssertionError, match="purity"):
+            characteristic_function(psi)
+        with pytest.raises(AssertionError, match="purity"):
+            alpha_plus(psi)
 
 
 class TestBatch:
@@ -292,6 +332,12 @@ class TestBatch:
         with pytest.raises(NormalizationError, match="row 1"):
             alpha_plus_batch(psis)
 
+    def test_rejects_zero_qubits(self):
+        with pytest.raises(DimensionError):
+            alpha_plus(np.array([1.0 + 0j]))
+        with pytest.raises(DimensionError):
+            characteristic_function(np.array([1.0 + 0j]))
+
     def test_rejects_nan(self):
         with pytest.raises(NormalizationError):
             alpha_plus(np.array([np.nan, 0.0]))
@@ -301,7 +347,7 @@ class TestBatch:
             psi = random_state(2**n, rng)
             assert alpha_plus_batch(psi[None, :])[0] == alpha_plus(psi)
 
-    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("n", [2, 5, 7])
     def test_rows_independent_of_batch(self, n):
         # 5 000 states span several kernel chunks at both sizes
         rng = np.random.default_rng(n)
