@@ -7,22 +7,26 @@ H, S, CNOT (with the i-power-friendly Hadamard prefactor (1+i)/2), extracts
 transvections, samples the projective Clifford group exactly uniformly,
 and materializes projective orbits of state vectors for n <= 2.
 
+One kernel, _act_words, applies a stack of transvection words to a block
+of states, a signed gather per factor; orbits use it on the state itself,
+and the dense lift uses it on n + 1 basis states and builds the other
+columns from them.
+
 Qubit indices are 0-based; qubit 0 is the leftmost tensor factor.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import f2lin
 from .f2lin import CapacityError, F2Matrix, fixed_space_dim, is_symplectic
-from .pauli import PauliLabel, _product_phase, _signed_perms, label_join, pauli_matrix
+from .pauli import (PauliLabel, _check_normalized, _hadamard, _parity_signs, _pauli_parts,
+                    _product_phase, _signed_perms, label_join, pauli_matrix)
 
 __all__ = [
     "CliffordElement",
@@ -43,15 +47,11 @@ __all__ = [
 ORBIT_MAX_N = 2
 # projective_orbit tells states apart by |psi><psi| rounded to this many decimals
 ORBIT_DEDUP_DECIMALS = 9
-# A lifted stack holds at most this many matrix entries (but at least one
-# sample), which bounds the memory that a stack and its temporaries add
-STACK_ENTRIES = 1 << 13
+# an element stabilizes psi when |<psi|U psi>| is 1 within this
+ORBIT_STAB_ATOL = 1e-9
 
 _H2 = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]], dtype=complex)
 _S2 = np.array([[1, 0], [0, -1j]], dtype=complex)
-# Python scalars: numpy's sqrt and exp would set up their loops at import
-_ROOT2 = math.sqrt(2.0)
-_EIGHTH_PHASE = cmath.exp(-0.25j * math.pi)
 _RTOL = 1e-5  # the default rtol of np.allclose
 
 
@@ -273,17 +273,24 @@ def transvection_decomposition(F: F2Matrix) -> list[int]:
     """Vectors v_1..v_m with F = Z_{v_1} Z_{v_2} ... Z_{v_m} (at most 4 per pair)."""
     if not is_symplectic(F):
         raise ValueError("input is not symplectic")
-    n = F.n
-    cols = list(f2lin._transpose(F.rows, 2 * n))
+    return _decompose(f2lin._transpose(F.rows, 2 * F.n))
+
+
+def _decompose(cols) -> list[int]:
+    """transvection_decomposition of the symplectic with columns cols,
+    which it does not check."""
+    cols = list(cols)
     out = []
-    for j in range(2 * n):
+    for j in range(len(cols)):
+        if cols[j] == 1 << j:
+            continue
         for v in _transvection_step(cols[j], j):
             if v:
                 # cols <- Z_v cols: c -> c ^ v wherever <c, v> = 1
                 jv = f2lin._swap_pairs(v)
-                cols = [c ^ v if f2lin._parity(c & jv) else c for c in cols]
+                cols = [c ^ v if (c & jv).bit_count() & 1 else c for c in cols]
                 out.append(v)
-    if cols != [1 << i for i in range(2 * n)]:
+    if cols != [1 << i for i in range(len(cols))]:
         raise AssertionError("transvections did not reduce F to the identity")
     return out
 
@@ -314,84 +321,137 @@ def _transvection_words(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return words[:, :lengths.max(initial=0)], lengths
 
 
-def _lift_words(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> np.ndarray:
-    """(S, d, d) stack of unitaries: word s, the first lengths[s] vectors
-    of row s of the (S, W) array words, is lifted as the product of the
-    factors (1 + i W_v)/sqrt(2) over its vectors v, then multiplied on the
-    left by W_{labels[s]}.
+def _xor_gather(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a[..., k ^ x] for every k along the last axis of a, whose length d is
+    a power of 2; x[..., None] broadcasts against a and lies below d, so
+    XOR with the flat index [..., k] changes k alone."""
+    return a.take(np.arange(a.size).reshape(a.shape) ^ x[..., None])
 
-    The samples are sorted by word length, longest first, so step t
-    updates the prefix of samples with more than t vectors, and the words
-    that end at step t are a slice of it.  One
-    _signed_perms call gives every (x, v) of the stack, the labels in an
-    extra last column.  A step is U <- (U + i (U W_v))/sqrt(2), with U W_v
-    gathered by a flat take at indices [s, r, k ^ x_s]: as x_s < d, XOR
-    with the flat index [s, r, k] changes k alone; the labels go on by
-    _pauli_times.  These are the
-    elementwise operations of a one-by-one lift, so every entry of a
-    stack equals the entry of that sample lifted alone, bit for bit.
+
+def _act_words(n: int, words: np.ndarray, lengths: np.ndarray, states: np.ndarray,
+               labels=None) -> np.ndarray:
+    """(S, R, d) stack: the unitary of word s applied to each row of the
+    (R, d) array states.
+
+    Word s, the first lengths[s] vectors of row s of the (S, W) array
+    words, lifts to the product of the factors (1 + i W_v)/sqrt(2) over its
+    vectors, times e^{-i pi/4} for an odd length (which keeps the entries
+    of the dense lift in Q[i]), times W_{labels[s]} on the left.  So the
+    last vector acts on a state first and the label last; applied in
+    reading order, the word would lift F^{-1}.  See _sorted_action.
     """
-    d = 1 << n
+    order, phi, _, _ = _sorted_action(n, words, lengths, states, labels)
+    out = np.empty_like(phi)
+    out[order] = phi
+    return out
+
+
+def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.ndarray,
+                   labels=None, paulis=None):
+    """(order, phi, x, coef): _act_words of the samples order[0], order[1],
+    ..., sorted by word length, longest first, and for the labels of an
+    (S, P) array paulis, (W_p phi)[k ^ x[i, p]] = coef[i, p, k] phi[k] for
+    sample order[i] (x and coef are None without paulis).
+
+    The samples with more than t vectors, which act at step t, are a
+    prefix of that order.  A step is phi <- phi + i W_v phi, with W_v phi
+    one signed gather (_pauli_parts); the label, zero when there is none,
+    is one more gather that carries the scale 2^{-w/2}, times e^{-i pi/4}
+    for odd w, of a word of w vectors.  That scale is (1 - i) 2^{-(w+1)/2}
+    for odd w, so a state with entries in Z[i], such as a basis state, is
+    acted on exactly.  These are the elementwise operations of one sample
+    applied alone, so every entry of a stack equals the entry of that
+    sample applied alone, bit for bit.  The parts of the paulis come from
+    the same label split as those of the words.  coef holds 8 bytes per
+    sample, word column and basis index: 17 MB for 256 words at n = 8.
+    """
     count, width = words.shape
     order = np.argsort(-lengths, kind="stable")
-    vecs = np.zeros((count, width + 1), dtype=np.int64)
-    vecs[:, :width] = words
-    if labels is not None:
-        vecs[:, width] = labels
-    x, v = _signed_perms(n, vecs[order])
+    w = lengths[order]
+    label = np.zeros((count, 1), dtype=np.int64) if labels is None else np.reshape(labels, (-1, 1))
+    vecs = np.concatenate([words, label] + ([] if paulis is None else [paulis]), axis=1)
+    x, z, c = _pauli_parts(n, vecs[order])
+    c[:, :width] *= 1j
+    c[:, width] *= _word_scales(n)[w]
+    k, sign = _parity_signs(n)
+    # c (-1)^{|z&k|} for every column, exact in complex64: the scales are
+    # powers of 2, times 1 - i for odd lengths
+    coef = c.astype(np.complex64)[..., None] * sign.take(z.astype(k.dtype)[..., None] & k)
     # prefix[t] counts the samples with more than t vectors, a prefix as lengths descend
-    neg = (-lengths[order]).tolist()
-    prefix = [bisect.bisect_left(neg, -t) for t in range(width + 1)]
-    flat = np.arange(count * d * d).reshape(-1, d, d)
-    U = np.zeros((count, d, d), dtype=complex)
-    U.reshape(count, d * d)[:, ::d + 1] = 1
-    for t in range(width):
-        m, done = prefix[t], prefix[t + 1]
-        gathered = np.take(U, flat[:m] ^ x[:m, t, None, None])
-        U[:m] = (U[:m] + 1j * (gathered * v[:m, t, None, :])) / _ROOT2
-        if t % 2 == 0 and done < m:
-            # words of odd length end here: an extra global phase keeps
-            # their entries in Q[i]
-            U[done:m] *= _EIGHTH_PHASE
-    if labels is not None:
-        U = _pauli_times(U, np.arange(count), x[:, width], v[:, width])
-    out = np.empty_like(U)
-    out[order] = U
+    neg = (-w).tolist()
+    prefix = [bisect.bisect_left(neg, -t) for t in range(width)]
+    phi = np.empty((count,) + states.shape, dtype=complex)
+    phi[:] = states
+    flat = np.arange(phi.size).reshape(phi.shape)
+    xs = x[:, :, None, None]
+    for t in reversed(range(width)):
+        m = prefix[t]
+        # (i W_v phi)[k ^ x] = coef[k] phi[k], gathered as in _xor_gather
+        phi[:m] += (phi[:m] * coef[:m, t, None]).take(flat[:m] ^ xs[:m, t])
+    phi = (phi * coef[:, width, None]).take(flat ^ xs[:, width])
+    if paulis is None:
+        return order, phi, None, None
+    return order, phi, x[:, width + 1:], coef[:, width + 1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _word_scales(n: int) -> np.ndarray:
+    """2^{-w/2}, times e^{-i pi/4} for odd w, at index w <= 4n, read-only."""
+    w = np.arange(4 * n + 1)
+    out = np.where(w & 1, 1 - 1j, 1) * np.ldexp(1.0, -((w + 1) // 2))
+    out.flags.writeable = False
     return out
 
 
-def _pauli_times(U: np.ndarray, s: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(S, d, d) stack of W_i U[s_i], i < S, for the Paulis W_i with
-    (x_i, v_i) from _signed_perms: row j of W U is v[j ^ x] times row
-    j ^ x of U.  s and x have shape (S,) and v shape (S, d); the rows
-    are gathered by one fancy index over the whole stack."""
-    rows = np.arange(U.shape[-1]) ^ x[:, None]
-    out = U[s[:, None], rows]
-    return np.multiply(v[np.arange(len(s))[:, None], rows][..., None], out, out=out)
-
-
-def _lift_stacks(n: int, words: np.ndarray, lengths: np.ndarray, labels=None):
-    """Yield (lo, stack): _lift_words of samples lo, lo + 1, ... in chunks
-    of at most STACK_ENTRIES matrix entries, but at least one sample."""
-    step = max(STACK_ENTRIES >> (2 * n), 1)
-    for lo in range(0, len(lengths), step):
-        chunk = slice(lo, lo + step)
-        yield lo, _lift_words(n, words[chunk], lengths[chunk],
-                              None if labels is None else labels[chunk])
-
-
-def _lifted(n: int, words: np.ndarray, lengths: np.ndarray, labels=None) -> np.ndarray:
-    """The (S, d, d) stack of _lift_words, filled chunk by chunk, so the
-    lift's temporaries never outgrow one chunk."""
-    out = np.empty((len(lengths), 1 << n, 1 << n), dtype=complex)
-    for lo, stack in _lift_stacks(n, words, lengths, labels):
-        out[lo:lo + len(stack)] = stack
+@functools.lru_cache(maxsize=None)
+def _column_basis(n: int) -> np.ndarray:
+    """e_0 and e_{2^b} for b < n, the rows of a read-only (n + 1, d) array."""
+    out = np.zeros((n + 1, 1 << n), dtype=complex)
+    out[np.arange(n + 1), (1 << np.arange(n + 1)) >> 1] = 1
+    out.flags.writeable = False
     return out
 
 
-def _padded(word: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """One word as a stack of one, for _lift_words."""
-    return np.array(word, dtype=np.int64).reshape(1, -1), np.array([len(word)])
+def _x_images(cols) -> np.ndarray:
+    """Labels F x_b, b < n, from the 2n columns of F (the last axis of
+    cols), x_b the label of the X that flips bit b of the basis index:
+    qubit n - 1 - b, so coordinate 2n - 1 - 2b."""
+    return np.asarray(cols)[..., ::-2]
+
+
+def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarray,
+                labels=None) -> np.ndarray:
+    """(S, d, d) stack of the unitaries U of _act_words, from n + 1 columns each.
+
+    images[s] holds the labels c_b of F X_b F^{-1} (_x_images) for the
+    symplectic F that word s induces.  The word acts on e_0 and the
+    e_{2^b}; P_b = U X_b U^dag = sigma_b W_{c_b}, so U e_{2^b} = P_b U e_0
+    gives the sign sigma_b, whose modulus must be 1 within 1e-9.  Column k is
+    then (prod_b P_b^{k_b}) U e_0: the columns below 2^{b+1} are the ones
+    below 2^b and their images under P_b, one signed gather of rows per
+    bit.  The columns are exact (_act_words) and the signs and i-powers
+    are exact, so a stack equals its samples lifted alone, bit for bit.
+    """
+    d = 1 << n
+    order, cols, x, coef = _sorted_action(n, words, lengths, _column_basis(n), labels, images)
+    # (W_c phi)[k] = coef[k ^ x] phi[k ^ x]: two gathers by one index
+    idx = np.arange(coef.size).reshape(coef.shape) ^ x[..., None]
+    sigma = np.vecdot((coef * cols[:, :1]).take(idx), cols[:, 1:]).real
+    # |sigma| <= 1 for unit columns, with equality iff U e_{2^b} = +-W_c U e_0
+    if not np.abs(sigma).min(initial=1.0) >= 1.0 - 1e-9:
+        raise AssertionError("U X_b U^dag is not a signed Pauli of the given labels")
+    f = coef.take(idx) * np.sign(sigma)[..., None]
+    out = np.empty((len(cols), d, d), dtype=complex)
+    out[:, :, 0] = cols[:, 0]
+    # XOR with x << n changes the row of a flat index [s, j, k] alone
+    flat = np.arange(out.size).reshape(out.shape)
+    rows = (x << n)[..., None, None]
+    for b in range(n):
+        h = 1 << b
+        out[:, :, h:2 * h] = out.take(flat[:, :, :h] ^ rows[:, b]) * f[:, b, :, None]
+    lifts = np.empty_like(out)
+    lifts[order] = out
+    return lifts
 
 
 def lift_symplectic(F: F2Matrix) -> CliffordElement:
@@ -402,17 +462,28 @@ def lift_symplectic(F: F2Matrix) -> CliffordElement:
     The representative is one of the 4d^2 unitaries inducing F and is
     deterministic but otherwise arbitrary, and carries F for .symplectic.
     """
-    U = _lift_words(F.n, *_padded(transvection_decomposition(F)))[0]
-    return CliffordElement(U, F.n, symplectic=F)
+    if not is_symplectic(F):
+        raise ValueError("input is not symplectic")
+    return _lift_one(F)
+
+
+def _lift_one(F: F2Matrix, label=None) -> CliffordElement:
+    """The lift of a symplectic F, which it does not check, times W_label."""
+    cols = f2lin._transpose(F.rows, 2 * F.n)
+    word = np.array(_decompose(cols), dtype=np.int64)
+    U = _lift_dense(F.n, word[None, :], np.array([len(word)]), _x_images([cols]),
+                    None if label is None else [label])
+    return CliffordElement(U[0], F.n, symplectic=F)
 
 
 def _sample_words(n: int, rng: np.random.Generator, count: int):
-    """(words, lengths, labels) of count uniform projective Cliffords, for
-    _lift_words.  Each sample draws a uniform Sp(2n,F2) index and then a
-    uniform Pauli label, in the order of count random_clifford calls."""
+    """(rows, words, lengths, labels) of count uniform projective Cliffords:
+    the symplectics' rows and transvection words, and the Pauli labels.
+    Each sample draws a uniform Sp(2n,F2) index and then a uniform Pauli
+    label, in the order of count random_clifford calls."""
     draws = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)] * count)
-    words, lengths = _transvection_words(f2lin._rows_from_indices(draws[0::2], n), n)
-    return words, lengths, np.array(draws[1::2], dtype=np.int64)
+    rows = f2lin._rows_from_indices(draws[0::2], n)
+    return rows, *_transvection_words(rows, n), np.array(draws[1::2], dtype=np.int64)
 
 
 def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -422,7 +493,8 @@ def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> n
     entry for entry, and leaves the generator in the same state; the
     symplectics are decoded and decomposed as one stack, then lifted.
     """
-    return _lifted(n, *_sample_words(n, rng, count))
+    rows, words, lengths, labels = _sample_words(n, rng, count)
+    return _lift_dense(n, words, lengths, _x_images(f2lin._transpose_stack(rows, 2 * n)), labels)
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
@@ -431,9 +503,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     every metric in this package.  The element carries its sampled
     symplectic, so .symplectic needs no extraction."""
     index, label = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)])
-    F = f2lin.symplectic_from_index(index, n)
-    U = _lift_words(n, *_padded(transvection_decomposition(F)), [label])[0]
-    return CliffordElement(U, n, symplectic=F)
+    return _lift_one(f2lin.symplectic_from_index(index, n), label)
 
 
 @dataclass(frozen=True)
@@ -460,16 +530,9 @@ def clifford_trace_check(U: CliffordElement, atol: float = 1e-8) -> TraceCheckRe
 
 
 @functools.lru_cache(maxsize=None)
-def projective_clifford_unitaries(n: int) -> np.ndarray:
-    """One unitary per projective Clifford element, shape (|Sp| d^2, d, d),
-    read-only as it is shared by every caller.
-
-    Supported for n <= 2 (24 and 11 520 elements).  Element i d^2 + a is
-    W_a times the lift of symplectic i: each of the |Sp| transvection
-    words is lifted once, and the d^2 Paulis go on as one signed row
-    gather over the whole group (_pauli_times).  These are the elementwise
-    steps of lifting each labelled word alone, so every entry is the
-    same, bit for bit."""
+def _group_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, words, lengths) of every element of Sp(2n,F2), n <= 2, in
+    index order, as read-only arrays built once per process."""
     if n < 1:
         raise f2lin.DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
     if n > ORBIT_MAX_N:
@@ -477,27 +540,97 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
             f"projective Clifford group at n={n} has {f2lin.sp_order(n) * 4**n}"
             " elements; orbits are materialized only for n <= 2"
         )
+    rows = f2lin._rows_from_indices(range(f2lin.sp_order(n)), n)
+    out = (rows, *_transvection_words(rows, n))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def projective_clifford_unitaries(n: int) -> np.ndarray:
+    """One unitary per projective Clifford element, shape (|Sp| d^2, d, d),
+    read-only as it is shared by every caller.
+
+    Supported for n <= 2 (24 and 11 520 elements).  Element i d^2 + a is
+    W_a times the lift of symplectic i, its transvection word lifted with
+    the label a (_lift_dense).  The orbit routines act on states instead
+    and never form this stack."""
+    rows, words, lengths = _group_words(n)
     d2 = 1 << (2 * n)
-    order = f2lin.sp_order(n)
-    lifts = _lifted(n, *_transvection_words(f2lin._rows_from_indices(range(order), n), n))
-    # symplectic i with Pauli label a is element i d^2 + a
-    x, v = _signed_perms(n, np.tile(np.arange(d2), order))
-    group = _pauli_times(lifts, np.repeat(np.arange(order), d2), x, v)
+    images = _x_images(f2lin._transpose_stack(rows, 2 * n))
+    group = _lift_dense(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
+                        np.repeat(images, d2, axis=0),
+                        np.tile(np.arange(d2), len(rows)))
     group.flags.writeable = False
     return group
+
+
+def _symplectic_images(psi: np.ndarray, n: int) -> np.ndarray:
+    """(|Sp|, d) stack of U_F psi, U_F the lift of each symplectic in index order."""
+    _, words, lengths = _group_words(n)
+    if psi.shape != (1 << n,):
+        raise f2lin.DimensionError(f"expected a state of length {1 << n} for n={n}")
+    return _act_words(n, words, lengths, psi[None, :])[:, 0]
+
+
+def _coset_overlaps(psi: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """|<psi|W_a phi>| for every row phi of an (S, d) stack and every label
+    a = (z, m), at [s, m, z'] for some z' that depends on z alone.
+
+    <psi|W_a phi> = c sum_k (-1)^{|z&k|} conj(psi_{k^m}) phi_k with |c| = 1:
+    one Walsh-Hadamard product of length d per X-mask m.  This is the
+    full-length transform; the half-length pair rule of the characteristic
+    function holds only for phi = psi.
+    """
+    d = len(psi)
+    k = np.arange(d)
+    g = psi.conj()[k[:, None] ^ k] * phis[:, None, :]
+    return np.abs(g.reshape(-1, d) @ _hadamard(d.bit_length() - 1)).reshape(-1, d, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _key_weights(size: int) -> np.ndarray:
+    """Fixed pseudorandom uint64 weights that hash a row of size ints: the
+    splitmix64 outputs for 1..size, in wrapping uint64 arithmetic; read-only."""
+    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z.flags.writeable = False
+    return z
 
 
 def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
     """All distinct states (up to global phase) in the Clifford orbit of psi.
 
-    Deduplication keys on the bytes of the d^2 entries of |psi><psi|
-    rounded to ORBIT_DEDUP_DECIMALS digits, signed zeros folded; each key
-    keeps its first state, in group order.
+    The states W_a U_F psi come from the |Sp| word actions U_F psi and d^2
+    signed gathers; element i d^2 + a has symplectic i and label a.  The
+    key of a state is the d^2 entries of |psi><psi| times
+    10^ORBIT_DEDUP_DECIMALS, rounded to integers; each key keeps its first
+    state, in group order.  Keys are told apart by a 64-bit hash of them,
+    and the states that share a hash must share the key.  Then the orbit
+    size times |stab(psi)|, the elements with |<psi|U psi>| = 1 within
+    ORBIT_STAB_ATOL, must be the group order; both checks raise
+    AssertionError.
     """
-    states = projective_clifford_unitaries(n) @ psi
+    phis = _symplectic_images(psi, n)
+    _check_normalized(psi)
+    d2 = 1 << (2 * n)
+    x, v = _signed_perms(n, np.arange(d2))
+    # (W_a phi)[k] = v[a, k ^ x_a] phi[k ^ x_a]
+    states = _xor_gather(phis[:, None, :] * v, x).reshape(d2 * len(phis), -1)
     keys = (states[:, :, None] * states[:, None, :].conj()).reshape(len(states), -1).view(float)
-    np.round(keys, ORBIT_DEDUP_DECIMALS, out=keys)
-    keys += 0.0  # -0.0 becomes 0.0
-    # one byte string per state; a stable sort finds the first state of each
-    _, first = np.unique(keys.view(np.dtype((np.void, keys.shape[1] * 8))), return_index=True)
-    return list(states[np.sort(first)])
+    keys *= 10.0**ORBIT_DEDUP_DECIMALS
+    keys = np.rint(keys, out=keys).astype(np.int64)
+    hashes = keys.view(np.uint64) @ _key_weights(keys.shape[1])
+    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
+    if not (keys == keys[first[inverse]]).all():
+        raise AssertionError("two orbit keys share a hash")
+    orbit = states[np.sort(first)]
+    stab = np.count_nonzero(np.abs(_coset_overlaps(psi, phis) - 1.0) <= ORBIT_STAB_ATOL)
+    if len(orbit) * stab != len(states):
+        raise AssertionError(
+            f"orbit of {len(orbit)} states and stabilizer of {stab} elements do not"
+            f" multiply to the group order {len(states)}")
+    return list(orbit)

@@ -102,9 +102,9 @@ class DesignReport:
 
 
 def design_report(psi: np.ndarray) -> DesignReport:
-    """All deviation metrics of a normalized state."""
+    """All deviation metrics of a normalized state; the kernel reads the
+    norm off Xi(0) and raises NormalizationError."""
     n = _infer_n(psi)
-    _check_normalized(psi)
     d = 1 << n
     ell4 = float(_ell4_rows(psi[None, :])[0])
     alpha = ell4 / d**2
@@ -181,14 +181,16 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     """Frame potential of the projective Clifford orbit of psi.
 
     Exact mode averages |<psi|U psi>|^{2t} over the whole projective group
-    (equal to the orbit double sum by invariance; n <= 2).  Monte-Carlo
-    mode samples uniform projective Cliffords and returns (estimate,
-    standard error).  It draws them from rng in blocks of MC_BLOCK
-    samples, each decoded and decomposed as one stack, and lifts each
-    block in clifford._lift_stacks chunks of at most STACK_ENTRIES matrix
-    entries (128 samples at n = 3, one at n >= 7).  The draws follow the
-    order of one random_clifford call per sample, so a seed gives the same
-    unitaries and the same estimate at any block or chunk size.
+    (equal to the orbit double sum by invariance; n <= 2): each symplectic's
+    transvection word acts on psi, and the d^2 Paulis of its coset come
+    from one Walsh-Hadamard product per X-mask (clifford._coset_overlaps).
+    Monte-Carlo mode samples uniform projective Cliffords and returns
+    (estimate, standard error).  It draws them from rng in blocks of
+    MC_BLOCK samples, each decoded and decomposed as one stack, and applies
+    each block's labelled words to psi (clifford._act_words) without
+    forming a unitary.  The draws follow the order of one random_clifford
+    call per sample, and the action of a stack equals that of each sample
+    alone, so a seed gives the same estimate at any block size.
 
     The standard error is std / sqrt(samples), and on heavy-tailed orbits
     (n >= 4) it underestimates the true error badly: a sample that misses
@@ -201,22 +203,25 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     n = _infer_n(psi)
     _check_normalized(psi)
     if mode == "exact":
-        group = clifford.projective_clifford_unitaries(n)
-        ov = np.abs(group @ psi @ psi.conj()) ** (2 * t)
-        return float(np.mean(ov))
+        ov = clifford._coset_overlaps(psi, clifford._symplectic_images(psi, n))
+        return float(np.mean(ov ** (2 * t)))
     if mode == "monte_carlo":
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
         vals = np.empty(samples)
         for lo in range(0, samples, MC_BLOCK):
-            block = clifford._sample_words(n, rng, min(MC_BLOCK, samples - lo))
-            for c, stack in clifford._lift_stacks(n, *block):
-                for i, u in enumerate(stack, lo + c):
-                    vals[i] = np.abs(np.vdot(psi, u @ psi)) ** (2 * t)
+            _, words, lengths, labels = clifford._sample_words(n, rng, min(MC_BLOCK, samples - lo))
+            states = clifford._act_words(n, words, lengths, psi[None, :], labels)[:, 0]
+            vals[lo:lo + len(states)] = _overlap_powers(psi, states, t)
         est = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(samples))
         return est, stderr
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _overlap_powers(psi: np.ndarray, states: np.ndarray, t: int) -> np.ndarray:
+    """|<psi|phi>|^{2t} for every row phi of states, each summed alone."""
+    return np.abs((states * psi.conj()).sum(axis=-1)) ** (2 * t)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,11 @@ import numpy as np
 
 from . import clifford, f2lin
 from .designs import (
+    BOUND_SLACK,
+    _overlap_powers,
     bloch_state,
     epsilon,
     epsilon_from_ell4,
-    frame_potential,
     orbit_frame_potential,
     sym_dim,
 )
@@ -233,6 +234,12 @@ def weighted_two_orbit(psi1: np.ndarray, psi2: np.ndarray, n: int) -> WeightedDe
     With epsilon(psi1) > 0 > epsilon(psi2), per-state weights
     |eps2| / (|orb1| (|eps1|+|eps2|)) on the first orbit and the mirrored
     expression on the second cancel the code-component deviation exactly.
+
+    phi4 follows from orbit invariance at O(|orbit| d): the group acts
+    transitively on each orbit and fixes the other, so with w1, w2 the
+    per-state weights and p(a, O) = sum_{k in O} |<a|k>|^8,
+    phi4 = w1^2 |O1| p(psi1, O1) + 2 w1 w2 |O1| p(psi1, O2) + w2^2 |O2| p(psi2, O2),
+    which must be at or above the design minimum 1/C(d+3, 4).
     """
     e1 = epsilon(psi1)
     e2 = epsilon(psi2)
@@ -245,7 +252,11 @@ def weighted_two_orbit(psi1: np.ndarray, psi2: np.ndarray, n: int) -> WeightedDe
     w2 = abs(e1) / (len(orb2) * tot)
     states = np.concatenate([orb1, orb2])
     weights = np.concatenate([np.full(len(orb1), w1), np.full(len(orb2), w2)])
-    phi4 = frame_potential(states, 4, weights)
+    p11, p12, p22 = (float(_overlap_powers(a, orb, 4).sum())
+                     for a, orb in ((psi1, orb1), (psi1, orb2), (psi2, orb2)))
+    phi4 = w1 * w1 * len(orb1) * p11 + 2 * w1 * w2 * len(orb1) * p12 + w2 * w2 * len(orb2) * p22
+    if not phi4 >= 1.0 / sym_dim(1 << n, 4) - BOUND_SLACK:
+        raise AssertionError(f"frame potential {phi4} is not at or above the design minimum")
     return WeightedDesign(states=states, weights=weights, phi4=phi4)
 
 

@@ -122,23 +122,30 @@ def label_join(z: int, x: int, n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _parity_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis indices k < 2^n and (-1)^{|k|} for each."""
-    k = np.arange(1 << n)
-    return k, 1.0 - 2.0 * (np.bitwise_count(k) & 1)
+    """The basis indices k < 2^n, in the smallest unsigned type that holds
+    them, and (-1)^{|k|} for each, as int8."""
+    k = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    return k, (1 - 2 * (np.bitwise_count(k) & 1)).astype(np.int8)
+
+
+def _pauli_parts(n: int, a, phase_exp=0):
+    """(x, z, c) with (i^j W_a)[k ^ x, k] = c (-1)^{|z&k|} for every basis
+    index k, c a power of i.
+
+    a and j are ints or int arrays of one shape, and so are x, z and c.
+    label_split works on either, so a stack of labels is split by
+    whole-array bit operations and a single label by Python int ones.
+    """
+    z, x = label_split(a, n)
+    return x, z, _I_POW.take((phase_exp + np.bitwise_count(z & x)) & 3)
 
 
 def _signed_perms(n: int, a, phase_exp=0):
-    """(x, v) with (i^j W_a)[k ^ x, k] = v[..., k] for every basis index k.
-
-    a and j are ints or int arrays of one shape; x has that shape and v one
-    more axis of length d.  label_split works on either, so a stack of
-    labels is split by whole-array bit operations and a single label by
-    Python int ones.
-    """
-    z, x = label_split(a, n)
+    """(x, v) with (i^j W_a)[k ^ x, k] = v[..., k] for every basis index k;
+    x has the shape of a and v one more axis of length d (_pauli_parts)."""
+    x, z, c = _pauli_parts(n, a, phase_exp)
     k, sign = _parity_signs(n)
-    ipow = _I_POW[(phase_exp + np.bitwise_count(z & x)) % 4]
-    return x, ipow[..., None] * sign[np.asarray(z)[..., None] & k]
+    return x, c[..., None] * sign[np.asarray(z)[..., None] & k]
 
 
 def _signed_perm(p: PauliLabel) -> tuple[int, np.ndarray]:

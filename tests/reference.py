@@ -10,8 +10,9 @@ computes in closed form or by exact combinatorics:
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
 * the code overlap of a product of four states (designs),
-* the projective orbit deduplicated one state at a time, and the
-  projective group lifted one labelled word per element (clifford),
+* the projective orbit deduplicated one state at a time, the matrix-step
+  lift of transvection words (one dense product per factor), and the
+  projective group lifted by it one labelled word per element (clifford),
 * the letter-string orbits swept one string at a time (stabrep),
 * the second image of a hyperbolic pair built bit by bit, the bit
   matrix transposed one column or one row at a time, the maximal
@@ -40,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from cliffdesigns.clifford import _lifted, _transvection_words, projective_clifford_unitaries
+from cliffdesigns.clifford import _transvection_words
 from cliffdesigns.designs import sym_dim
 from cliffdesigns.f2lin import (
     CapacityError,
@@ -62,6 +63,7 @@ from cliffdesigns.pauli import (
     _hadamard,
     _infer_n,
     _signed_perm,
+    _signed_perms,
     characteristic_function,
     label_join,
     pauli_product,
@@ -324,15 +326,56 @@ def product_state_bound_check(psi1, psi2, psi3, psi4) -> float:
 # projective orbits
 
 
+def lift_words_dense(n: int, words, lengths, labels=None) -> np.ndarray:
+    """(S, d, d) stack of unitaries, one dense matrix step per factor: word
+    s, the first lengths[s] vectors of row s of the (S, W) array words, is
+    the product of the factors (1 + i W_v)/sqrt(2) over its vectors,
+    multiplied on the right in reading order, times e^{-i pi/4} for an odd
+    length, then multiplied on the left by W_{labels[s]}.
+
+    A step is U <- (U + i (U W_v))/sqrt(2), the column gather
+    (U W_v)[r, k] = v[k] U[r, k ^ x]; one sample at a time.
+    """
+    words, lengths = np.asarray(words), np.asarray(lengths)
+    d = 1 << n
+    k = np.arange(d)
+    out = np.empty((len(lengths), d, d), dtype=complex)
+    for s, (word, length) in enumerate(zip(words, lengths)):
+        U = np.eye(d, dtype=complex)
+        for vec in word[:length]:
+            x, v = _signed_perms(n, int(vec))
+            U = (U + 1j * (U[:, k ^ x] * v)) / np.sqrt(2.0)
+        if length % 2:
+            U = U * np.exp(-0.25j * np.pi)
+        if labels is not None:
+            x, v = _signed_perms(n, int(labels[s]))
+            U = (v[:, None] * U)[k ^ x]
+        out[s] = U
+    return out
+
+
+@functools.cache
+def projective_group_repeat(n: int) -> np.ndarray:
+    """The projective Clifford group in the order of
+    projective_clifford_unitaries(n): every symplectic's transvection word
+    repeated d^2 times, once per Pauli label, and each labelled word lifted
+    by lift_words_dense."""
+    d2 = 1 << (2 * n)
+    words, lengths = _transvection_words(_rows_from_indices(range(sp_order(n)), n), n)
+    return lift_words_dense(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
+                            np.tile(np.arange(d2), len(lengths)))
+
+
 def projective_orbit_loop(psi, n: int, decimals: int = 9) -> list[np.ndarray]:
     """The distinct states of the Clifford orbit of psi, in group order.
 
-    One state at a time: the key is the bytes of |psi><psi| rounded to
-    `decimals` digits, real parts then imaginary parts, with signed zeros
-    folded; the first state of each key is kept.
+    One state of projective_group_repeat(n) @ psi at a time: the key is the
+    bytes of |psi><psi| rounded to `decimals` digits, real parts then
+    imaginary parts, with signed zeros folded; the first state of each key
+    is kept.
     """
     seen = {}
-    for s in projective_clifford_unitaries(n) @ psi:
+    for s in projective_group_repeat(n) @ psi:
         proj = np.outer(s, s.conj())
         key = (np.round(proj.real, decimals) + 0.0).tobytes() + (
             np.round(proj.imag, decimals) + 0.0
@@ -340,16 +383,6 @@ def projective_orbit_loop(psi, n: int, decimals: int = 9) -> list[np.ndarray]:
         if key not in seen:
             seen[key] = s
     return list(seen.values())
-
-
-def projective_group_repeat(n: int) -> np.ndarray:
-    """projective_clifford_unitaries(n) with every symplectic's transvection
-    word repeated d^2 times, once per Pauli label, and each labelled word
-    lifted as its own sample."""
-    d2 = 1 << (2 * n)
-    words, lengths = _transvection_words(_rows_from_indices(range(sp_order(n)), n), n)
-    return _lifted(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
-                   np.tile(np.arange(d2), len(lengths)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""The benchmark's traced run finds the functions it wraps by name.
+"""The benchmark finds the functions it wraps and calls by name.
 
-perfbench/worker.py lists them in the literals MODULES, TRACED and
-GENERATORS; a rename or removal in the package breaks the traced run, so
-these tests read the literals without importing the worker and look each
-name up in the package.
+perfbench/worker.py lists the traced ones in the literals MODULES, TRACED
+and GENERATORS, and perfbench/workloads.py calls library functions as
+prog.<module>.<name> and reads attributes of their results; a rename or
+removal in the package breaks the benchmark run, so these tests read the
+literals and calls without importing perfbench and look each name up in
+the package.
 """
 
 import ast
@@ -13,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKER = PERFBENCH / "worker.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _literal(name: str):
@@ -49,3 +53,57 @@ def test_generators_are_generator_functions():
         module, func = key.split(".")
         assert inspect.isgeneratorfunction(
             getattr(importlib.import_module(f"cliffdesigns.{module}"), func))
+
+
+def _library_calls() -> set[str]:
+    """The "module.name" of every prog.<module>.<name> in workloads.py, and
+    of <alias>.<name> for a local alias = prog.<module>."""
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+
+    def prog_module(node):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "prog"):
+            return node.attr
+        return None
+
+    aliases = {t.id: prog_module(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and prog_module(node.value)
+               for t in node.targets if isinstance(t, ast.Name)}
+    calls = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            module = prog_module(node.value)
+            if module is None and isinstance(node.value, ast.Name):
+                module = aliases.get(node.value.id)
+            if module is not None:
+                calls.add(f"{module}.{node.attr}")
+    return calls
+
+
+LIBRARY_CALLS = sorted(_library_calls())
+
+
+def test_library_calls_found():
+    assert {"clifford.random_clifford", "clifford.clifford_trace_check",
+            "f2lin.fixed_dim_histogram", "f2lin.maximal_isotropic_subspaces"} <= set(LIBRARY_CALLS)
+
+
+@pytest.mark.parametrize("key", LIBRARY_CALLS)
+def test_library_call_is_callable(key):
+    module, func = key.split(".")
+    assert callable(getattr(importlib.import_module(f"cliffdesigns.{module}"), func, None))
+
+
+def test_library_results_have_the_read_attributes():
+    # the attributes the workload checks read off each result
+    import numpy as np
+
+    from cliffdesigns import clifford, f2lin
+
+    u = clifford.random_clifford(3, np.random.Generator(np.random.Philox(1)))
+    assert u.matrix.shape == (8, 8)
+    assert len(u.symplectic.rows) == 6
+    report = clifford.clifford_trace_check(u)
+    assert isinstance(report.kernel_dim, int) and report.passed
+    assert sum(f2lin.fixed_dim_histogram(2)) == f2lin.sp_order(2)
+    assert all(len(sub.basis) == 2 for sub in f2lin.maximal_isotropic_subspaces(2))

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from cliffdesigns import clifford, f2lin
 from cliffdesigns.clifford import (
     CliffordElement,
-    STACK_ENTRIES,
     NotCliffordError,
-    _lift_stacks,
-    _lift_words,
+    _act_words,
+    _lift_dense,
     _midpoint,
     _sample_words,
     _transvection_words,
+    _x_images,
     clifford_trace_check,
     compose_word,
     extract_action,
@@ -29,11 +29,19 @@ from cliffdesigns.clifford import (
 )
 from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
 from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic, singer_unitary
-from cliffdesigns.pauli import PauliLabel, pauli_matrix
+from cliffdesigns.pauli import NormalizationError, PauliLabel, pauli_matrix
 from conftest import random_state
-from reference import midpoint_search, projective_group_repeat, projective_orbit_loop, sp_elements
+from reference import (lift_words_dense, midpoint_search, projective_group_repeat,
+                       projective_orbit_loop, sp_elements)
 
 E0 = np.array([1, 0], dtype=complex)
+
+
+def word_stack(F: F2Matrix):
+    """transvection_decomposition(F) as a stack of one word, its length and its X images."""
+    word = transvection_decomposition(F)
+    return (np.array([word], dtype=np.int64).reshape(1, -1), np.array([len(word)]),
+            _x_images(f2lin._transpose_stack(np.array([F.rows]), 2 * F.n)))
 
 
 def qubit_swap(n: int) -> F2Matrix:
@@ -195,8 +203,9 @@ class TestLift:
     @pytest.mark.parametrize("n", [1, 2])
     def test_batched_lift_equals_single_lifts(self, n):
         mats = list(sp_elements(n))
-        words, lengths = _transvection_words(np.array([F.rows for F in mats]), n)
-        stack = _lift_words(n, words, lengths)
+        rows = np.array([F.rows for F in mats])
+        words, lengths = _transvection_words(rows, n)
+        stack = _lift_dense(n, words, lengths, _x_images(f2lin._transpose_stack(rows, 2 * n)))
         single = np.array([lift_symplectic(F).matrix for F in mats])
         assert np.array_equal(stack.view(float), single.view(float))
 
@@ -251,7 +260,9 @@ class TestLift:
 
     def test_lift_of_empty_stack(self):
         empty = np.zeros((0, 0), dtype=np.int64)
-        assert _lift_words(2, empty, np.zeros(0, dtype=np.int64), []).shape == (0, 4, 4)
+        none = np.zeros(0, dtype=np.int64)
+        assert _act_words(2, empty, none, np.eye(4), none).shape == (0, 4, 4)
+        assert _lift_dense(2, empty, none, np.zeros((0, 2), dtype=np.int64), none).shape == (0, 4, 4)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_entries_are_gaussian_rationals(self, n):
@@ -266,6 +277,82 @@ class TestLift:
                     ok = True
                     break
             assert ok
+
+
+class TestWordAction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_action_equals_matrix_steps(self, n):
+        # random labelled words, each sample's image of psi against the
+        # matrix-step lift of its word
+        rng = np.random.default_rng(80 + n)
+        _, words, lengths, labels = _sample_words(n, rng, 40 if n < 5 else 8)
+        psi = random_state(1 << n, rng)
+        got = _act_words(n, words, lengths, psi[None, :], labels)[:, 0]
+        want = lift_words_dense(n, words, lengths, labels) @ psi
+        assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_stack_equals_single_words(self, n):
+        rng = np.random.default_rng(90 + n)
+        _, words, lengths, labels = _sample_words(n, rng, 30)
+        states = np.stack([random_state(1 << n, rng) for _ in range(2)])
+        stack = _act_words(n, words, lengths, states, labels)
+        for s in range(len(lengths)):
+            one = _act_words(n, words[s:s + 1, :lengths[s]], lengths[s:s + 1], states,
+                             labels[s:s + 1])
+            assert np.array_equal(one[0].view(float), stack[s].view(float))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_word_order_pinned(self, n):
+        # the cycler action has order d + 1 > 2, so F != F^-1: a word read
+        # in the wrong order would lift F^-1, which a sum over the whole
+        # group could not tell apart
+        F = singer_symplectic(n)
+        assert F @ F != F2Matrix.identity(n)
+        words, lengths, images = word_stack(F)
+        U = lift_symplectic(F)
+        assert extract_action(U)[0] == F
+        reversed_word = lift_words_dense(n, words[:, ::-1], lengths)[0]
+        assert extract_action(CliffordElement(reversed_word, n))[0] != F
+        psi = random_state(1 << n, np.random.default_rng(n))
+        assert np.abs(_act_words(n, words, lengths, psi[None, :])[0, 0] - U.matrix @ psi).max() <= 1e-14
+        # the columns of U are the word's images of the basis states, exactly
+        basis = _act_words(n, words, lengths, np.eye(1 << n))[0]
+        assert np.array_equal(basis.T, U.matrix)
+
+    def test_pinned_lift_entries(self):
+        # U e_0 of the n = 2 cycler lift, as recorded; the matrix-step
+        # lift of the same word gives it too
+        U = lift_symplectic(singer_symplectic(2)).matrix
+        assert np.array_equal(2 * U[:, 0], [1j, -1, -1j, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_dense_lift_equals_matrix_steps(self, n):
+        rng = np.random.default_rng(100 + n)
+        rows, words, lengths, labels = _sample_words(n, rng, 20 if n < 6 else 3)
+        got = _lift_dense(n, words, lengths, _x_images(f2lin._transpose_stack(rows, 2 * n)), labels)
+        assert np.abs(got - lift_words_dense(n, words, lengths, labels)).max() <= 1e-14
+
+    def test_singer_lift_n8_equals_matrix_steps(self):
+        F = singer_symplectic(8)
+        words, lengths, _ = word_stack(F)
+        want = lift_words_dense(8, words, lengths)[0]
+        assert np.abs(lift_symplectic(F).matrix - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_lift_recovers_symplectic(self, n):
+        rng = np.random.default_rng(110 + n)
+        mats = [f2lin.random_symplectic(n, rng) for _ in range(12 if n < 5 else 2)]
+        mats += [singer_symplectic(n), qubit_swap(n)]
+        for F in mats:
+            assert extract_action(lift_symplectic(F))[0] == F
+
+    def test_wrong_images_raise(self):
+        # the X images of the identity do not map U e_0 to U e_{2^b}
+        words, lengths, _ = word_stack(singer_symplectic(2))
+        _, _, images = word_stack(F2Matrix.identity(2))
+        with pytest.raises(AssertionError, match="signed Pauli"):
+            _lift_dense(2, words, lengths, images)
 
 
 class TestRandomClifford:
@@ -304,17 +391,6 @@ class TestRandomClifford:
         assert stack.shape == (count, 1 << n, 1 << n)
         assert np.array_equal(stack.view(float), seq.view(float))
         assert rng_a.integers(1 << 62) == rng_b.integers(1 << 62)
-
-    @pytest.mark.parametrize("n, count", [(1, 5000), (3, 300), (7, 3)])
-    def test_lift_chunks_bounded(self, n, count):
-        # chunks of at most STACK_ENTRIES entries, one sample at least, equal to one stack
-        words, lengths, labels = _sample_words(n, np.random.default_rng(43), count)
-        chunks = list(_lift_stacks(n, words, lengths, labels))
-        per = max(STACK_ENTRIES >> (2 * n), 1)
-        assert [lo for lo, _ in chunks] == list(range(0, count, per))
-        assert all(len(stack) <= per for _, stack in chunks)
-        whole = _lift_words(n, words, lengths, labels)
-        assert np.array_equal(np.concatenate([s for _, s in chunks]).view(float), whole.view(float))
 
     def test_empty_stack_of_draws(self):
         assert random_clifford_unitaries(3, np.random.default_rng(1), 0).shape == (0, 8, 8)
@@ -390,19 +466,21 @@ class TestOrbits:
         assert projective_clifford_unitaries(2).shape == (11520, 4, 4)
 
     @pytest.mark.parametrize("n, digest", [
-        (1, "ee20b5db509a33c55d2018dd40bcbf92d016abeef53c74c0476ec92c31aa6127"),
-        (2, "a455fcf86a9c06e5ebe95d590720d856365818458a5d2a4574c566fac67d527a"),
-    ])
+        (1, "25af174939225d6d3c9379900836404b0923b045f2c67314766d73ab9c5efcc7"),
+        (2, "b133563a1e19e330939f557d3815a1eba1a2d286cae109a635e026d4921dd405"),
+    ], ids=["1", "2"])
     def test_group_unitaries_pinned(self, n, digest):
-        # recorded when each symplectic was lifted and each Pauli applied alone
+        # recorded when each labelled word was first lifted from n + 1
+        # columns; the entries are exact dyadic Gaussian rationals
         group = projective_clifford_unitaries(n)
         assert group.dtype == complex and group.flags.c_contiguous
         assert hashlib.sha256(group.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_group_equals_one_lift_per_element(self, n):
-        # one lift per symplectic and one Pauli gather, against a lift per labelled word
-        assert projective_clifford_unitaries(n).tobytes() == projective_group_repeat(n).tobytes()
+        # against the matrix-step lift of each labelled word
+        group = projective_clifford_unitaries(n)
+        assert np.abs(group - projective_group_repeat(n)).max() <= 1e-14
 
     def test_group_is_read_only(self):
         group = projective_clifford_unitaries(1)
@@ -419,6 +497,22 @@ class TestOrbits:
     def test_capacity(self):
         with pytest.raises(f2lin.CapacityError):
             projective_orbit(np.zeros(8, dtype=complex), 3)
+
+    def test_orbit_stabilizer_mismatch_raises(self, monkeypatch):
+        # no element counted as a stabilizer: the orbit size cannot match
+        monkeypatch.setattr(clifford, "ORBIT_STAB_ATOL", -1.0)
+        with pytest.raises(AssertionError, match="group order"):
+            projective_orbit(psi_t(), 1)
+
+    def test_key_collision_raises(self, monkeypatch):
+        # every key hashed to 0: states with different keys share a hash
+        monkeypatch.setattr(clifford, "_key_weights", lambda size: np.zeros(size, np.uint64))
+        with pytest.raises(AssertionError, match="share a hash"):
+            projective_orbit(psi_t(), 1)
+
+    def test_unnormalized_state_rejected(self):
+        with pytest.raises(NormalizationError):
+            projective_orbit(np.array([1, 1], dtype=complex), 1)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_group_rejects_nonpositive_n(self, n):
@@ -441,4 +535,7 @@ class TestOrbits:
         got = projective_orbit(psi, n)
         want = projective_orbit_loop(psi, n)
         assert len(got) == len(want)
-        assert all(np.array_equal(g.view(float), w.view(float)) for g, w in zip(got, want))
+        assert all(np.abs(g - w).max() <= 1e-14 for g, w in zip(got, want))
+        # the orbit-stabilizer count that projective_orbit checks, from the oracle group
+        overlaps = np.abs(projective_group_repeat(n) @ psi @ psi.conj())
+        assert len(got) * np.count_nonzero(np.abs(overlaps - 1) <= 1e-9) == len(overlaps)

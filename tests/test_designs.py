@@ -62,6 +62,18 @@ class TestDesignReport:
         with pytest.raises(NormalizationError):
             design_report(np.array([1, 1], dtype=complex))
 
+    @pytest.mark.parametrize("scale", [1 + 1e-8, 0.5, np.nan])
+    def test_kernel_checks_the_norm_once(self, monkeypatch, scale):
+        # the norm comes from Xi(0) in the kernel alone, not from a second pass
+        def no_second_pass(psi):
+            raise AssertionError("design_report checked the norm itself")
+
+        monkeypatch.setattr("cliffdesigns.designs._check_normalized", no_second_pass)
+        psi = random_state(8, np.random.default_rng(5))
+        assert design_report(psi).n == 3
+        with pytest.raises(NormalizationError):
+            design_report(scale * psi)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1))
     def test_bounds_hold(self, n, seed):
@@ -143,6 +155,24 @@ class TestOrbitPotential:
                 assert orbit_frame_potential(psi, 4) == pytest.approx(
                     design_report(psi).phi4, abs=1e-10
                 )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("t", [4, 5, 6])
+    def test_exact_equals_group_sum(self, n, t):
+        # the coset average against |<psi|U psi>|^{2t} over the dense group
+        from cliffdesigns.clifford import projective_clifford_unitaries
+
+        for seed in range(3):
+            psi = random_state(1 << n, np.random.default_rng(10 * n + t + 100 * seed))
+            want = float(np.mean(np.abs(projective_clifford_unitaries(n) @ psi @ psi.conj())
+                                 ** (2 * t)))
+            assert orbit_frame_potential(psi, t) == pytest.approx(want, rel=1e-14)
+
+    def test_exact_capacity(self):
+        from cliffdesigns.f2lin import CapacityError
+
+        with pytest.raises(CapacityError):
+            orbit_frame_potential(random_state(8, np.random.default_rng(1)), 4)
 
     def test_monte_carlo_mode(self, rng):
         psi = random_state(4, rng)

@@ -221,6 +221,24 @@ class TestWeightedTwoOrbit:
         moment = (t4.conj() * wd.weights[:, None]).T @ t4
         assert wd.phi4 == pytest.approx(float(np.sum(np.abs(moment) ** 2)), abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_phi4_by_invariance_equals_double_sum(self, n):
+        if n == 1:
+            psi1, psi2 = np.array([1, 0], dtype=complex), psi_t()
+        else:
+            psi1 = np.eye(4, dtype=complex)[0]
+            psi2 = np.kron(singer_eigenstates(1)[0], psi_t())
+        wd = weighted_two_orbit(psi1, psi2, n)
+        double = frame_potential(wd.states, 4, wd.weights)
+        assert wd.phi4 == pytest.approx(double, rel=1e-13)
+
+    def test_phi4_below_minimum_raises(self, monkeypatch):
+        # a potential below 1/C(d+3, 4) is impossible; the check must fire
+        monkeypatch.setattr("cliffdesigns.fiducial._overlap_powers",
+                            lambda psi, states, t: np.zeros(len(states)))
+        with pytest.raises(AssertionError, match="design minimum"):
+            weighted_two_orbit(np.array([1, 0], dtype=complex), psi_t(), 1)
+
     @pytest.mark.slow
     def test_two_qubit_design(self):
         stab = np.zeros(4, dtype=complex)
