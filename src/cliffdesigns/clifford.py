@@ -416,7 +416,7 @@ def _x_images(cols) -> np.ndarray:
     """Labels F x_b, b < n, from the 2n columns of F (the last axis of
     cols), x_b the label of the X that flips bit b of the basis index:
     qubit n - 1 - b, so coordinate 2n - 1 - 2b."""
-    return np.asarray(cols)[..., ::-2]
+    return np.asarray(cols, dtype=np.int64)[..., ::-2]
 
 
 def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarray,

@@ -181,6 +181,9 @@ class TestLift:
         for n in (1, 2, 4):
             assert singer_unitary(n).symplectic == singer_symplectic(n)
 
+    def test_zero_qubit_lift(self):
+        assert lift_symplectic(F2Matrix((), 0)).matrix.tolist() == [[1]]
+
     def test_identity_gives_empty_decomposition(self):
         assert transvection_decomposition(F2Matrix.identity(3)) == []
 
