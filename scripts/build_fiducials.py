@@ -39,7 +39,7 @@ def main() -> int:
         stab = np.zeros(1 << n, dtype=complex)
         stab[0] = 1.0
         neg = np.kron(fiducial.singer_eigenstates(n - 1)[0], pt)
-        jobs[f"bisection_n{n}"] = fiducial.bisection_root(stab, neg, tol=args.tol, max_iter=300)
+        jobs[f"bisection_n{n}"] = fiducial.bisection_root(stab, neg, tol=args.tol)
 
     ok = True
     summary = []

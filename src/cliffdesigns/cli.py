@@ -4,7 +4,7 @@ Subcommands
 -----------
 tables      exact dimension ledger, orbit-counting oracle, group potentials
 check       deviation metrics of a named or file-loaded state
-construct   exact fiducials (tensor completion / bisection) and weighted
+construct   exact fiducials (tensor completion / epsilon root) and weighted
             two-orbit designs
 moments     Monte-Carlo moment and tail study with pinned seed
 singer      basis-cycler deviation table
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -154,6 +155,8 @@ def cmd_check(args) -> tuple[dict, bool]:
     rep = design_report(psi)
     ok = all(rep.bounds_ok.values())
     payload = rep.to_dict()
+    # stabilizer Renyi entropy M_2 (Leone-Oliviero-Hamma), 0 on stabilizer states
+    payload["m2"] = -math.log(rep.ell4 / rep.d)
     payload["is_design_fiducial"] = abs(rep.epsilon) <= args.tol
     payload["tolerance"] = args.tol
     payload["pass"] = ok
@@ -194,19 +197,19 @@ def cmd_construct(args) -> tuple[dict, bool]:
         stab = np.zeros(1 << n, dtype=complex)
         stab[0] = 1.0
         neg = np.kron(fiducial.singer_eigenstates(n - 1)[0], fiducial.psi_t())
+        root = {}
         try:
-            psi = fiducial.bisection_root(
-                stab, neg, tol=args.tol, max_iter=args.max_iter, mode=args.mode
-            )
+            psi = fiducial.bisection_root(stab, neg, tol=args.tol, info=root)
         except fiducial.ConvergenceError as err:
             raise ValueError(f"construct --alg2 did not converge: {err}") from None
         rep = design_report(psi)
         ok = abs(rep.epsilon) <= args.tol
+        root["tol_margin"] = args.tol - abs(rep.epsilon)
         payload = {
             "mode": "alg2",
-            "iteration_mode": args.mode,
             "state": _dump_state(psi, n),
             "report": rep.to_dict(),
+            "root": root,
             "pass": ok,
         }
     else:
@@ -381,9 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument(f"--{mode}", dest="construction", action="store_const", const=mode)
     p.add_argument("--base", help="named base state for --alg1")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--mode", choices=("bisect", "secant"), default="bisect")
+    p.add_argument("--tol", type=float, default=1e-8, help="largest |epsilon| --alg2 accepts")
+    # parsed, validated and echoed, but --alg2 has no iteration to steer
+    ignored = "ignored: --alg2 solves for its root in closed form"
+    p.add_argument("--max-iter", type=int, default=200, help=ignored)
+    p.add_argument("--mode", choices=("bisect", "secant"), default="bisect", help=ignored)
 
     p = sub.add_parser("moments", help="Monte-Carlo moment study", parents=[output])
     p.add_argument("--n", type=int, default=2)

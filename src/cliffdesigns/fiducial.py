@@ -5,9 +5,10 @@ Three constructive routes are implemented:
 * tensor completion -- given a state whose characteristic-function l4-norm
   is small enough, append one qubit whose Bloch vector solves a quartic so
   the product state has epsilon = 0 exactly;
-* sign bisection -- walk the chord between a positive-epsilon and a
+* the epsilon root on a great circle -- between a positive-epsilon and a
   negative-epsilon state (stabilizer states and cycler eigenstates are the
-  canonical endpoints) until |epsilon| drops below tolerance;
+  canonical endpoints) epsilon is a nine-term trigonometric series of the
+  arc angle, and the state at its first zero is the fiducial;
 * weighted two-orbit designs -- mix the orbits of a positive and a
   negative state with weights inversely proportional to orbit size and
   proportional to the partner's |epsilon|, which cancels the deviation
@@ -71,7 +72,7 @@ class InfeasibleError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted before reaching tolerance."""
+    """A root solve ended without reaching its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -174,25 +175,82 @@ def tensor_completion(psi_prev: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bisection on the deviation sign
+# the epsilon root on a great circle
+#
+# On psi(theta) = cos(theta) p1 + sin(theta) q, with p1 and q orthonormal,
+# Xi(a) = cos^2 A_a + sin^2 B_a + 2 sin cos C_a is quadratic in (cos, sin),
+# so epsilon(theta) = sum_{k=-4}^{4} c_k e^{2ik theta} exactly: a real
+# series of period pi, fixed by its values at the nine angles j pi / 9.
+
+# cells of the grid on which the series' first sign change is bracketed;
+# two crossings inside one cell cancel and are not seen
+ARC_GRID = 256
+# Newton steps on the series, each kept inside the bracketing cell
+POLISH_STEPS = 6
+
+
+def _series(theta, w: np.ndarray, deriv: int = 0):
+    """d^deriv/dtheta^deriv of Re sum_k w_k e^{2ik theta}, k = 0..len(w)-1."""
+    k = np.arange(len(w))
+    return (np.exp(2j * np.multiply.outer(theta, k)) @ (w * (2j * k) ** deriv)).real
+
+
+def _arc_series(p1: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """w with epsilon(cos(theta) p1 + sin(theta) q) = Re sum_k w_k e^{2ik theta}:
+    w_0 = c_0 and w_k = 2 c_k for k = 1..4, from one kernel call on nine states."""
+    theta = np.arange(9) * (math.pi / 9)
+    states = np.cos(theta)[:, None] * p1 + np.sin(theta)[:, None] * q
+    # the length-9 DFT as one product, which needs no numpy.fft
+    dft = np.exp(-2j * np.multiply.outer(theta, np.arange(5))) * np.array([1, 2, 2, 2, 2]) / 9
+    return epsilon_from_ell4(_ell4_rows(states), len(p1)) @ dft
+
+
+def _first_crossing(w: np.ndarray, theta_end: float) -> tuple[float, int]:
+    """(theta, sign changes) of the series w on [0, theta_end].
+
+    theta is the sign change nearest theta = 0, whatever follows it on the
+    arc: the first root met on the way from p1.  A grid of ARC_GRID cells
+    brackets it, and Newton steps on the series, clipped to the cell,
+    polish the secant point of the cell.  The count is of sign changes on
+    that grid.
+    """
+    grid = np.linspace(0.0, theta_end, ARC_GRID + 1)
+    vals = _series(grid, w)
+    neg = np.signbit(vals)
+    cells = np.flatnonzero(neg[:-1] != neg[1:])
+    if not len(cells):
+        raise ConvergenceError("the epsilon series has no sign change on the arc")
+    i = cells[0]
+    lo, hi = grid[i], grid[i + 1]
+    theta = lo - vals[i] * (hi - lo) / (vals[i + 1] - vals[i])
+    for _ in range(POLISH_STEPS):
+        theta = np.clip(theta - _series(theta, w) / _series(theta, w, 1), lo, hi)
+    return float(theta), len(cells)
 
 
 def bisection_root(
     psi1: np.ndarray,
     psi2: np.ndarray,
     tol: float = 1e-8,
-    max_iter: int = 200,
-    mode: str = "bisect",
+    *,
+    info: dict | None = None,
 ) -> np.ndarray:
-    """Normalized state with |epsilon| <= tol between the two endpoints.
+    """Normalized state with |epsilon| <= tol on the arc from psi1 to psi2.
 
-    Needs epsilon(psi1) > 0 > epsilon(psi2) and a nonzero overlap; the
-    global phase of psi2 is re-fixed every iteration so the overlap stays
-    positive.  mode='secant' weights the endpoints by their epsilon values
-    instead of taking the midpoint.
+    Needs epsilon(psi1) > 0 > epsilon(psi2) and a nonzero overlap; an
+    endpoint with |epsilon| <= tol is returned as it is.  With the phase of
+    psi2 fixed so that <psi1|psi2> > 0 and q the unit part of psi2
+    orthogonal to psi1, the arc is cos(theta) psi1 + sin(theta) q for
+    0 <= theta <= theta_end, the angle of psi2.  epsilon on it is a series
+    read off one kernel call (`_arc_series`), and the root is the series'
+    sign change nearest psi1 (`_first_crossing`).  The kernel's epsilon of
+    that state must be within tol; one Newton step on it, at most one grid
+    cell long, is allowed, and then ConvergenceError is raised.
+
+    A dict passed as info receives theta, theta_end, sign_changes,
+    series_residual (|series| at theta) and kernel_steps (0 or 1); it is
+    left empty when an endpoint is returned.
     """
-    if mode not in ("bisect", "secant"):
-        raise ValueError("mode must be 'bisect' or 'secant'")
     e1 = epsilon(psi1)
     e2 = epsilon(psi2)
     if abs(e2) <= tol:
@@ -201,27 +259,33 @@ def bisection_root(
         return psi1
     if not (e1 > 0 > e2):
         raise InfeasibleError(f"need epsilon(psi1) > 0 > epsilon(psi2), got {e1}, {e2}")
-    if abs(np.vdot(psi1, psi2)) < 1e-12:
+    ov = np.vdot(psi1, psi2)
+    if abs(ov) < 1e-12:
         raise InfeasibleError("endpoints are orthogonal")
-    p1, p2 = psi1.copy(), psi2.copy()
-    for _ in range(max_iter):
-        ov = np.vdot(p1, p2)
-        if abs(ov) < 1e-14:
-            raise ConvergenceError("endpoints became orthogonal during iteration")
-        p2 = p2 * (ov.conjugate() / abs(ov))
-        if mode == "bisect":
-            mid = p1 + p2
-        else:
-            mid = e1 * p1 - e2 * p2
-        mid = mid / np.linalg.norm(mid)
-        em = epsilon(mid)
-        if abs(em) <= tol:
-            return mid
-        if em >= 0:
-            p1, e1 = mid, em
-        else:
-            p2, e2 = mid, em
-    raise ConvergenceError(f"|epsilon| > {tol} after {max_iter} iterations")
+    p1 = psi1 / np.linalg.norm(psi1)
+    r = psi2 * (ov.conjugate() / abs(ov)) / np.linalg.norm(psi2)
+    cos_end = np.vdot(p1, r).real
+    r -= cos_end * p1
+    theta_end = math.atan2(np.linalg.norm(r), cos_end)
+    q = r / np.linalg.norm(r)
+    w = _arc_series(p1, q)
+    theta, changes = _first_crossing(w, theta_end)
+    psi = math.cos(theta) * p1 + math.sin(theta) * q
+    e = epsilon(psi)
+    steps = 0
+    if abs(e) > tol:
+        cell = theta_end / ARC_GRID
+        theta -= float(np.clip(e / _series(theta, w, 1), -cell, cell))
+        psi = math.cos(theta) * p1 + math.sin(theta) * q
+        e = epsilon(psi)
+        steps = 1
+    if info is not None:
+        info.update(theta=theta, theta_end=theta_end, sign_changes=changes,
+                    series_residual=float(abs(_series(theta, w))), kernel_steps=steps)
+    if abs(e) > tol:
+        raise ConvergenceError(
+            f"|epsilon| = {abs(e):.3g} > {tol} at the series root and after one Newton step")
+    return psi
 
 
 # ---------------------------------------------------------------------------

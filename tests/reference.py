@@ -28,8 +28,9 @@ computes in closed form or by exact combinatorics:
   transforms of both the real and the imaginary part of every product,
   the unused half checked as an imaginary residue (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
-  points and order, one for the z-type spread, and the basis cycler found
-  by exhaustive search over Sp(2n, F2) (fiducial).
+  points and order, one for the z-type spread, the basis cycler found
+  by exhaustive search over Sp(2n, F2), and the epsilon root found by
+  bisection or regula falsi on the chord (fiducial).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from cliffdesigns.clifford import _transvection_words
-from cliffdesigns.designs import sym_dim
+from cliffdesigns.designs import epsilon, sym_dim
 from cliffdesigns.f2lin import (
     CapacityError,
     F2Matrix,
@@ -56,7 +57,7 @@ from cliffdesigns.f2lin import (
     sp_order,
     symplectic_form,
 )
-from cliffdesigns.fiducial import _is_basis_cycler
+from cliffdesigns.fiducial import ConvergenceError, InfeasibleError, _is_basis_cycler
 from cliffdesigns.pauli import (
     PauliLabel,
     _check_normalized,
@@ -484,6 +485,45 @@ def cycler_two_walks(F, n: int) -> bool:
             return False
         power = power @ F
     return True
+
+
+def bisection_loop(psi1, psi2, tol: float, max_iter: int = 200, mode: str = "bisect"):
+    """State with |epsilon| <= tol between the endpoints, by iteration on the
+    chord: the midpoint (mode 'bisect') or the epsilon-weighted point (mode
+    'secant', plain regula falsi) replaces the endpoint of its sign.  The
+    global phase of psi2 is re-fixed every step, so every point stays on the
+    great-circle arc from psi1 to psi2."""
+    if mode not in ("bisect", "secant"):
+        raise ValueError("mode must be 'bisect' or 'secant'")
+    e1 = epsilon(psi1)
+    e2 = epsilon(psi2)
+    if abs(e2) <= tol:
+        return psi2
+    if abs(e1) <= tol:
+        return psi1
+    if not (e1 > 0 > e2):
+        raise InfeasibleError(f"need epsilon(psi1) > 0 > epsilon(psi2), got {e1}, {e2}")
+    if abs(np.vdot(psi1, psi2)) < 1e-12:
+        raise InfeasibleError("endpoints are orthogonal")
+    p1, p2 = psi1.copy(), psi2.copy()
+    for _ in range(max_iter):
+        ov = np.vdot(p1, p2)
+        if abs(ov) < 1e-14:
+            raise ConvergenceError("endpoints became orthogonal during iteration")
+        p2 = p2 * (ov.conjugate() / abs(ov))
+        if mode == "bisect":
+            mid = p1 + p2
+        else:
+            mid = e1 * p1 - e2 * p2
+        mid = mid / np.linalg.norm(mid)
+        em = epsilon(mid)
+        if abs(em) <= tol:
+            return mid
+        if em >= 0:
+            p1, e1 = mid, em
+        else:
+            p2, e2 = mid, em
+    raise ConvergenceError(f"|epsilon| > {tol} after {max_iter} iterations")
 
 
 def singer_search(n: int) -> F2Matrix:

@@ -181,7 +181,7 @@ def test_c06_construction_correctness():
         stab = np.zeros(2**n, dtype=complex)
         stab[0] = 1
         neg = np.kron(singer_eigenstates(n - 1)[0], pt)
-        root = bisection_root(stab, neg, tol=1e-8, max_iter=200)
+        root = bisection_root(stab, neg, tol=1e-8)
         assert abs(epsilon(root)) <= 1e-8
     for n in (1, 2):
         stab = np.zeros(2**n, dtype=complex)
@@ -343,7 +343,7 @@ def test_c10_property_coverage_beyond_desk_scale():
     stab = np.zeros(4, dtype=complex)
     stab[0] = 1
     neg = np.kron(singer_eigenstates(1)[0], psi_t())
-    root = bisection_root(stab, neg, tol=1e-10, max_iter=300, mode="secant")
+    root = bisection_root(stab, neg, tol=1e-10)
     rep = five_design_probe(root, 2)
     print(f"\n  recorded: n=2 root phi5 deviation = {rep['phi5_deviation']:+.3e}")
     _report(10, "orbit-count cross-checks and recorded five-design observation")

@@ -2,12 +2,13 @@
 
 perfbench/worker.py lists the traced ones in the literals MODULES, TRACED
 and GENERATORS, and perfbench/workloads.py calls library functions as
-prog.<module>.<name> and reads attributes of their results; a rename or
-removal in the package breaks the benchmark run, so these tests read the
-literals and calls without importing perfbench and look each name up in
-the package.
+prog.<module>.<name>, reads attributes of their results and passes
+command lines to cli.main; a rename or removal in the package breaks the
+benchmark run, so these tests read the literals, calls and options
+without importing perfbench and look each one up in the package.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -107,3 +108,43 @@ def test_library_results_have_the_read_attributes():
     assert isinstance(report.kernel_dim, int) and report.passed
     assert sum(f2lin.fixed_dim_histogram(2)) == f2lin.sp_order(2)
     assert all(len(sub.basis) == 2 for sub in f2lin.maximal_isotropic_subspaces(2))
+
+
+def _workload_literals() -> list:
+    tree = ast.parse(WORKLOADS.read_text(), filename=str(WORKLOADS))
+    return [ast.literal_eval(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Constant, ast.Tuple))
+            and all(isinstance(e, ast.Constant) for e in getattr(node, "elts", ()))]
+
+
+def _cli_options() -> set[str]:
+    from cliffdesigns.cli import build_parser
+
+    ap = build_parser()
+    parsers = [ap] + [p for action in ap._actions
+                      if isinstance(action, argparse._SubParsersAction)
+                      for p in action.choices.values()]
+    return {opt for p in parsers for opt in p._option_string_actions}
+
+
+WORKLOAD_OPTIONS = sorted({v for v in _workload_literals()
+                           if isinstance(v, str) and v.startswith("--")})
+
+
+def test_workload_options_found():
+    assert {"--alg2", "--mode", "--seed", "--samples"} <= set(WORKLOAD_OPTIONS)
+
+
+@pytest.mark.parametrize("option", WORKLOAD_OPTIONS)
+def test_workload_option_is_parsed(option):
+    assert option in _cli_options()
+
+
+def test_construct_accepts_the_workload_modes():
+    from cliffdesigns.cli import build_parser
+
+    modes = ("bisect", "secant")
+    assert modes in _workload_literals()
+    for mode in modes:
+        args = build_parser().parse_args(["construct", "--alg2", "--n", "2", "--mode", mode])
+        assert args.mode == mode

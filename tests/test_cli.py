@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -153,6 +154,32 @@ class TestCheck:
             path.write_text(content)
         assert_rejected(capsys, "check", "--file", str(path))
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_m2_vanishes_on_zero_state(self, capsys, tmp_path, n):
+        path = tmp_path / "zero.json"
+        amps = [[1.0, 0.0]] + [[0.0, 0.0]] * ((1 << n) - 1)
+        path.write_text(json.dumps({"n": n, "amplitudes": amps}))
+        code, out = run_cli(capsys, "check", "--file", str(path))
+        assert code == 0
+        assert abs(json.loads(out)["m2"]) <= 1e-15
+
+    def test_m2_of_hoggar(self, capsys):
+        _, out = run_cli(capsys, "check", "--named", "hoggar")
+        assert json.loads(out)["m2"] == pytest.approx(math.log(9 / 2), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_m2_is_a_function_of_epsilon(self, capsys, tmp_path, n):
+        # M_2 = -ln(||Xi||_4^4 / d) = -ln(4 (1 + epsilon) / (d + 3))
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": n, "amplitudes": [[a.real, a.imag] for a in psi]}))
+        _, out = run_cli(capsys, "check", "--file", str(path))
+        data = json.loads(out)
+        d = 1 << n
+        assert data["m2"] == pytest.approx(-math.log(4 * (1 + data["epsilon"]) / (d + 3)),
+                                           abs=1e-12)
+
     def test_zero_norm_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [0, 0]]}))
@@ -188,6 +215,35 @@ class TestConstruct:
         amps = np.array([complex(r, i) for r, i in state["amplitudes"]])
         assert state["n"] == n and len(amps) == 1 << n
         assert abs(epsilon(amps)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8,
+                                   pytest.param(9, marks=pytest.mark.slow),
+                                   pytest.param(10, marks=pytest.mark.slow)])
+    def test_alg2_tight_tol(self, capsys, n):
+        code, out = run_cli(capsys, "construct", "--alg2", "--n", str(n), "--tol", "1e-13")
+        assert code == 0
+        data = json.loads(out)
+        root = data["root"]
+        assert abs(data["report"]["epsilon"]) <= 1e-13
+        assert root["tol_margin"] == 1e-13 - abs(data["report"]["epsilon"])
+        assert root["sign_changes"] == 1
+        assert 0 < root["theta"] < root["theta_end"]
+        assert root["series_residual"] <= 1e-13
+        assert "iteration_mode" not in data
+
+    def test_alg2_secant_is_bisect(self, capsys):
+        # the flags select nothing; regula falsi used to stall at n = 5
+        _, bisect = run_cli(capsys, "construct", "--alg2", "--n", "5", "--mode", "bisect")
+        code, secant = run_cli(capsys, "construct", "--alg2", "--n", "5", "--mode", "secant",
+                               "--max-iter", "1")
+        assert code == 0
+        assert json.loads(secant)["state"] == json.loads(bisect)["state"]
+
+    def test_help_says_the_iteration_flags_are_ignored(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.count("ignored: --alg2 solves for its root") == 2
 
     def test_weighted(self, capsys):
         code, out = run_cli(capsys, "construct", "--weighted", "--n", "1")
@@ -227,7 +283,7 @@ class TestConstruct:
     def test_convergence_failure_reported(self, capsys):
         err = assert_rejected(capsys, "construct", "--alg2", "--n", "2", "--tol", "1e-300",
                               "--max-iter", "5")
-        assert "did not converge" in err and "after 5 iterations" in err
+        assert "did not converge" in err
 
 
 class TestMoments:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdesigns import f2lin
-from cliffdesigns.designs import bloch_state, design_report, epsilon, frame_potential, sym_dim
+from cliffdesigns.designs import (bloch_state, design_report, epsilon, epsilon_from_ell4,
+                                 frame_potential, sym_dim)
 from cliffdesigns.fiducial import (
     BlochVector,
     ConvergenceError,
@@ -28,12 +30,16 @@ from cliffdesigns.fiducial import (
     _gf_mul,
     _gf_pow,
     _primitive_polynomial,
+    _arc_series,
     _cycler_ell4,
+    _first_crossing,
     _is_basis_cycler,
+    _series,
 )
-from cliffdesigns.pauli import NormalizationError, alpha_plus_batch, characteristic_function, ell4_norm4
+from cliffdesigns.pauli import (NormalizationError, _ell4_rows, alpha_plus_batch,
+                               characteristic_function, ell4_norm4)
 from conftest import random_state
-from reference import cycler_two_walks, singer_search, sp_elements
+from reference import bisection_loop, cycler_two_walks, singer_search, sp_elements
 
 
 class TestNamedFiducials:
@@ -143,6 +149,14 @@ class TestTensorCompletion:
         assert lab == pytest.approx(la * lb, abs=1e-10)
 
 
+@functools.cache
+def _alg2_endpoints(n):
+    """|0...0> and the negative seed of construct --alg2 at n qubits."""
+    stab = np.zeros(1 << n, dtype=complex)
+    stab[0] = 1
+    return stab, np.kron(singer_eigenstates(n - 1)[0], psi_t())
+
+
 class TestBisection:
     def test_short_circuit_on_root(self):
         root = solve_bloch_quartic(1 + 3 / 5).state()
@@ -164,23 +178,65 @@ class TestBisection:
     def test_max_iter_exceeded(self):
         stab = np.array([1, 0], dtype=complex)
         with pytest.raises(ConvergenceError):
-            bisection_root(stab, psi_t(), tol=1e-12, max_iter=2)
+            bisection_loop(stab, psi_t(), tol=1e-12, max_iter=2)
 
     def test_qubit_root_lands_on_design_locus(self):
         stab = np.array([1, 0], dtype=complex)
-        root = bisection_root(stab, psi_t(), tol=1e-10, max_iter=300)
+        root = bisection_root(stab, psi_t(), tol=1e-10)
         s = design_report(root).ell4 - 1
         assert s == pytest.approx(3 / 5, abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("mode", ["bisect", "secant"])
     def test_converges_n2_n3(self, n, mode):
-        d = 2**n
-        stab = np.zeros(d, dtype=complex)
-        stab[0] = 1
-        neg = np.kron(singer_eigenstates(n - 1)[0], psi_t())
-        root = bisection_root(stab, neg, tol=1e-8, max_iter=200, mode=mode)
+        stab, neg = _alg2_endpoints(n)
+        root = bisection_root(stab, neg, tol=1e-8)
         assert abs(epsilon(root)) <= 1e-8
+        loop = bisection_loop(stab, neg, tol=1e-8, max_iter=200, mode=mode)
+        assert 1 - abs(np.vdot(root, loop)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_root_is_the_loop_root(self, n):
+        stab, neg = _alg2_endpoints(n)
+        info = {}
+        root = bisection_root(stab, neg, tol=1e-13, info=info)
+        loop = bisection_loop(stab, neg, tol=1e-13)
+        assert 1 - abs(np.vdot(root, loop)) <= 1e-12
+        assert abs(epsilon(root)) <= 1e-13
+        assert info["sign_changes"] == 1 and info["kernel_steps"] == 0
+        assert 0 < info["theta"] < info["theta_end"] < math.pi / 2
+        assert info["series_residual"] <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_series_is_the_kernel_epsilon(self, n):
+        # epsilon on the great circle is a nine-term series in e^{2i theta}
+        stab, neg = _alg2_endpoints(n)
+        q = neg - np.vdot(stab, neg) * stab
+        q /= np.linalg.norm(q)
+        w = _arc_series(stab, q)
+        theta = np.random.default_rng(n).uniform(0, math.pi, 5)
+        states = np.cos(theta)[:, None] * stab + np.sin(theta)[:, None] * q
+        direct = epsilon_from_ell4(_ell4_rows(states), 1 << n)
+        assert np.max(np.abs(_series(theta, w) - direct)) <= 1e-12
+
+    def test_first_crossing_is_nearest_p1(self):
+        # -sin 2(t - 0.2) sin 2(t - 0.5) sin 2(t - 0.9) crosses zero three
+        # times on [0, 1.2], and its nine samples fix it exactly
+        theta = np.arange(9) * math.pi / 9
+        f = -np.prod([np.sin(2 * (theta - r)) for r in (0.2, 0.5, 0.9)], axis=0)
+        w = np.fft.rfft(f) / 9
+        w[1:] *= 2
+        assert _series(0.0, w) > 0 > _series(1.2, w)
+        root, changes = _first_crossing(w, 1.2)
+        assert changes == 3
+        assert root == pytest.approx(0.2, abs=1e-14)
+
+    def test_root_misses_tol_after_one_step(self):
+        stab, neg = _alg2_endpoints(2)
+        info = {}
+        with pytest.raises(ConvergenceError, match="after one Newton step"):
+            bisection_root(stab, neg, tol=1e-300, info=info)
+        assert info["kernel_steps"] == 1
 
 
 class TestWeightedTwoOrbit:
@@ -507,7 +563,7 @@ class TestFiveDesignProbe:
         stab = np.zeros(4, dtype=complex)
         stab[0] = 1
         neg = np.kron(singer_eigenstates(1)[0], psi_t())
-        root = bisection_root(stab, neg, tol=1e-10, max_iter=300, mode="secant")
+        root = bisection_root(stab, neg, tol=1e-10)
         rep = five_design_probe(root, 2)
         # recorded, not asserted: the deviation is printed for the record
         print(f"\ntwo-qubit root: phi5 deviation = {rep['phi5_deviation']:.3e}")
