@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,10 @@ __all__ = [
 ]
 
 ORBIT_MAX_N = 2
-# projective_orbit tells states apart by |psi><psi| rounded to this many decimals
+# the word action keeps its flat-index tables up to this many entries (128 KB)
+FLAT_INDEX_CACHED = 1 << 14
+# projective_orbit keys a state psi by |<r|psi>|^2 for two fixed probes r,
+# rounded to this many decimals
 ORBIT_DEDUP_DECIMALS = 9
 # an element stabilizes psi when |<psi|U psi>| is 1 within this
 ORBIT_STAB_ATOL = 1e-9
@@ -261,9 +265,9 @@ def _transvection_step(c, j: int, form=f2lin._omega):
     for column j of a symplectic whose columns before j are already unit
     vectors; Z_u and Z_v fix those columns.  One factor c ^ e_j when
     <c, e_j> = 1, none when c = e_j, else two through w = _midpoint(c, j).
-    Elementwise like _midpoint."""
+    <c, e_j> is bit j ^ 1 of c.  Elementwise like _midpoint."""
     target = 1 << j
-    hit = form(c, target)
+    hit = c >> (j ^ 1) & 1
     need = (1 ^ hit) * (c != target)
     w = _midpoint(c, j, form)
     return hit * (c ^ target) | need * (c ^ w), need * (w ^ target)
@@ -280,6 +284,7 @@ def _decompose(cols) -> list[int]:
     """transvection_decomposition of the symplectic with columns cols,
     which it does not check."""
     cols = list(cols)
+    even = (1 << len(cols)) // 3  # the z bits, for J v = (v & even) << 1 | v >> 1 & even
     out = []
     for j in range(len(cols)):
         if cols[j] == 1 << j:
@@ -287,7 +292,7 @@ def _decompose(cols) -> list[int]:
         for v in _transvection_step(cols[j], j):
             if v:
                 # cols <- Z_v cols: c -> c ^ v wherever <c, v> = 1
-                jv = f2lin._swap_pairs(v)
+                jv = (v & even) << 1 | v >> 1 & even
                 cols = [c ^ v if (c & jv).bit_count() & 1 else c for c in cols]
                 out.append(v)
     if cols != [1 << i for i in range(len(cols))]:
@@ -295,29 +300,30 @@ def _decompose(cols) -> list[int]:
     return out
 
 
-def _transvection_words(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _transvection_words(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """transvection_decomposition of every symplectic in an (S, 2n) stack of
-    rows, as (S, W) words padded with zeros and their (S,) lengths.
+    columns, as (S, W) words padded with zeros and their (S,) lengths.
 
     Each step applies one transvection to every sample, the zero vector
     (Z_0 = 1) where a sample has none to apply; a sample's vectors are
-    those of its one-at-a-time decomposition, by the same _transvection_step.
+    those of its one-at-a-time decomposition, by the same _transvection_step,
+    and its word is its nonzero step vectors in order.
     """
     nn = 2 * n
-    cols = f2lin._transpose_stack(rows, nn)
     if not f2lin._is_symplectic_stack(cols).all():
         raise ValueError("input is not symplectic")
-    words = np.zeros((len(cols), 4 * n), dtype=np.int64)
-    lengths = np.zeros(len(cols), dtype=np.int64)
+    cols = cols.copy()
+    steps = np.empty((len(cols), 2 * nn), dtype=np.int64)
     for j in range(nn):
-        for v in _transvection_step(cols[:, j], j, f2lin._forms):
-            # cols <- Z_v cols, and v appended to the words where v != 0
+        for i, v in enumerate(_transvection_step(cols[:, j], j, f2lin._forms)):
+            # cols <- Z_v cols: c -> c ^ v wherever <c, v> = 1
             cols ^= v[:, None] * f2lin._forms(cols, v[:, None])
-            hit = np.flatnonzero(v)
-            words[hit, lengths[hit]] = v[hit]
-            lengths[hit] += 1
+            steps[:, 2 * j + i] = v
     if (cols != 1 << np.arange(nn)).any():
         raise AssertionError("transvections did not reduce F to the identity")
+    lengths = np.count_nonzero(steps, axis=1)
+    # each row's nonzero vectors in order, then its zeros
+    words = np.take_along_axis(steps, np.argsort(steps == 0, axis=1, kind="stable"), axis=1)
     return words[:, :lengths.max(initial=0)], lengths
 
 
@@ -363,12 +369,12 @@ def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.nd
     applied alone, so every entry of a stack equals the entry of that
     sample applied alone, bit for bit.  The parts of the paulis come from
     the same label split as those of the words.  coef holds 8 bytes per
-    sample, word column and basis index: 17 MB for 256 words at n = 8.
+    sample, word column and basis index.
     """
     count, width = words.shape
-    order = np.argsort(-lengths, kind="stable")
+    order = (-lengths).argsort(kind="stable")
     w = lengths[order]
-    label = np.zeros((count, 1), dtype=np.int64) if labels is None else np.reshape(labels, (-1, 1))
+    label = np.zeros((count, 1), dtype=np.int64) if labels is None else np.asarray(labels).reshape(-1, 1)
     vecs = np.concatenate([words, label] + ([] if paulis is None else [paulis]), axis=1)
     x, z, c = _pauli_parts(n, vecs[order])
     c[:, :width] *= 1j
@@ -382,7 +388,7 @@ def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.nd
     prefix = [bisect.bisect_left(neg, -t) for t in range(width)]
     phi = np.empty((count,) + states.shape, dtype=complex)
     phi[:] = states
-    flat = np.arange(phi.size).reshape(phi.shape)
+    flat = _flat_index(phi.shape)
     xs = x[:, :, None, None]
     for t in reversed(range(width)):
         m = prefix[t]
@@ -392,6 +398,24 @@ def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.nd
     if paulis is None:
         return order, phi, None, None
     return order, phi, x[:, width + 1:], coef[:, width + 1:]
+
+
+def _flat_index(shape: tuple) -> np.ndarray:
+    """np.arange(size).reshape(shape): the flat index of each entry of an
+    array of that shape, which the gathers XOR with x.  Tables of up to
+    FLAT_INDEX_CACHED entries are kept, read-only; larger ones are built
+    per call, so no stack's table outlives it."""
+    size = math.prod(shape)
+    if size <= FLAT_INDEX_CACHED:
+        return _kept_flat_index(shape)
+    return np.arange(size).reshape(shape)
+
+
+@functools.lru_cache(maxsize=16)
+def _kept_flat_index(shape: tuple) -> np.ndarray:
+    out = np.arange(math.prod(shape)).reshape(shape)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,29 +452,31 @@ def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarr
     e_{2^b}; P_b = U X_b U^dag = sigma_b W_{c_b}, so U e_{2^b} = P_b U e_0
     gives the sign sigma_b, whose modulus must be 1 within 1e-9.  Column k is
     then (prod_b P_b^{k_b}) U e_0: the columns below 2^{b+1} are the ones
-    below 2^b and their images under P_b, one signed gather of rows per
-    bit.  The columns are exact (_act_words) and the signs and i-powers
-    are exact, so a stack equals its samples lifted alone, bit for bit.
+    below 2^b and their images under P_b, one signed gather per bit, built
+    as the rows of U^T and transposed in the final copy.  The columns are
+    exact (_act_words) and the signs and i-powers are exact, so a stack
+    equals its samples lifted alone, bit for bit.
     """
     d = 1 << n
     order, cols, x, coef = _sorted_action(n, words, lengths, _column_basis(n), labels, images)
     # (W_c phi)[k] = coef[k ^ x] phi[k ^ x]: two gathers by one index
-    idx = np.arange(coef.size).reshape(coef.shape) ^ x[..., None]
+    idx = _flat_index(coef.shape) ^ x[..., None]
     sigma = np.vecdot((coef * cols[:, :1]).take(idx), cols[:, 1:]).real
     # |sigma| <= 1 for unit columns, with equality iff U e_{2^b} = +-W_c U e_0
-    if not np.abs(sigma).min(initial=1.0) >= 1.0 - 1e-9:
+    if not np.minimum.reduce(np.abs(sigma), axis=None, initial=1.0) >= 1.0 - 1e-9:
         raise AssertionError("U X_b U^dag is not a signed Pauli of the given labels")
     f = coef.take(idx) * np.sign(sigma)[..., None]
-    out = np.empty((len(cols), d, d), dtype=complex)
-    out[:, :, 0] = cols[:, 0]
-    # XOR with x << n changes the row of a flat index [s, j, k] alone
-    flat = np.arange(out.size).reshape(out.shape)
-    rows = (x << n)[..., None, None]
+    # column k of U is row k of t; XOR with x changes the entry of a flat
+    # index [s, k, j] alone
+    t = np.empty((len(cols), d, d), dtype=complex)
+    t[:, 0] = cols[:, 0]
+    flat = _flat_index(t.shape)
+    xs = x[:, :, None, None]
     for b in range(n):
         h = 1 << b
-        out[:, :, h:2 * h] = out.take(flat[:, :, :h] ^ rows[:, b]) * f[:, b, :, None]
-    lifts = np.empty_like(out)
-    lifts[order] = out
+        t[:, h:2 * h] = t.take(flat[:, :h] ^ xs[:, b]) * f[:, b, None]
+    lifts = np.empty_like(t)
+    lifts[order] = t.transpose(0, 2, 1)
     return lifts
 
 
@@ -464,26 +490,25 @@ def lift_symplectic(F: F2Matrix) -> CliffordElement:
     """
     if not is_symplectic(F):
         raise ValueError("input is not symplectic")
-    return _lift_one(F)
+    return _lift_one(F, f2lin._transpose(F.rows, 2 * F.n))
 
 
-def _lift_one(F: F2Matrix, label=None) -> CliffordElement:
-    """The lift of a symplectic F, which it does not check, times W_label."""
-    cols = f2lin._transpose(F.rows, 2 * F.n)
+def _lift_one(F: F2Matrix, cols, label: int = 0) -> CliffordElement:
+    """The lift of a symplectic F with columns cols, which it does not
+    check, times W_label."""
     word = np.array(_decompose(cols), dtype=np.int64)
-    U = _lift_dense(F.n, word[None, :], np.array([len(word)]), _x_images([cols]),
-                    None if label is None else [label])
+    U = _lift_dense(F.n, word[None, :], np.array([len(word)]), _x_images([cols]), [label])
     return CliffordElement(U[0], F.n, symplectic=F)
 
 
 def _sample_words(n: int, rng: np.random.Generator, count: int):
-    """(rows, words, lengths, labels) of count uniform projective Cliffords:
-    the symplectics' rows and transvection words, and the Pauli labels.
+    """(cols, words, lengths, labels) of count uniform projective Cliffords:
+    the symplectics' columns and transvection words, and the Pauli labels.
     Each sample draws a uniform Sp(2n,F2) index and then a uniform Pauli
     label, in the order of count random_clifford calls."""
     draws = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)] * count)
-    rows = f2lin._rows_from_indices(draws[0::2], n)
-    return rows, *_transvection_words(rows, n), np.array(draws[1::2], dtype=np.int64)
+    cols = f2lin._cols_from_indices(draws[0::2], n)
+    return cols, *_transvection_words(cols, n), np.array(draws[1::2], dtype=np.int64)
 
 
 def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -493,8 +518,8 @@ def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> n
     entry for entry, and leaves the generator in the same state; the
     symplectics are decoded and decomposed as one stack, then lifted.
     """
-    rows, words, lengths, labels = _sample_words(n, rng, count)
-    return _lift_dense(n, words, lengths, _x_images(f2lin._transpose_stack(rows, 2 * n)), labels)
+    cols, words, lengths, labels = _sample_words(n, rng, count)
+    return _lift_dense(n, words, lengths, _x_images(cols), labels)
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
@@ -503,7 +528,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     every metric in this package.  The element carries its sampled
     symplectic, so .symplectic needs no extraction."""
     index, label = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)])
-    return _lift_one(f2lin.symplectic_from_index(index, n), label)
+    cols = f2lin._cols_from_index(index, n)
+    return _lift_one(F2Matrix(f2lin._transpose(cols, 2 * n), n), cols, label)
 
 
 @dataclass(frozen=True)
@@ -516,7 +542,7 @@ class TraceCheckReport:
 
 def clifford_trace_check(U: CliffordElement, atol: float = 1e-8) -> TraceCheckReport:
     """Check [tr U]^4 = (-4)^{dim ker(F-1)} whenever tr U is not zero."""
-    tr = complex(np.trace(U.matrix))
+    tr = complex(U.matrix.trace())
     dim = fixed_space_dim(U.symplectic)
     if abs(tr) <= atol:
         return TraceCheckReport(tr, dim, True, True)
@@ -531,7 +557,7 @@ def clifford_trace_check(U: CliffordElement, atol: float = 1e-8) -> TraceCheckRe
 
 @functools.lru_cache(maxsize=None)
 def _group_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, words, lengths) of every element of Sp(2n,F2), n <= 2, in
+    """(cols, words, lengths) of every element of Sp(2n,F2), n <= 2, in
     index order, as read-only arrays built once per process."""
     if n < 1:
         raise f2lin.DimensionError(f"Sp(2n,F2) needs n >= 1, got n={n}")
@@ -540,8 +566,8 @@ def _group_words(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"projective Clifford group at n={n} has {f2lin.sp_order(n) * 4**n}"
             " elements; orbits are materialized only for n <= 2"
         )
-    rows = f2lin._rows_from_indices(range(f2lin.sp_order(n)), n)
-    out = (rows, *_transvection_words(rows, n))
+    cols = f2lin._cols_from_indices(range(f2lin.sp_order(n)), n)
+    out = (cols, *_transvection_words(cols, n))
     for a in out:
         a.flags.writeable = False
     return out
@@ -556,12 +582,11 @@ def projective_clifford_unitaries(n: int) -> np.ndarray:
     W_a times the lift of symplectic i, its transvection word lifted with
     the label a (_lift_dense).  The orbit routines act on states instead
     and never form this stack."""
-    rows, words, lengths = _group_words(n)
+    cols, words, lengths = _group_words(n)
     d2 = 1 << (2 * n)
-    images = _x_images(f2lin._transpose_stack(rows, 2 * n))
     group = _lift_dense(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
-                        np.repeat(images, d2, axis=0),
-                        np.tile(np.arange(d2), len(rows)))
+                        np.repeat(_x_images(cols), d2, axis=0),
+                        np.tile(np.arange(d2), len(cols)))
     group.flags.writeable = False
     return group
 
@@ -591,8 +616,8 @@ def _coset_overlaps(psi: np.ndarray, phis: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _key_weights(size: int) -> np.ndarray:
-    """Fixed pseudorandom uint64 weights that hash a row of size ints: the
-    splitmix64 outputs for 1..size, in wrapping uint64 arithmetic; read-only."""
+    """Fixed pseudorandom uint64 words: the splitmix64 outputs for 1..size,
+    in wrapping uint64 arithmetic; read-only."""
     z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
@@ -601,17 +626,27 @@ def _key_weights(size: int) -> np.ndarray:
     return z
 
 
+def _key_probes(d: int) -> np.ndarray:
+    """Two fixed pseudorandom unit vectors of length d, the rows of a (2, d)
+    array: _key_weights(4 d) read as uniform numbers in [-1/2, 1/2), real
+    parts then imaginary parts."""
+    w = _key_weights(4 * d) / 2.0**64 - 0.5
+    r = (w[:2 * d] + 1j * w[2 * d:]).reshape(2, d)
+    return r / np.linalg.norm(r, axis=1, keepdims=True)
+
+
 def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
     """All distinct states (up to global phase) in the Clifford orbit of psi.
 
     The states W_a U_F psi come from the |Sp| word actions U_F psi and d^2
     signed gathers; element i d^2 + a has symplectic i and label a.  The
-    key of a state is the d^2 entries of |psi><psi| times
-    10^ORBIT_DEDUP_DECIMALS, rounded to integers; each key keeps its first
-    state, in group order.  Keys are told apart by a 64-bit hash of them,
-    and the states that share a hash must share the key.  Then the orbit
-    size times |stab(psi)|, the elements with |<psi|U psi>| = 1 within
-    ORBIT_STAB_ATOL, must be the group order; both checks raise
+    key of a state phi is |<r|phi>|^2 for the two probes r of _key_probes,
+    times 10^ORBIT_DEDUP_DECIMALS and rounded to integers: a hash of its
+    ray, two numbers in place of the d^2 entries of |phi><phi|.  Each key
+    keeps its first state, in group order, and every state must be the ray
+    of its key's first state, |<rep|phi>| = 1 within ORBIT_STAB_ATOL.  Then
+    the orbit size times |stab(psi)|, the elements with |<psi|U psi>| = 1
+    within ORBIT_STAB_ATOL, must be the group order; both checks raise
     AssertionError.
     """
     phis = _symplectic_images(psi, n)
@@ -620,13 +655,12 @@ def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
     x, v = _signed_perms(n, np.arange(d2))
     # (W_a phi)[k] = v[a, k ^ x_a] phi[k ^ x_a]
     states = _xor_gather(phis[:, None, :] * v, x).reshape(d2 * len(phis), -1)
-    keys = (states[:, :, None] * states[:, None, :].conj()).reshape(len(states), -1).view(float)
-    keys *= 10.0**ORBIT_DEDUP_DECIMALS
-    keys = np.rint(keys, out=keys).astype(np.int64)
-    hashes = keys.view(np.uint64) @ _key_weights(keys.shape[1])
-    _, first, inverse = np.unique(hashes, return_index=True, return_inverse=True)
-    if not (keys == keys[first[inverse]]).all():
-        raise AssertionError("two orbit keys share a hash")
+    keys = np.abs(states @ _key_probes(len(psi)).conj().T) ** 2 * 10.0**ORBIT_DEDUP_DECIMALS
+    # each key is at most 10^9 < 2^32, so one int64 holds both
+    keys = np.rint(keys).astype(np.int64) << np.array([32, 0])
+    _, first, inverse = np.unique(keys[:, 0] | keys[:, 1], return_index=True, return_inverse=True)
+    if not (np.abs(np.abs(np.vecdot(states[first[inverse]], states)) - 1.0) <= ORBIT_STAB_ATOL).all():
+        raise AssertionError("two orbit states share a hash but not a ray")
     orbit = states[np.sort(first)]
     stab = np.count_nonzero(np.abs(_coset_overlaps(psi, phis) - 1.0) <= ORBIT_STAB_ATOL)
     if len(orbit) * stab != len(states):

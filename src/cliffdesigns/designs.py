@@ -48,8 +48,11 @@ __all__ = [
 ]
 
 BOUND_SLACK = 1e-9
-# orbit_frame_potential draws Monte-Carlo samples in blocks of this many
-MC_BLOCK = 256
+# orbit_frame_potential acts on its Monte-Carlo samples in blocks of at most
+# MC_BLOCK samples, fewer where their coefficient tables would pass
+# MC_BLOCK_BYTES (_mc_block): 768 samples for n <= 5, 327 at n = 6, 62 at n = 8
+MC_BLOCK = 768
+MC_BLOCK_BYTES = 4 << 20
 
 
 def sym_dim(d: int, t: int) -> int:
@@ -186,11 +189,12 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     from one Walsh-Hadamard product per X-mask (clifford._coset_overlaps).
     Monte-Carlo mode samples uniform projective Cliffords and returns
     (estimate, standard error).  It draws them from rng in blocks of
-    MC_BLOCK samples, each decoded and decomposed as one stack, and applies
-    each block's labelled words to psi (clifford._act_words) without
-    forming a unitary.  The draws follow the order of one random_clifford
-    call per sample, and the action of a stack equals that of each sample
-    alone, so a seed gives the same estimate at any block size.
+    _mc_block(n) samples, each decoded and decomposed as one stack, and
+    applies each block's labelled words to psi (clifford._act_words)
+    without forming a unitary.  The draws follow the order of one
+    random_clifford call per sample, and the action of a stack equals that
+    of each sample alone, so a seed gives the same estimate at any block
+    size.
 
     The standard error is std / sqrt(samples), and on heavy-tailed orbits
     (n >= 4) it underestimates the true error badly: a sample that misses
@@ -209,14 +213,22 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
         if rng is None:
             raise ValueError("monte_carlo mode needs an rng")
         vals = np.empty(samples)
-        for lo in range(0, samples, MC_BLOCK):
-            _, words, lengths, labels = clifford._sample_words(n, rng, min(MC_BLOCK, samples - lo))
+        block = _mc_block(n)
+        for lo in range(0, samples, block):
+            _, words, lengths, labels = clifford._sample_words(n, rng, min(block, samples - lo))
             states = clifford._act_words(n, words, lengths, psi[None, :], labels)[:, 0]
             vals[lo:lo + len(states)] = _overlap_powers(psi, states, t)
         est = float(vals.mean())
         stderr = float(vals.std(ddof=1) / np.sqrt(samples))
         return est, stderr
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _mc_block(n: int) -> int:
+    """Samples per Monte-Carlo block at n qubits: MC_BLOCK, or as many as
+    keep their coefficient tables, 8 (4n + 1) 2^n bytes each (words of at
+    most 4n vectors and a label), within MC_BLOCK_BYTES; at least one."""
+    return max(1, min(MC_BLOCK, MC_BLOCK_BYTES // (8 * (4 * n + 1) << n)))
 
 
 def _overlap_powers(psi: np.ndarray, states: np.ndarray, t: int) -> np.ndarray:

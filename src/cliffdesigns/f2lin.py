@@ -151,18 +151,21 @@ def _mat_vec(rows, v: int) -> int:
     return out
 
 
+def _combine(vecs, v: int) -> int:
+    """XOR of vecs[j] over the set bits j of v: M v for the matrix with
+    columns vecs."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= vecs[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
 def _mat_mul(a_rows, b_rows):
-    out = []
-    for ra in a_rows:
-        acc = 0
-        j = 0
-        while ra:
-            if ra & 1:
-                acc ^= b_rows[j]
-            ra >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
+    """Rows of A B; with the columns of B and A in place of the rows of A
+    and B, the columns of A B."""
+    return tuple([_combine(b_rows, ra) for ra in a_rows])
 
 
 def _transpose(vecs, m: int) -> tuple[int, ...]:
@@ -305,29 +308,44 @@ def _symplectic_basis(form, m: int, pairs=(), u_pool=None) -> list[int]:
     neither the first with a nonzero projection nor the first whose
     projection pairs with u, as a vector before it would be.  Keeping only
     the independent projections of each round picks the same u and v.
+
+    For form=_omega the pairings are inlined: form(u, c) is the parity of
+    c & J u, with J u taken once per pair.  As u pairs with no earlier
+    pair, it pairs with the projection of e_j iff it pairs with e_j, that
+    is iff bit j of J u is set, so v is the projection of e_j for the
+    lowest such j.  Any other form is called once per pairing.
     """
     cols = [c for pair in pairs for c in pair]
     units = [1 << j for j in range(m)]
     # v comes from the unit vectors, u from u_pool when given
     pools = [units] if u_pool is None else [units, list(u_pool)]
+    even = (1 << m) // 3  # the z bits, for J a = (a & even) << 1 | a >> 1 & even
     new = cols
     while len(cols) < m:
         for u, v in zip(new[::2], new[1::2]):
-            pools = [[c ^ v * form(u, c) ^ u * form(v, c) for c in pool] for pool in pools]
+            if form is _omega:
+                ju, jv = (u & even) << 1 | u >> 1 & even, (v & even) << 1 | v >> 1 & even
+                pools = [[c ^ (v if (c & ju).bit_count() & 1 else 0)
+                          ^ (u if (c & jv).bit_count() & 1 else 0) for c in pool]
+                         for pool in pools]
+            else:
+                pools = [[c ^ v * form(u, c) ^ u * form(v, c) for c in pool] for pool in pools]
         u = next(c for c in pools[-1] if c)
-        v = next(c for c in pools[0] if form(u, c))
+        if form is _omega:
+            ju = (u & even) << 1 | u >> 1 & even
+            v = pools[0][(ju & -ju).bit_length() - 1]
+        else:
+            v = next(c for c in pools[0] if form(u, c))
         new = [u, v]
         cols += new
     return cols
 
 
 def _pair_representative(q: int, n: int) -> tuple[int, ...]:
-    """Rows of the coset representative for pair index q in [0, (2^{2n}-1) 2^{2n-1})."""
-    nn = 2 * n
-    f1_idx, b = divmod(q, 1 << (nn - 1))
+    """Columns of the coset representative for pair index q in [0, (2^{2n}-1) 2^{2n-1})."""
+    f1_idx, b = divmod(q, 1 << (2 * n - 1))
     f1 = f1_idx + 1
-    cols = _symplectic_basis(_omega, nn, [(f1, _second_image(f1, b))])
-    return _transpose(cols, nn)
+    return tuple(_symplectic_basis(_omega, 2 * n, [(f1, _second_image(f1, b))]))
 
 
 def enumerate_sp(n: int) -> Iterator[np.ndarray]:
@@ -351,17 +369,22 @@ def symplectic_from_index(index: int, n: int) -> F2Matrix:
     """The index-th element of the enumeration order, 0 <= index < sp_order(n)."""
     if not 0 <= index < sp_order(n):
         raise ValueError("index out of range")
-    rows = _rows_from_index(index, n)
-    return F2Matrix(rows, n)
+    return F2Matrix(_transpose(_cols_from_index(index, n), 2 * n), n)
 
 
-def _rows_from_index(index: int, n: int) -> tuple[int, ...]:
-    if n == 1:
-        return _pair_representative(index, 1)
-    q, r = divmod(index, sp_order(n - 1))
-    # the (n-1)-qubit factor acts on the trailing coordinates
-    sub = (1, 2) + tuple(row << 2 for row in _rows_from_index(r, n - 1))
-    return _mat_mul(_pair_representative(q, n), sub)
+def _cols_from_index(index: int, n: int) -> tuple[int, ...]:
+    """Columns of symplectic_from_index(index, n), which it does not check:
+    the level-k representative times the level k - 1 element on the
+    trailing coordinates, for k = 2..n."""
+    pair_idx = []
+    for k in range(n, 1, -1):
+        q, index = divmod(index, sp_order(k - 1))
+        pair_idx.append(q)
+    cols = _pair_representative(index, 1)
+    for k, q in zip(range(2, n + 1), reversed(pair_idx)):
+        # with columns for rows, _mat_mul(sub, rep) is the product rep sub
+        cols = _mat_mul((1, 2) + tuple([c << 2 for c in cols]), _pair_representative(q, k))
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +419,9 @@ def _pair_representatives(q: np.ndarray, k: int) -> np.ndarray:
     """(S, 2k) columns of _pair_representative(q_s, k) for each pair index q_s.
 
     g is _second_image of each (f1, b), and the basis is completed by the
-    rule of _symplectic_basis, for every sample at once.
+    rule of _symplectic_basis, for every sample at once; the pairings take
+    J of the pair vectors only, and v is the projection of e_j for the
+    lowest set bit j of J u.
     """
     m = 2 * k
     f1 = (q >> (m - 1)) + 1
@@ -408,20 +433,22 @@ def _pair_representatives(q: np.ndarray, k: int) -> np.ndarray:
     s = np.arange(len(q))
     for r in range(2, m, 2):
         u, v = cols[:, r - 2, None], cols[:, r - 1, None]
-        proj ^= v * _forms(u, proj) ^ u * _forms(v, proj)
+        proj ^= v * _forms(proj, u) ^ u * _forms(proj, v)
         cols[:, r] = proj[s, np.argmax(proj != 0, axis=1)]
-        cols[:, r + 1] = proj[s, np.argmax(_forms(cols[:, r, None], proj), axis=1)]
+        ju = _swap_pairs(cols[:, r])
+        cols[:, r + 1] = proj[s, np.bitwise_count((ju & -ju) - 1)]
     return cols
 
 
-def _rows_from_indices(indices, n: int) -> np.ndarray:
-    """(S, 2n) int64 rows of symplectic_from_index(i, n) for each i of indices.
+def _cols_from_indices(indices, n: int) -> np.ndarray:
+    """(S, 2n) int64 columns of symplectic_from_index(i, n) for each i of indices.
 
     Each index is split into its per-level pair indices, as by
-    _rows_from_index; the levels' representatives are multiplied as bit
+    _cols_from_index, in int64 while sp_order(n) fits and on Python ints
+    from n = 6 on; the levels' representatives are multiplied as bit
     matrices over the whole stack, innermost first.
     """
-    rest = np.array(indices, dtype=object)  # indices pass 2^63 from n = 6 on
+    rest = np.array(indices, dtype=object if sp_order(n) >> 63 else np.int64)
     pair_idx = []
     for k in range(n, 1, -1):
         pair_idx.append((rest // sp_order(k - 1)).astype(np.int64))
@@ -430,7 +457,12 @@ def _rows_from_indices(indices, n: int) -> np.ndarray:
     for k, q in zip(range(2, n + 1), reversed(pair_idx)):
         left = _pair_representatives(q, k)
         cols = np.concatenate([left[:, :2], _apply_stack(left, cols << 2, 2 * k)], axis=1)
-    return _transpose_stack(cols, 2 * n)
+    return cols
+
+
+def _rows_from_indices(indices, n: int) -> np.ndarray:
+    """(S, 2n) int64 rows of symplectic_from_index(i, n) for each i of indices."""
+    return _transpose_stack(_cols_from_indices(indices, n), 2 * n)
 
 
 def _rand_below_many(rng, bounds) -> list[int]:
@@ -443,25 +475,26 @@ def _rand_below_many(rng, bounds) -> list[int]:
     nothing more is rejected, so no word is drawn that those calls would
     not draw.
     """
-    sizes = [(b.bit_length() + 31) // 32 for b in bounds]
+    sizes = [(b.bit_length() + 31) >> 5 for b in bounds]
     need = sum(sizes)  # words that the bounds from the current one on need
     out = []
-    words, pos = [], 0
+    words, pos, end = [], 0, 0
     for b, nw in zip(bounds, sizes):
+        shift = 32 * nw - b.bit_length()
         while True:
-            if pos + nw > len(words):
-                words = words[pos:]
-                words += rng.integers(0, 1 << 32, size=need - len(words),
-                                      dtype=np.uint64).tolist()
-                pos = 0
+            if pos + nw > end:
+                words = words[pos:end] + rng.integers(
+                    0, 1 << 32, size=need - (end - pos), dtype=np.uint64).tolist()
+                pos, end = 0, len(words)
             x = words[pos]
-            for w in words[pos + 1:pos + nw]:
-                x = (x << 32) | w
+            if nw > 1:
+                for w in words[pos + 1:pos + nw]:
+                    x = x << 32 | w
             pos += nw
-            x >>= nw * 32 - b.bit_length()
+            x >>= shift
             if x < b:
-                out.append(x)
                 break
+        out.append(x)
         need -= nw
     return out
 

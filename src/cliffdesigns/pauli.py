@@ -79,36 +79,41 @@ class PauliLabel:
 @functools.cache
 def _split_table() -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """(z, x) nibbles of each label byte, the byte's first qubit in the top
-    bit: as Python ints for int labels and as a (256, 2) array."""
-    pairs = tuple(
-        tuple(sum((b >> 2 * i + s & 1) << 3 - i for i in range(4)) for s in (0, 1))
-        for b in range(256)
-    )
-    return pairs, np.array(pairs)
+    bit: as Python ints for int labels, and as the first two rows of a
+    (3, 256) array whose last row counts the byte's Y factors, |z & x|."""
+    b = np.arange(256)
+    z, x = (sum((b >> 2 * i + s & 1) << 3 - i for i in range(4)) for s in (0, 1))
+    return tuple(zip(z.tolist(), x.tolist())), np.stack([z, x, np.bitwise_count(z & x)])
 
 
 def label_split(a: int, n: int) -> tuple[int, int]:
     """Compressed (z_mask, x_mask) in state-bit order (qubit 1 = MSB).
 
-    a may also be an int array, split elementwise.  Each byte of a holds
-    four qubits and is looked up in one table; the nibbles of the qubits
-    past n are shifted out at the end."""
-    pairs, table = _split_table()
-    nbytes = (n + 3) // 4
-    pad = 4 * nbytes - n
+    a may also be an int array, split elementwise (_split_labels).  Each
+    byte of a holds four qubits and is looked up in one table; the nibbles
+    of the qubits past n are shifted out at the end."""
     if isinstance(a, np.ndarray):
-        zx = table.take(a & 255, axis=0)
-        for j in range(1, nbytes):
-            zx <<= 4
-            zx |= table.take(a >> 8 * j & 255, axis=0)
-        zx >>= pad
-        return zx[..., 0], zx[..., 1]
+        return _split_labels(a, n)[:2]
+    pairs = _split_table()[0]
     z = x = 0
-    for j in range(nbytes):
+    for j in range((n + 3) // 4):
         zb, xb = pairs[a >> 8 * j & 255]
         z = z << 4 | zb
         x = x << 4 | xb
-    return z >> pad, x >> pad
+    shift = -n % 4
+    return z >> shift, x >> shift
+
+
+def _split_labels(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """label_split of an int array, and the Y count |z & x| of each label:
+    one table row per byte, the Y counts summed over the bytes."""
+    table = _split_table()[1]
+    zxy = table.take(a & 255, axis=1)
+    for j in range(1, (n + 3) // 4):
+        zxy[:2] <<= 4
+        zxy += table.take(a >> 8 * j & 255, axis=1)
+    zxy[:2] >>= -n % 4
+    return zxy[0], zxy[1], zxy[2]
 
 
 def label_join(z: int, x: int, n: int) -> int:
@@ -133,11 +138,15 @@ def _pauli_parts(n: int, a, phase_exp=0):
     index k, c a power of i.
 
     a and j are ints or int arrays of one shape, and so are x, z and c.
-    label_split works on either, so a stack of labels is split by
-    whole-array bit operations and a single label by Python int ones.
+    A stack of labels is split by whole-array table lookups that also
+    count the Y factors, and a single label by Python int operations.
     """
-    z, x = label_split(a, n)
-    return x, z, _I_POW.take((phase_exp + np.bitwise_count(z & x)) & 3)
+    if isinstance(a, np.ndarray):
+        z, x, y = _split_labels(a, n)
+    else:
+        z, x = label_split(a, n)
+        y = (z & x).bit_count()
+    return x, z, _I_POW.take(phase_exp + y, mode="wrap")
 
 
 def _signed_perms(n: int, a, phase_exp=0):

@@ -51,7 +51,7 @@ from cliffdesigns.f2lin import (
     _gaussian_binomial,
     _gl_order,
     _omega,
-    _rows_from_indices,
+    _cols_from_indices,
     enumerate_sp,
     fixed_space_dim,
     sp_order,
@@ -362,7 +362,7 @@ def projective_group_repeat(n: int) -> np.ndarray:
     repeated d^2 times, once per Pauli label, and each labelled word lifted
     by lift_words_dense."""
     d2 = 1 << (2 * n)
-    words, lengths = _transvection_words(_rows_from_indices(range(sp_order(n)), n), n)
+    words, lengths = _transvection_words(_cols_from_indices(range(sp_order(n)), n), n)
     return lift_words_dense(n, np.repeat(words, d2, axis=0), np.repeat(lengths, d2),
                             np.tile(np.arange(d2), len(lengths)))
 

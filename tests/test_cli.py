@@ -12,7 +12,7 @@ import pytest
 import cliffdesigns
 from cliffdesigns.cli import main
 from cliffdesigns.clifford import _act_words, _sample_words, random_clifford
-from cliffdesigns.designs import MC_BLOCK
+from cliffdesigns.designs import MC_BLOCK, MC_BLOCK_BYTES, _mc_block, _overlap_powers
 from cliffdesigns.fiducial import hoggar_fiducial, named_fiducial
 
 
@@ -457,23 +457,37 @@ class TestOrbit:
         assert data["stderr"] == pytest.approx(float(vals.std(ddof=1) / np.sqrt(samples)),
                                                rel=1e-14)
 
-    @pytest.mark.parametrize("samples", [MC_BLOCK + k for k in (-1, 0, 1)])
-    def test_mc_block_boundaries(self, capsys, samples):
-        # samples are drawn and acted on in blocks of MC_BLOCK; the estimate
-        # must not see where a block ends, so it equals one word acting
-        # alone per sample, bit for bit
-        code, out = run_cli(capsys, "orbit", "--named", "psi_T", "--mode", "mc",
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (1, 3) for k in (-1, 0, 1)],
+                             ids=[f"n{n}{k:+d}" for n in (1, 3) for k in (-1, 0, 1)])
+    def test_mc_block_boundaries(self, capsys, n, k):
+        # samples are drawn and acted on in blocks of _mc_block(n); the
+        # estimate must not see where a block ends, so it equals one word
+        # acting alone per sample, bit for bit (overlaps by the blocks' own
+        # _overlap_powers, which sums rows)
+        samples = _mc_block(n) + k
+        name = {1: "psi_T", 3: "hoggar"}[n]
+        code, out = run_cli(capsys, "orbit", "--named", name, "--mode", "mc",
                             "--samples", str(samples), "--seed", "4")
         data = json.loads(out)
-        psi = named_fiducial("psi_T")
+        psi = named_fiducial(name)
         rng = np.random.Generator(np.random.Philox(4))
         vals = np.empty(samples)
         for i in range(samples):
-            _, words, lengths, labels = _sample_words(1, rng, 1)
-            phi = _act_words(1, words, lengths, psi[None, :], labels)[0, 0]
-            vals[i] = np.abs((phi * psi.conj()).sum()) ** 8
+            _, words, lengths, labels = _sample_words(n, rng, 1)
+            phi = _act_words(n, words, lengths, psi[None, :], labels)[0]
+            vals[i] = _overlap_powers(psi, phi, 4)[0]
         assert data["phi"] == float(vals.mean())
         assert data["stderr"] == float(vals.std(ddof=1) / np.sqrt(samples))
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_mc_block_bounds_its_tables(self, n):
+        # MC_BLOCK samples, or as many as keep their coefficient tables of
+        # 8 (4n + 1) 2^n bytes within MC_BLOCK_BYTES: 62 at n = 8
+        block, table = _mc_block(n), 8 * (4 * n + 1) << n
+        assert 1 <= block <= MC_BLOCK
+        assert block == 1 or block * table <= MC_BLOCK_BYTES
+        assert block == MC_BLOCK or (block + 1) * table > MC_BLOCK_BYTES
+        assert _mc_block(3) == MC_BLOCK and _mc_block(8) == 62
 
     def test_mc_mode_zero_samples_rejected(self, capsys):
         assert "--samples >= 2" in assert_rejected(capsys, "orbit", "--named", "psi_T",

@@ -391,6 +391,42 @@ class TestBasisCompletion:
         pooled, cols, want = calls[0]
         assert pooled and cols == want
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_inlined_omega_equals_the_callable(self, rng, n):
+        # form=_omega takes the inlined pairings; any other callable, here
+        # _omega behind a lambda, is called once per pairing
+        m = 2 * n
+        calls = []
+
+        def omega(a, b):
+            calls.append(None)
+            return f2lin._omega(a, b)
+
+        for q in rng.integers(0, (4**n - 1) << (m - 1), size=40).tolist():
+            f1, b = divmod(q, 1 << (m - 1))
+            pairs = [(f1 + 1, f2lin._second_image(f1 + 1, b))]
+            inlined = f2lin._symplectic_basis(f2lin._omega, m, pairs)
+            assert inlined == f2lin._symplectic_basis(omega, m, pairs)
+            assert f2lin._pair_representative(q, n) == tuple(inlined)
+        assert bool(calls) == (n > 1)
+
+    def test_singer_form_goes_through_the_callable(self, monkeypatch):
+        calls = []
+        basis = f2lin._symplectic_basis
+
+        def record(form, m, pairs=(), u_pool=None):
+            assert form is not f2lin._omega
+
+            def counted(a, b):
+                calls.append(None)
+                return form(a, b)
+
+            return basis(counted, m, pairs, u_pool)
+
+        monkeypatch.setattr(f2lin, "_symplectic_basis", record)
+        assert singer_symplectic.__wrapped__(4) == singer_symplectic(4)
+        assert calls
+
     @pytest.mark.parametrize("n", [33, 40])
     def test_random_first_pairs_past_32_qubits(self, rng, n):
         m = 2 * n
