@@ -9,8 +9,10 @@ and materializes projective orbits of state vectors for n <= 2.
 
 One kernel, _act_words, applies a stack of transvection words to a block
 of states, a signed gather per factor; orbits use it on the state itself,
-and the dense lift uses it on n + 1 basis states and builds the other
-columns from them.
+and the dense lift of a stack uses it on n + 1 basis states and builds the
+other columns from them.  A single lift at n <= 4 (LIFT_TABLE_BYTES)
+instead multiplies cached dense factors 1 + i W_v, one matrix product per
+factor; both lifts are exact and give the same matrix.
 
 Qubit indices are 0-based; qubit 0 is the leftmost tensor factor.
 """
@@ -48,6 +50,9 @@ __all__ = [
 ORBIT_MAX_N = 2
 # the word action keeps its flat-index tables up to this many entries (128 KB)
 FLAT_INDEX_CACHED = 1 << 14
+# a single lift multiplies cached factors 1 + i W_v while their (4^n, d, d)
+# table fits this many bytes (n <= 4); larger ones go through n + 1 columns
+LIFT_TABLE_BYTES = 1 << 20
 # projective_orbit keys a state psi by |<r|psi>|^2 for two fixed probes r,
 # rounded to this many decimals
 ORBIT_DEDUP_DECIMALS = 9
@@ -369,7 +374,8 @@ def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.nd
     applied alone, so every entry of a stack equals the entry of that
     sample applied alone, bit for bit.  The parts of the paulis come from
     the same label split as those of the words.  coef holds 8 bytes per
-    sample, word column and basis index.
+    sample, word column and basis index; a copy of x is all that stays
+    of the label split.
     """
     count, width = words.shape
     order = (-lengths).argsort(kind="stable")
@@ -377,12 +383,19 @@ def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.nd
     label = np.zeros((count, 1), dtype=np.int64) if labels is None else np.asarray(labels).reshape(-1, 1)
     vecs = np.concatenate([words, label] + ([] if paulis is None else [paulis]), axis=1)
     x, z, c = _pauli_parts(n, vecs[order])
+    del vecs
     c[:, :width] *= 1j
     c[:, width] *= _word_scales(n)[w]
     k, sign = _parity_signs(n)
+    # x and z are views of one label split: a copy of x (int64, as the
+    # flat indices it is XORed with), z in the type of k and c in complex64
+    # release the split and the complex128 c before coef is built, and the
+    # loop keeps only x and coef
+    x, z, c = x.copy(), z.astype(k.dtype), c.astype(np.complex64)
     # c (-1)^{|z&k|} for every column, exact in complex64: the scales are
     # powers of 2, times 1 - i for odd lengths
-    coef = c.astype(np.complex64)[..., None] * sign.take(z.astype(k.dtype)[..., None] & k)
+    coef = c[..., None] * sign.take(z[..., None] & k)
+    del z, c
     # prefix[t] counts the samples with more than t vectors, a prefix as lengths descend
     neg = (-w).tolist()
     prefix = [bisect.bisect_left(neg, -t) for t in range(width)]
@@ -462,9 +475,7 @@ def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarr
     # (W_c phi)[k] = coef[k ^ x] phi[k ^ x]: two gathers by one index
     idx = _flat_index(coef.shape) ^ x[..., None]
     sigma = np.vecdot((coef * cols[:, :1]).take(idx), cols[:, 1:]).real
-    # |sigma| <= 1 for unit columns, with equality iff U e_{2^b} = +-W_c U e_0
-    if not np.minimum.reduce(np.abs(sigma), axis=None, initial=1.0) >= 1.0 - 1e-9:
-        raise AssertionError("U X_b U^dag is not a signed Pauli of the given labels")
+    _check_signed_paulis(sigma)
     f = coef.take(idx) * np.sign(sigma)[..., None]
     # column k of U is row k of t; XOR with x changes the entry of a flat
     # index [s, k, j] alone
@@ -477,7 +488,50 @@ def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarr
         t[:, h:2 * h] = t.take(flat[:, :h] ^ xs[:, b]) * f[:, b, None]
     lifts = np.empty_like(t)
     lifts[order] = t.transpose(0, 2, 1)
+    lifts += 0.0  # -0.0 -> +0.0, as in _lift_product
     return lifts
+
+
+def _check_signed_paulis(sigma: np.ndarray) -> None:
+    """Raise unless |sigma| >= 1 - 1e-9 for the overlaps sigma_b of U e_{2^b}
+    with W_{c_b} U e_0: for unit columns |sigma| <= 1, with equality iff
+    U e_{2^b} = +-W_{c_b} U e_0."""
+    if not np.minimum.reduce(np.abs(sigma), axis=None, initial=1.0) >= 1.0 - 1e-9:
+        raise AssertionError("U X_b U^dag is not a signed Pauli of the given labels")
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_table(n: int) -> np.ndarray:
+    """1 + i W_v at index v < 4^n, a read-only (4^n, d, d) array of
+    Gaussian integers."""
+    d = 1 << n
+    x, v = _signed_perms(n, np.arange(d * d), 1)
+    k = np.arange(d)
+    out = np.zeros((d * d, d, d), dtype=complex)
+    out[:, k, k] = 1
+    out[np.arange(d * d)[:, None], k ^ x[:, None], k] += v
+    out.flags.writeable = False
+    return out
+
+
+def _lift_product(n: int, word: list[int], label: int, images: np.ndarray) -> np.ndarray:
+    """The unitary of _act_words for one word, W_label scale (1 + i W_{v_1})
+    ... (1 + i W_{v_w}), one matrix product per factor of _factor_table.
+
+    W_a = -i (table[a] - 1), so the label is one more product.  Every
+    factor is a matrix of Gaussian integers, so the products are exact,
+    and the scale of _word_scales times -i is (-1 - i) or -i times a power
+    of 2, so U equals the column lift of _lift_dense exactly; both turn
+    -0.0 into +0.0.  images holds the labels c_b of F X_b F^{-1}, checked
+    as in _lift_dense: |Re <W_{c_b} U e_0, U e_{2^b}>| is
+    |Im <(table[c_b] - 1) U e_0, U e_{2^b}>|.
+    """
+    table = _factor_table(n)
+    u = functools.reduce(np.matmul, [table[v] for v in word] or [np.eye(1 << n, dtype=complex)])
+    u = (table[label] @ u - u) * (-1j * _word_scales(n)[len(word)]) + 0.0
+    cols = u[:, (1 << np.arange(n + 1)) >> 1].T
+    _check_signed_paulis(np.vecdot(table[images] @ cols[0] - cols[0], cols[1:]).imag)
+    return u
 
 
 def lift_symplectic(F: F2Matrix) -> CliffordElement:
@@ -495,10 +549,16 @@ def lift_symplectic(F: F2Matrix) -> CliffordElement:
 
 def _lift_one(F: F2Matrix, cols, label: int = 0) -> CliffordElement:
     """The lift of a symplectic F with columns cols, which it does not
-    check, times W_label."""
-    word = np.array(_decompose(cols), dtype=np.int64)
-    U = _lift_dense(F.n, word[None, :], np.array([len(word)]), _x_images([cols]), [label])
-    return CliffordElement(U[0], F.n, symplectic=F)
+    check, times W_label: a product of cached factors (_lift_product) where
+    their table fits LIFT_TABLE_BYTES, else from n + 1 columns."""
+    word = _decompose(cols)
+    images = _x_images(cols)
+    if 16 << 4 * F.n <= LIFT_TABLE_BYTES:  # _factor_table(F.n).nbytes
+        U = _lift_product(F.n, word, label, images)
+    else:
+        U = _lift_dense(F.n, np.array(word, dtype=np.int64)[None, :], np.array([len(word)]),
+                        images[None], [label])[0]
+    return CliffordElement(U, F.n, symplectic=F)
 
 
 def _sample_words(n: int, rng: np.random.Generator, count: int):
@@ -523,10 +583,16 @@ def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> n
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
-    """Uniform projective Clifford element: random symplectic lift times a
-    uniform Pauli.  The global phase of the representative is irrelevant for
-    every metric in this package.  The element carries its sampled
-    symplectic, so .symplectic needs no extraction."""
+    """Uniform projective Clifford element: W_a times the lift of a uniform
+    symplectic F (lift_symplectic), for a uniform Pauli label a.
+
+    The representative's entries are dyadic Gaussian rationals, in Q[i]:
+    the lift multiplies its factors (1 + i W_v)/sqrt(2) by e^{-i pi/4} when
+    their count is odd.  That fixes its global phase up to a power of i, which
+    clifford_trace_check needs: [tr U]^4 = (-4)^{dim ker(F-1)} holds for
+    it, and a factor e^{i pi/4} would flip the sign of [tr U]^4.  The orbit
+    and frame-potential metrics do not depend on the phase.  The element
+    carries its sampled symplectic, so .symplectic needs no extraction."""
     index, label = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)])
     cols = f2lin._cols_from_index(index, n)
     return _lift_one(F2Matrix(f2lin._transpose(cols, 2 * n), n), cols, label)

@@ -10,7 +10,9 @@ from cliffdesigns.clifford import (
     CliffordElement,
     NotCliffordError,
     _act_words,
+    _factor_table,
     _lift_dense,
+    _lift_product,
     _midpoint,
     _sample_words,
     _transvection_words,
@@ -210,7 +212,7 @@ class TestLift:
         words, lengths = _transvection_words(cols, n)
         stack = _lift_dense(n, words, lengths, _x_images(cols))
         single = np.array([lift_symplectic(F).matrix for F in mats])
-        assert np.array_equal(stack.view(float), single.view(float))
+        assert stack.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_stack_decomposition_exhaustive(self, n):
@@ -358,6 +360,77 @@ class TestWordAction:
             _lift_dense(2, words, lengths, images)
 
 
+def column_lift(n: int, word: list[int], label: int, images: np.ndarray) -> np.ndarray:
+    """The lift of one labelled word from n + 1 columns (_lift_dense)."""
+    return _lift_dense(n, np.array(word, dtype=np.int64)[None, :], np.array([len(word)]),
+                       images[None], [label])[0]
+
+
+class TestProductLift:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_factor_table_is_one_plus_i_pauli(self, n):
+        table = _factor_table(n)
+        want = [np.eye(1 << n) + 1j * pauli_matrix(PauliLabel(n, v)) for v in range(4**n)]
+        assert np.array_equal(table, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_factor_table_read_only_within_bound(self, n):
+        table = _factor_table(n)
+        assert table.shape == (4**n, 1 << n, 1 << n)
+        assert table.nbytes <= clifford.LIFT_TABLE_BYTES
+        with pytest.raises(ValueError):
+            table[1, 0, 0] = 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_column_lift_exhaustive(self, n):
+        # every element of Sp(2n, F2), each with a label and with none
+        for i, F in enumerate(sp_elements(n)):
+            cols = F.transpose().rows
+            word, images = transvection_decomposition(F), _x_images(cols)
+            for label in (0, i % 4**n):
+                got = _lift_product(n, word, label, images)
+                want = column_lift(n, word, label, images)
+                assert np.array_equal(got, want)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_equals_column_lift_random(self, n):
+        rng = np.random.default_rng(120 + n)
+        cols, words, lengths, labels = _sample_words(n, rng, 300)
+        for c, word, length, label in zip(cols, words, lengths, labels):
+            word, images = word[:length].tolist(), _x_images(c)
+            got = _lift_product(n, word, int(label), images)
+            want = column_lift(n, word, int(label), images)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_wrong_images_raise(self):
+        # the X images of the identity do not map U e_0 to U e_{2^b}
+        word = transvection_decomposition(singer_symplectic(2))
+        images = _x_images(F2Matrix.identity(2).transpose().rows)
+        with pytest.raises(AssertionError, match="signed Pauli"):
+            _lift_product(2, word, 0, images)
+
+    def test_path_follows_the_table_bound(self, monkeypatch):
+        # n <= 4 lifts multiply factors and never lift columns; n = 5,
+        # whose table would take 16 MiB, lifts columns and builds no table
+        rng = np.random.default_rng(7)
+        F4, F5 = f2lin.random_symplectic(4, rng), f2lin.random_symplectic(5, rng)
+        want5 = lift_symplectic(F5).matrix
+
+        def refuse(*args):
+            raise AssertionError("wrong lift path")
+
+        monkeypatch.setattr(clifford, "_lift_dense", refuse)
+        assert extract_action(lift_symplectic(F4))[0] == F4
+        assert random_clifford(4, rng).matrix.shape == (16, 16)
+        monkeypatch.undo()
+        monkeypatch.setattr(clifford, "_factor_table", refuse)
+        assert 16 << 4 * 5 > clifford.LIFT_TABLE_BYTES
+        assert np.array_equal(lift_symplectic(F5).matrix, want5)
+        assert random_clifford(5, rng).matrix.shape == (32, 32)
+
+
 class TestRandomClifford:
     def test_normalizer_invariant(self, rng):
         for n in (1, 2, 3):
@@ -392,7 +465,9 @@ class TestRandomClifford:
         stack = random_clifford_unitaries(n, rng_a, count)
         seq = np.array([random_clifford(n, rng_b).matrix for _ in range(count)])
         assert stack.shape == (count, 1 << n, 1 << n)
-        assert np.array_equal(stack.view(float), seq.view(float))
+        # byte for byte: the product lifts of n <= 4 and the column lifts
+        # of a stack give every zero as +0.0
+        assert stack.tobytes() == seq.tobytes()
         assert rng_a.integers(1 << 62) == rng_b.integers(1 << 62)
 
     def test_empty_stack_of_draws(self):
@@ -433,6 +508,20 @@ class TestTraceIdentities:
             for _ in range(300):
                 assert clifford_trace_check(random_clifford(n, rng)).passed
 
+    def test_identity_needs_the_gaussian_rational_phase(self, rng):
+        # a factor e^{i pi/4} flips the sign of [tr U]^4; powers of i keep it
+        checked = 0
+        for n in (1, 2, 3):
+            for _ in range(20):
+                u = random_clifford(n, rng)
+                if clifford_trace_check(u).traceless:
+                    continue
+                checked += 1
+                for phase, passes in ((1j, True), (np.exp(0.25j * np.pi), False)):
+                    v = CliffordElement(phase * u.matrix, n, symplectic=u.symplectic)
+                    assert clifford_trace_check(v).passed is passes
+        assert checked
+
     def test_trace_count_identity(self, rng):
         # sum_a |tr(U W_a)|^2 = d^2 and the non-traceless count is
         # 2^{2n - dim ker(F-1)}
@@ -469,12 +558,13 @@ class TestOrbits:
         assert projective_clifford_unitaries(2).shape == (11520, 4, 4)
 
     @pytest.mark.parametrize("n, digest", [
-        (1, "25af174939225d6d3c9379900836404b0923b045f2c67314766d73ab9c5efcc7"),
-        (2, "b133563a1e19e330939f557d3815a1eba1a2d286cae109a635e026d4921dd405"),
+        (1, "36cff97338412515132f046d50a0569e0c128ee0800acce4a64bcb03ac5b140f"),
+        (2, "cf8f15623eaa62bc63c3af66f8fffc095223506ef864866ae21d82b965c7e386"),
     ], ids=["1", "2"])
     def test_group_unitaries_pinned(self, n, digest):
         # recorded when each labelled word was first lifted from n + 1
-        # columns; the entries are exact dyadic Gaussian rationals
+        # columns, with every zero made +0.0; the entries are exact dyadic
+        # Gaussian rationals
         group = projective_clifford_unitaries(n)
         assert group.dtype == complex and group.flags.c_contiguous
         assert hashlib.sha256(group.tobytes()).hexdigest() == digest
