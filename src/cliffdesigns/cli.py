@@ -224,10 +224,7 @@ def cmd_construct(args) -> tuple[dict, bool]:
         ok = abs(design.phi4 - target) <= 1e-9
         payload = {
             "mode": "weighted",
-            "orbit_sizes": [
-                int(np.sum(design.weights == design.weights[0])),
-                int(np.sum(design.weights == design.weights[-1])),
-            ],
+            "orbit_sizes": list(design.orbit_sizes),
             "weights": [float(design.weights[0]), float(design.weights[-1])],
             "phi4": design.phi4,
             "phi4_target": target,

@@ -290,17 +290,21 @@ def _second_image(f1, b, form=_omega):
     return dep | low * (1 ^ form(dep, f1))
 
 
-def _symplectic_basis(form, m: int, pairs=(), u_pool=None) -> list[int]:
+def _symplectic_basis(gram, m: int, pairs=(), u_pool=None) -> list[int]:
     """Columns (u1, v1, u2, v2, ...) in which the nondegenerate alternating
     form on F_2^m is standard: form(u_i, v_i) = 1, all other pairs 0.
 
-    The basis starts with the given hyperbolic pairs.  Each round projects
-    the unit vectors, and u_pool when given, onto the form-complement of
-    the pairs so far, c -> c ^ v form(u, c) ^ u form(v, c) per pair (u, v).
-    The new u is the first nonzero projection, of u_pool when given and of
-    the unit vectors otherwise, and the new v is the first projection of a
-    unit vector that pairs with u.  An isotropic u_pool of dimension m/2
-    thus becomes the span of the u_i.
+    The form is given by its Gram map g, form(u, c) = |c & g(u)| mod 2:
+    _swap_pairs (J) for omega.  The basis starts with the given hyperbolic
+    pairs.  Each round projects the unit vectors, and u_pool when given,
+    onto the form-complement of the pairs so far,
+    c -> c ^ v form(u, c) ^ u form(v, c) per pair (u, v), with g(u) and
+    g(v) taken once per pair.  The new u is the first nonzero projection,
+    of u_pool when given and of the unit vectors otherwise.  As u pairs
+    with no earlier pair, it pairs with the projection of e_j iff it pairs
+    with e_j, that is iff bit j of g(u) is set, so the new v is the
+    projection of e_j for the lowest such j.  An isotropic u_pool of
+    dimension m/2 thus becomes the span of the u_i.
 
     Projection is linear and the rounds' projections compose, so a vector
     that some round finds dependent on the vectors before it stays
@@ -308,34 +312,21 @@ def _symplectic_basis(form, m: int, pairs=(), u_pool=None) -> list[int]:
     neither the first with a nonzero projection nor the first whose
     projection pairs with u, as a vector before it would be.  Keeping only
     the independent projections of each round picks the same u and v.
-
-    For form=_omega the pairings are inlined: form(u, c) is the parity of
-    c & J u, with J u taken once per pair.  As u pairs with no earlier
-    pair, it pairs with the projection of e_j iff it pairs with e_j, that
-    is iff bit j of J u is set, so v is the projection of e_j for the
-    lowest such j.  Any other form is called once per pairing.
     """
     cols = [c for pair in pairs for c in pair]
     units = [1 << j for j in range(m)]
     # v comes from the unit vectors, u from u_pool when given
     pools = [units] if u_pool is None else [units, list(u_pool)]
-    even = (1 << m) // 3  # the z bits, for J a = (a & even) << 1 | a >> 1 & even
     new = cols
     while len(cols) < m:
         for u, v in zip(new[::2], new[1::2]):
-            if form is _omega:
-                ju, jv = (u & even) << 1 | u >> 1 & even, (v & even) << 1 | v >> 1 & even
-                pools = [[c ^ (v if (c & ju).bit_count() & 1 else 0)
-                          ^ (u if (c & jv).bit_count() & 1 else 0) for c in pool]
-                         for pool in pools]
-            else:
-                pools = [[c ^ v * form(u, c) ^ u * form(v, c) for c in pool] for pool in pools]
+            gu, gv = gram(u), gram(v)
+            pools = [[c ^ (v if (c & gu).bit_count() & 1 else 0)
+                      ^ (u if (c & gv).bit_count() & 1 else 0) for c in pool]
+                     for pool in pools]
         u = next(c for c in pools[-1] if c)
-        if form is _omega:
-            ju = (u & even) << 1 | u >> 1 & even
-            v = pools[0][(ju & -ju).bit_length() - 1]
-        else:
-            v = next(c for c in pools[0] if form(u, c))
+        gu = gram(u)
+        v = pools[0][(gu & -gu).bit_length() - 1]
         new = [u, v]
         cols += new
     return cols
@@ -345,7 +336,7 @@ def _pair_representative(q: int, n: int) -> tuple[int, ...]:
     """Columns of the coset representative for pair index q in [0, (2^{2n}-1) 2^{2n-1})."""
     f1_idx, b = divmod(q, 1 << (2 * n - 1))
     f1 = f1_idx + 1
-    return tuple(_symplectic_basis(_omega, 2 * n, [(f1, _second_image(f1, b))]))
+    return tuple(_symplectic_basis(_swap_pairs, 2 * n, [(f1, _second_image(f1, b))]))
 
 
 def enumerate_sp(n: int) -> Iterator[np.ndarray]:

@@ -97,6 +97,7 @@ class WeightedDesign:
     states: np.ndarray
     weights: np.ndarray
     phi4: float
+    orbit_sizes: tuple[int, int]
 
 
 def psi_t() -> np.ndarray:
@@ -321,7 +322,8 @@ def weighted_two_orbit(psi1: np.ndarray, psi2: np.ndarray, n: int) -> WeightedDe
     phi4 = w1 * w1 * len(orb1) * p11 + 2 * w1 * w2 * len(orb1) * p12 + w2 * w2 * len(orb2) * p22
     if not phi4 >= 1.0 / sym_dim(1 << n, 4) - BOUND_SLACK:
         raise AssertionError(f"frame potential {phi4} is not at or above the design minimum")
-    return WeightedDesign(states=states, weights=weights, phi4=phi4)
+    return WeightedDesign(states=states, weights=weights, phi4=phi4,
+                          orbit_sizes=(len(orb1), len(orb2)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,17 +426,15 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
         raise AssertionError(f"subfield GF(2^{n}) has a basis of {len(fq_basis)} elements")
     fq_gram = [f2lin._mat_vec(gram, c) for c in fq_basis]
     beta = next(b for b in range(1, 1 << m) if not any(f2lin._parity(b & g) for g in fq_gram))
-    # Tr(u v^{2^n} beta) = parity(u & form_rows v), form_rows = gram (beta .) Frobenius
+    # Tr(u v^{2^n} beta) = parity(u & form_rows v), form_rows = gram (beta .) Frobenius;
+    # the form is alternating, so u -> form_rows u is its Gram map
     beta_rows = f2lin._transpose([_gf_mul(beta, 1 << i, p, m) for i in range(m)], m)
     form_rows = f2lin._mat_mul(gram, f2lin._mat_mul(beta_rows, f2lin._transpose(frob_cols, m)))
-
-    def form(u: int, v: int) -> int:
-        return f2lin._parity(u & f2lin._mat_vec(form_rows, v))
 
     # the subfield is one line of the spread the cycler permutes; anchoring
     # it on the z-type coordinates makes the computational basis one of the
     # d+1 cycled bases
-    cols = f2lin._symplectic_basis(form, m, u_pool=fq_basis)
+    cols = f2lin._symplectic_basis(lambda u: f2lin._mat_vec(form_rows, u), m, u_pool=fq_basis)
     pmat_rows = f2lin._transpose(cols, m)
     pinv_rows = f2lin._inverse(pmat_rows, m)
     alpha = _gf_pow(2, (1 << n) - 1, p, m)

@@ -9,8 +9,9 @@ is always Hermitian and squares to the identity.
 Every i^j W_a is a signed permutation of the computational basis: with
 (z, x) = label_split(a, n) it sends |k> to i^{j + |z&x|} (-1)^{|z&k|} |k ^ x>,
 |.| the popcount.  One kernel returns that pair (x, phases); dense
-matrices, the action on states and matrices, and the Clifford lift all
-read W_a from it, so the sign and i-power conventions live in one place.
+matrices, the action on states and matrices, the Clifford lift and the
+dense k-copy code objects of stabrep all read W_a from it, so the sign and
+i-power conventions live in one place.
 
 The characteristic function of a state collects all d^2 real expectation
 values <psi|W_a|psi>.  One kernel computes it for a batch of states.  Per
@@ -20,7 +21,8 @@ GEMMs of length L = d/2, H_L = H_{L/b} (x) H_b, b = min(L, 32): 2 d L (L/b + b)
 real multiply-adds per state, not d^3 complex ones.  The purity identity
 checks each state's transform.  It takes the batch in chunks of at most 2^16
 transformed entries, so memory stays a few MB plus index tables of
-max(2^16, d^2) entries per d.
+max(2^16, d^2) entries per d.  The cached tables are read-only, as every
+caller shares them.
 """
 
 from __future__ import annotations
@@ -76,14 +78,22 @@ class PauliLabel:
         return PauliLabel(self.n, self.a, -self.phase_exp)
 
 
+def _read_only(*arrays: np.ndarray):
+    """The arrays marked read-only, as a cached table is shared by every caller:
+    the one array, or a tuple of them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
 @functools.cache
 def _split_table() -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """(z, x) nibbles of each label byte, the byte's first qubit in the top
     bit: as Python ints for int labels, and as the first two rows of a
-    (3, 256) array whose last row counts the byte's Y factors, |z & x|."""
+    read-only (3, 256) array whose last row counts the byte's Y factors, |z & x|."""
     b = np.arange(256)
     z, x = (sum((b >> 2 * i + s & 1) << 3 - i for i in range(4)) for s in (0, 1))
-    return tuple(zip(z.tolist(), x.tolist())), np.stack([z, x, np.bitwise_count(z & x)])
+    return tuple(zip(z.tolist(), x.tolist())), _read_only(np.stack([z, x, np.bitwise_count(z & x)]))
 
 
 def label_split(a: int, n: int) -> tuple[int, int]:
@@ -128,9 +138,9 @@ def label_join(z: int, x: int, n: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _parity_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The basis indices k < 2^n, in the smallest unsigned type that holds
-    them, and (-1)^{|k|} for each, as int8."""
+    them, and (-1)^{|k|} for each, as int8; both read-only."""
     k = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
-    return k, (1 - 2 * (np.bitwise_count(k) & 1)).astype(np.int8)
+    return _read_only(k, (1 - 2 * (np.bitwise_count(k) & 1)).astype(np.int8))
 
 
 def _pauli_parts(n: int, a, phase_exp=0):
@@ -266,10 +276,11 @@ PURITY_RTOL = 1e-12
 
 @functools.lru_cache(maxsize=None)
 def _hadamard(n: int) -> np.ndarray:
+    """The read-only 2^n x 2^n Walsh-Hadamard matrix, (-1)^{|i & j|}."""
     d = 1 << n
     idx = np.arange(d)
     pc = np.bitwise_count(idx[:, None] & idx[None, :])
-    return 1.0 - 2.0 * (pc & 1)
+    return _read_only(1.0 - 2.0 * (pc & 1))
 
 
 def _blocks(d: int) -> tuple[int, int]:
@@ -287,13 +298,14 @@ def _pair_split(u: np.ndarray, m: np.ndarray, d: int) -> tuple[np.ndarray, np.nd
 
 @functools.lru_cache(maxsize=None)
 def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices of k and k ^ m over max(chunk, d) rows, [u_hi, row, u_lo]."""
+    """Gather indices of k and k ^ m over max(chunk, d) rows, [u_hi, row, u_lo],
+    read-only."""
     d = 1 << n
     b, step = _blocks(d)
     r = np.arange(max(step, d)).reshape(1, -1, 1)
     m = r % d
     k = _pair_split(np.arange(d // 2).reshape(-1, 1, b), m, d)[0]
-    return r - m + k, r - m + (k ^ m)
+    return _read_only(r - m + k, r - m + (k ^ m))
 
 
 def _xi_chunks(psis: np.ndarray):
@@ -373,14 +385,14 @@ def _ell4_rows(psis: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _label_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """label_join(z, m) and the factor +-2 that carry each entry of t to
-    Xi(z, m), in the kernel's [u_hi, h, m, u_lo] layout over d rows."""
+    Xi(z, m), in the kernel's [u_hi, h, m, u_lo] layout over d rows, read-only."""
     d = 1 << n
     b, _ = _blocks(d)
     h = np.arange(2).reshape(1, 2, 1, 1)
     m = np.arange(d).reshape(1, 1, d, 1)
     k, top = _pair_split(np.arange(d // 2).reshape(-1, 1, 1, b), m, d)
     z = k | top * (h ^ np.bitwise_count(k & m) & 1)  # |z & m| has the parity h, or z_top = h
-    return label_join(z, m, n), 2.0 - 2.0 * (np.bitwise_count(z & m) & 2)
+    return _read_only(label_join(z, m, n), 2.0 - 2.0 * (np.bitwise_count(z & m) & 2))
 
 
 def characteristic_function(psi: np.ndarray) -> CharacteristicFunction:

@@ -16,12 +16,15 @@ symmetric-group commutant, and everything about the decomposition of
                        exact characters of Sp(2n, F_2) elements from
                        fixed-space dimensions, and the group sums over
                        Sp(2n, F_2) as closed-form orbit counts.
+
+The dense code objects (stab_projector, stab_code_basis, vec_pauli_basis,
+isotropic_orbit_states) index k copies copy-major, copy 0 the most
+significant base-d digit, and read every W_a from pauli._signed_perms.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import f2lin
 from .f2lin import CapacityError, F2Matrix, IsotropicSubspace, fixed_space_dim
-from .pauli import PauliLabel, pauli_matrix
+from .pauli import _signed_perms
 
 __all__ = [
     "PARTITIONS",
@@ -80,21 +83,6 @@ def weyl_dim(lam: tuple, d: int) -> Fraction:
 # dense projectors
 
 
-def _reorder_qubit_major_to_copy_major(arr: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Permute tensor legs of a (2^{nk})-dim vector or square matrix from
-    per-qubit copy blocks to per-copy qubit blocks."""
-    bits = n * k
-    perm = [0] * bits
-    for c in range(k):
-        for q in range(n):
-            perm[c * n + q] = q * k + c
-    if arr.ndim == 1:
-        return arr.reshape((2,) * bits).transpose(perm).reshape(-1)
-    full = perm + [bits + p for p in perm]
-    dim = 1 << bits
-    return arr.reshape((2,) * (2 * bits)).transpose(full).reshape(dim, dim)
-
-
 def _check_stab_args(n: int, k: int) -> None:
     if k % 4 != 0 or k <= 0:
         raise ValueError("k must be a positive multiple of 4")
@@ -105,64 +93,61 @@ def _check_stab_args(n: int, k: int) -> None:
         )
 
 
+def _copy_pauli_mean(n: int, labels, copies, k: int) -> np.ndarray:
+    """The mean over a in labels of W_a on each of the given copies and 1 on
+    the others, as a d^k x d^k array: W_a sends |j> to v_a[j] |j ^ x_a>, so
+    each term sends J to J ^ X_a, X_a the digit x_a on each given copy, times
+    v_a at their digits of J.  Exact when len(labels) is a power of 2."""
+    d = 1 << n
+    x, v = _signed_perms(n, np.asarray(labels, dtype=np.int64))
+    shifts = [n * (k - 1 - c) for c in copies]
+    J = np.arange(d**k)
+    out = np.zeros((d**k, d**k), dtype=complex)
+    for xa, va in zip(x.tolist(), v):
+        term = np.prod([va[J >> s & d - 1] for s in shifts], axis=0)
+        out[J ^ sum(xa << s for s in shifts), J] += term / len(v)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def stab_projector(n: int, k: int = 4) -> np.ndarray:
-    """Projector (1/d^2) sum_a W_a^{(x k)} onto the k-copy stabilizer code."""
+    """Projector (1/d^2) sum_a W_a^{(x k)} onto the k-copy stabilizer code,
+    read-only as it is shared by every caller."""
     _check_stab_args(n, k)
-    p1 = np.zeros((1 << k, 1 << k), dtype=complex)
-    for a in range(4):
-        w = pauli_matrix(PauliLabel(1, a))
-        term = np.array([[1.0 + 0j]])
-        for _ in range(k):
-            term = np.kron(term, w)
-        p1 += term
-    p1 /= 4.0
-    out = p1
-    for _ in range(n - 1):
-        out = np.kron(out, p1)
-    if n > 1:
-        out = _reorder_qubit_major_to_copy_major(out, n, k)
+    out = _copy_pauli_mean(n, range(1 << 2 * n), range(k), k)
+    out.flags.writeable = False
     return out
 
 
 def stab_code_basis(n: int, k: int = 4) -> np.ndarray:
     """Orthonormal basis of the code, shape (d^{k-2}, d^k).
 
-    Single-qubit basis vectors are (|u> + |~u>)/sqrt(2) over even-weight
-    bitstrings u with leading bit 0; the n-qubit basis takes all tensor
-    combinations.
+    Row r is the uniform superposition of J_r ^ (x, ..., x) over x < d,
+    J_r the r-th smallest index whose copy-0 digit is 0 and whose k digits
+    XOR to 0: the diagonal Paulis fix such J, and X_x^{(x k)} permutes the
+    d indices of each row.
     """
     _check_stab_args(n, k)
-    dim = 1 << k
-    singles = []
-    for u in range(dim // 2):  # leading bit of u is 0
-        if bin(u).count("1") % 2:
-            continue
-        v = np.zeros(dim, dtype=complex)
-        v[u] = 1 / np.sqrt(2.0)
-        v[u ^ (dim - 1)] += 1 / np.sqrt(2.0)
-        singles.append(v)
-    out = []
-    for combo in itertools.product(singles, repeat=n):
-        v = np.array([1.0 + 0j])
-        for w in combo:
-            v = np.kron(v, w)
-        if n > 1:
-            v = _reorder_qubit_major_to_copy_major(v, n, k)
-        out.append(v)
-    return np.array(out)
+    d = 1 << n
+    J = np.arange(d ** (k - 1))  # the copy-0 digit is 0
+    rows = J[np.bitwise_xor.reduce([J >> n * c & d - 1 for c in range(k - 1)]) == 0]
+    out = np.zeros((len(rows), d**k), dtype=complex)
+    ones = sum(1 << n * c for c in range(k))  # the digit 1 on every copy
+    np.put_along_axis(out, rows[:, None] ^ np.arange(d) * ones, np.sqrt(1.0 / d), axis=1)
+    return out
 
 
 def vec_pauli_basis(n: int) -> np.ndarray:
     """The d^2 orthogonal code vectors vec(W_a) x vec(W_a), shape (d^2, d^4)."""
-    if n > 3:
-        raise CapacityError("vectorized Pauli basis supported for n <= 3")
+    _check_stab_args(n, 4)
     d = 1 << n
-    out = np.empty((d * d, d**4), dtype=complex)
-    for a in range(d * d):
-        v = pauli_matrix(PauliLabel(n, a)).reshape(-1)
-        out[a] = np.kron(v, v)
-    return out
+    x, v = _signed_perms(n, np.arange(d * d))
+    j = np.arange(d)
+    idx = (x[:, None] ^ j) * d + j  # vec(W_a) holds v_a[j] there, row-major
+    out = np.zeros((d * d, d * d, d * d), dtype=complex)
+    a = np.arange(d * d)[:, None, None]
+    out[a, idx[:, :, None], idx[:, None, :]] = v[:, :, None] * v[:, None, :]
+    return out.reshape(d * d, d**4)
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +254,15 @@ def isotropic_orbit_states(n: int) -> list[tuple[IsotropicSubspace, np.ndarray]]
     """
     if n > 2:
         raise CapacityError("isotropic-orbit states supported for n <= 2")
-    d = 1 << n
-    eye = np.eye(d)
     proj_code = stab_projector(n, 4)
     out = []
     for M in f2lin.maximal_isotropic_subspaces(n):
-        q1 = np.zeros((d**4, d**4), dtype=complex)
-        q2 = np.zeros((d**4, d**4), dtype=complex)
-        for a in M.vectors():
-            w = pauli_matrix(PauliLabel(n, a))
-            q1 += np.kron(np.kron(w, w), np.kron(eye, eye))
-            q2 += np.kron(np.kron(w, eye), np.kron(w, eye))
-        q1 /= d
-        q2 /= d
+        q1 = _copy_pauli_mean(n, M.vectors(), (0, 1), 4)
+        q2 = _copy_pauli_mean(n, M.vectors(), (0, 2), 4)
         proj = proj_code @ q1 @ q2
-        state = None
-        for j in range(d**4):
-            v = proj[:, j]
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-8:
-                state = v / nrm
-                break
-        if state is None:
+        nonzero = np.linalg.norm(proj, axis=0) > 1e-8
+        if not nonzero.any():
             raise AssertionError("code projector annihilates every basis vector")
-        out.append((M, state))
+        v = proj[:, nonzero.argmax()]
+        out.append((M, v / np.linalg.norm(v)))
     return out

@@ -5,7 +5,9 @@ computes in closed form or by exact combinatorics:
 
 * the S8 permutation census and the five-case assembly of E[alpha_+^2],
   with a dense 256-dimensional n = 1 evaluation (moments),
-* dense isotypic (Young) projectors of S4 on (C^d)^{x4} (stabrep),
+* dense isotypic (Young) projectors of S4 on (C^d)^{x4}, and the code
+  projector, code basis, vec-Pauli basis and isotropic-orbit states
+  built from Kronecker products of single-qubit Paulis (stabrep),
 * the code character tr(U^{x k} P_{n,k}) from the dense Clifford unitary,
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
@@ -19,8 +21,8 @@ computes in closed form or by exact combinatorics:
   isotropic subspaces grown depth first one candidate at a time, the
   orbit counts and fixed-space histogram with every sum and Lagrange
   numerator formed afresh, the symplectic basis completed from a pool
-  filtered to its independent projections, and Sp(2n, F2) streamed as
-  one F2Matrix per element (f2lin),
+  filtered to its independent projections, and with the form called once
+  per pairing, and Sp(2n, F2) streamed as one F2Matrix per element (f2lin),
 * the transvection midpoint found by a search over candidate vectors
   (clifford),
 * the Pauli product phase summed, and a label split, one qubit at a
@@ -54,6 +56,7 @@ from cliffdesigns.f2lin import (
     _cols_from_indices,
     enumerate_sp,
     fixed_space_dim,
+    maximal_isotropic_subspaces,
     sp_order,
     symplectic_form,
 )
@@ -67,9 +70,10 @@ from cliffdesigns.pauli import (
     _signed_perms,
     characteristic_function,
     label_join,
+    pauli_matrix,
     pauli_product,
 )
-from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, stab_projector
+from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, _check_stab_args, stab_projector
 
 YOUNG_DENSE_MAX_N = 2
 
@@ -213,6 +217,110 @@ def dense_second_moment_qubit() -> float:
     doubled = np.kron(p14, p14)
     d8 = 9  # dim of the 8-fold symmetric subspace at d = 2
     return float(np.trace(doubled @ p8).real / d8)
+
+
+# ---------------------------------------------------------------------------
+# the dense code objects from Kronecker products of single-qubit Paulis
+
+
+def reorder_qubit_major_to_copy_major(arr: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Permute tensor legs of a (2^{nk})-dim vector or square matrix from
+    per-qubit copy blocks to per-copy qubit blocks."""
+    bits = n * k
+    perm = [0] * bits
+    for c in range(k):
+        for q in range(n):
+            perm[c * n + q] = q * k + c
+    if arr.ndim == 1:
+        return arr.reshape((2,) * bits).transpose(perm).reshape(-1)
+    full = perm + [bits + p for p in perm]
+    dim = 1 << bits
+    return arr.reshape((2,) * (2 * bits)).transpose(full).reshape(dim, dim)
+
+
+def stab_projector_kron(n: int, k: int = 4) -> np.ndarray:
+    """stabrep.stab_projector as the n-fold Kronecker power of the one-qubit
+    projector, its legs reordered copy-major."""
+    _check_stab_args(n, k)
+    p1 = np.zeros((1 << k, 1 << k), dtype=complex)
+    for a in range(4):
+        w = pauli_matrix(PauliLabel(1, a))
+        term = np.array([[1.0 + 0j]])
+        for _ in range(k):
+            term = np.kron(term, w)
+        p1 += term
+    p1 /= 4.0
+    out = p1
+    for _ in range(n - 1):
+        out = np.kron(out, p1)
+    if n > 1:
+        out = reorder_qubit_major_to_copy_major(out, n, k)
+    return out
+
+
+def stab_code_basis_kron(n: int, k: int = 4) -> np.ndarray:
+    """stabrep.stab_code_basis as tensor products of the single-qubit
+    vectors (|u> + |~u>)/sqrt(2) over even-weight bitstrings u with leading
+    bit 0, in lexicographic order of the qubits' u."""
+    _check_stab_args(n, k)
+    dim = 1 << k
+    singles = []
+    for u in range(dim // 2):  # leading bit of u is 0
+        if bin(u).count("1") % 2:
+            continue
+        v = np.zeros(dim, dtype=complex)
+        v[u] = 1 / np.sqrt(2.0)
+        v[u ^ (dim - 1)] += 1 / np.sqrt(2.0)
+        singles.append(v)
+    out = []
+    for combo in itertools.product(singles, repeat=n):
+        v = np.array([1.0 + 0j])
+        for w in combo:
+            v = np.kron(v, w)
+        if n > 1:
+            v = reorder_qubit_major_to_copy_major(v, n, k)
+        out.append(v)
+    return np.array(out)
+
+
+def vec_pauli_basis_kron(n: int) -> np.ndarray:
+    """stabrep.vec_pauli_basis from dense Pauli matrices."""
+    d = 1 << n
+    out = np.empty((d * d, d**4), dtype=complex)
+    for a in range(d * d):
+        v = pauli_matrix(PauliLabel(n, a)).reshape(-1)
+        out[a] = np.kron(v, v)
+    return out
+
+
+def isotropic_orbit_states_kron(n: int) -> list[tuple[IsotropicSubspace, np.ndarray]]:
+    """stabrep.isotropic_orbit_states with the projectors built from dense
+    Pauli matrices, one Kronecker product per label."""
+    d = 1 << n
+    eye = np.eye(d)
+    proj_code = stab_projector_kron(n, 4)
+    out = []
+    for M in maximal_isotropic_subspaces(n):
+        q1 = np.zeros((d**4, d**4), dtype=complex)
+        q2 = np.zeros((d**4, d**4), dtype=complex)
+        for a in M.vectors():
+            w = pauli_matrix(PauliLabel(n, a))
+            q1 += np.kron(np.kron(w, w), np.kron(eye, eye))
+            q2 += np.kron(np.kron(w, eye), np.kron(w, eye))
+        q1 /= d
+        q2 /= d
+        proj = proj_code @ q1 @ q2
+        state = None
+        for j in range(d**4):
+            v = proj[:, j]
+            nrm = np.linalg.norm(v)
+            if nrm > 1e-8:
+                state = v / nrm
+                break
+        if state is None:
+            raise AssertionError("code projector annihilates every basis vector")
+        out.append((M, state))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +696,25 @@ def symplectic_basis_filtered(form, m: int, pairs=(), u_pool=None) -> list[int]:
         new = [(u, v)]
         pairs += new
     return [c for pair in pairs for c in pair]
+
+
+def symplectic_basis_callable(form, m: int, pairs=(), u_pool=None) -> list[int]:
+    """f2lin._symplectic_basis with the form a callable form(u, c), called
+    once per pairing: each round projects the unit pool, and u_pool when
+    given, onto the complement of the newest pair; u is the first nonzero
+    projection of the u pool (or of the unit pool), v the first unit-pool
+    projection pairing with u."""
+    cols = [c for pair in pairs for c in pair]
+    pools = [[1 << j for j in range(m)]] + ([] if u_pool is None else [list(u_pool)])
+    new = cols
+    while len(cols) < m:
+        for u, v in zip(new[::2], new[1::2]):
+            pools = [[c ^ v * form(u, c) ^ u * form(v, c) for c in pool] for pool in pools]
+        u = next(c for c in pools[-1] if c)
+        v = next(c for c in pools[0] if form(u, c))
+        new = [u, v]
+        cols += new
+    return cols
 
 
 def isotropic_grow(n: int) -> tuple[IsotropicSubspace, ...]:

@@ -251,6 +251,21 @@ class TestConstruct:
         data = json.loads(out)
         assert data["phi4"] == pytest.approx(0.2, abs=1e-9)
 
+    def test_weighted_prints_the_design_orbit_sizes(self, capsys, monkeypatch):
+        # equal weights on orbits of 6 and 8 states: counting the weights
+        # equal to the first and the last would print [14, 14]
+        from cliffdesigns import fiducial
+
+        def equal_weights(psi1, psi2, n):
+            return fiducial.WeightedDesign(states=np.zeros((14, 2), dtype=complex),
+                                           weights=np.full(14, 1 / 14), phi4=0.2,
+                                           orbit_sizes=(6, 8))
+
+        monkeypatch.setattr(fiducial, "weighted_two_orbit", equal_weights)
+        code, out = run_cli(capsys, "construct", "--weighted", "--n", "1")
+        assert code == 0
+        assert json.loads(out)["orbit_sizes"] == [6, 8]
+
     @pytest.mark.parametrize("mode", ["alg2", "weighted"])
     def test_base_outside_alg1_rejected(self, capsys, mode):
         err = assert_rejected(capsys, "construct", f"--{mode}", "--n", "2", "--base", "psi_T")
@@ -519,6 +534,23 @@ def test_no_bare_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_one_pauli_kernel_and_one_pairing_rule():
+    # stabrep builds its dense objects from pauli._signed_perms, not from
+    # Kronecker products of dense Paulis; f2lin completes a symplectic basis
+    # by one Gram-map rule, with no branch on which form it was given
+    package = Path(cliffdesigns.__file__).parent
+    stabrep = ast.parse((package / "stabrep.py").read_text())
+    dense = [node.lineno for node in ast.walk(stabrep) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("kron", "pauli_matrix")]
+    assert not dense, f"stabrep.py: np.kron or pauli_matrix called on lines {dense}"
+    f2lin = ast.parse((package / "f2lin.py").read_text())
+    forks = [node.lineno for node in ast.walk(f2lin) if isinstance(node, ast.Compare)
+             and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+             and any(isinstance(x, ast.Name) and x.id == "_omega"
+                     for x in (node.left, *node.comparators))]
+    assert not forks, f"f2lin.py: a form tested for identity with _omega on lines {forks}"
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])

@@ -34,6 +34,7 @@ from reference import (
     orbit_count_loop,
     second_image_loop,
     sp_elements,
+    symplectic_basis_callable,
     symplectic_basis_filtered,
 )
 
@@ -363,15 +364,21 @@ class TestBitKernels:
         assert f2lin._second_image(f1, b, f2lin._forms).tolist() == want
 
 
+def gram_form(gram):
+    """The form with Gram map gram: form(u, c) = |c & gram(u)| mod 2."""
+    return lambda u, c: (c & gram(u)).bit_count() & 1
+
+
 class TestBasisCompletion:
-    """The one completion rule against the pool filtered each round."""
+    """The one completion rule against the pool filtered each round, and
+    against the form called once per pairing."""
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_every_first_pair(self, m):
         for f1 in range(1, 1 << m):
             for b in range(1 << (m - 1)):
                 pairs = [(f1, f2lin._second_image(f1, b))]
-                assert f2lin._symplectic_basis(f2lin._omega, m, pairs) == (
+                assert f2lin._symplectic_basis(f2lin._swap_pairs, m, pairs) == (
                     symplectic_basis_filtered(f2lin._omega, m, pairs))
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -379,9 +386,9 @@ class TestBasisCompletion:
         calls = []
         basis = f2lin._symplectic_basis
 
-        def record(form, m, pairs=(), u_pool=None):
-            cols = basis(form, m, pairs, u_pool)
-            want = symplectic_basis_filtered(form, m, pairs, u_pool)
+        def record(gram, m, pairs=(), u_pool=None):
+            cols = basis(gram, m, pairs, u_pool)
+            want = symplectic_basis_filtered(gram_form(gram), m, pairs, u_pool)
             calls.append((u_pool is not None, cols, want))
             return cols
 
@@ -393,39 +400,32 @@ class TestBasisCompletion:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_inlined_omega_equals_the_callable(self, rng, n):
-        # form=_omega takes the inlined pairings; any other callable, here
-        # _omega behind a lambda, is called once per pairing
+        # the Gram map J of omega against omega called once per pairing
         m = 2 * n
-        calls = []
-
-        def omega(a, b):
-            calls.append(None)
-            return f2lin._omega(a, b)
-
         for q in rng.integers(0, (4**n - 1) << (m - 1), size=40).tolist():
             f1, b = divmod(q, 1 << (m - 1))
             pairs = [(f1 + 1, f2lin._second_image(f1 + 1, b))]
-            inlined = f2lin._symplectic_basis(f2lin._omega, m, pairs)
-            assert inlined == f2lin._symplectic_basis(omega, m, pairs)
-            assert f2lin._pair_representative(q, n) == tuple(inlined)
-        assert bool(calls) == (n > 1)
+            cols = f2lin._symplectic_basis(f2lin._swap_pairs, m, pairs)
+            assert cols == symplectic_basis_callable(f2lin._omega, m, pairs)
+            assert f2lin._pair_representative(q, n) == tuple(cols)
 
     def test_singer_form_goes_through_the_callable(self, monkeypatch):
+        # the singer Gram map against its form called once per pairing; the
+        # lowest-bit pick of v holds as the form is alternating
         calls = []
         basis = f2lin._symplectic_basis
 
-        def record(form, m, pairs=(), u_pool=None):
-            assert form is not f2lin._omega
-
-            def counted(a, b):
-                calls.append(None)
-                return form(a, b)
-
-            return basis(counted, m, pairs, u_pool)
+        def record(gram, m, pairs=(), u_pool=None):
+            form = gram_form(gram)
+            units = [1 << j for j in range(m)]
+            assert all(form(u, u) == 0 and form(u, c) == form(c, u) for u in units for c in units)
+            cols = basis(gram, m, pairs, u_pool)
+            calls.append(cols == symplectic_basis_callable(form, m, pairs, u_pool))
+            return cols
 
         monkeypatch.setattr(f2lin, "_symplectic_basis", record)
         assert singer_symplectic.__wrapped__(4) == singer_symplectic(4)
-        assert calls
+        assert calls and all(calls)
 
     @pytest.mark.parametrize("n", [33, 40])
     def test_random_first_pairs_past_32_qubits(self, rng, n):
@@ -434,7 +434,7 @@ class TestBasisCompletion:
             f1 = 1 + int.from_bytes(rng.bytes(n)) % (4**n - 1)
             b = int.from_bytes(rng.bytes(n)) % 2 ** (m - 1)
             pairs = [(f1, f2lin._second_image(f1, b))]
-            assert f2lin._symplectic_basis(f2lin._omega, m, pairs) == (
+            assert f2lin._symplectic_basis(f2lin._swap_pairs, m, pairs) == (
                 symplectic_basis_filtered(f2lin._omega, m, pairs))
 
 

@@ -226,6 +226,23 @@ class TestSignedPerms:
             assert x[idx] == x1 and v[idx].tobytes() == v1.tobytes()
 
 
+class TestCachedTables:
+    @pytest.mark.parametrize("table", [
+        lambda: [pauli._hadamard(3)],
+        lambda: list(pauli._parity_signs(3)),
+        lambda: list(pauli._kernel_tables(3)),
+        lambda: list(pauli._label_table(3)),
+        lambda: [pauli._split_table()[1]],
+    ], ids=["hadamard", "parity_signs", "kernel_tables", "label_table", "split_table"])
+    def test_writing_raises(self, table):
+        # every caller shares the cached arrays, so none may write into them
+        for a in table():
+            before = a.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 7
+            assert (a == before).all()
+
+
 class TestCharacteristicFunction:
     def test_matches_dense_oracle(self, rng):
         for n in (1, 2, 3):

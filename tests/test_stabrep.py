@@ -25,12 +25,28 @@ from cliffdesigns.stabrep import (
 )
 from reference import (
     cycle_type,
+    isotropic_orbit_states_kron,
     multiplicity_sum,
     numeric_symplectic_character,
     sp_elements,
+    stab_code_basis_kron,
+    stab_projector_kron,
     string_orbit_sweep,
+    vec_pauli_basis_kron,
     young_projector,
 )
+
+# the shapes compared with the Kronecker builds: n = 1..3 at k = 4, up to
+# the dense cap d^k <= 4096, and k = 8 at n = 1
+DENSE_SHAPES = [(1, 4), (2, 4), (3, 4), (1, 8)]
+
+
+def same_bytes(a, b, rows=256):
+    """a and b agree byte for byte after + 0.0, compared a block of rows at a time."""
+    return a.shape == b.shape and all(
+        (a[i : i + rows] + 0.0).tobytes() == (b[i : i + rows] + 0.0).tobytes()
+        for i in range(0, len(a), rows))
+
 
 # the five-row ledger for one, two and three qubits: (specht, weyl, code, rest)
 LEDGER = {
@@ -152,6 +168,16 @@ class TestStabProjector:
         with pytest.raises(CapacityError):
             stab_projector(2, 8)
 
+    @pytest.mark.parametrize("n,k", DENSE_SHAPES)
+    def test_equals_the_kronecker_build(self, n, k):
+        assert same_bytes(stab_projector(n, k), stab_projector_kron(n, k))
+
+    def test_cached_projector_is_read_only(self):
+        p = stab_projector(1, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            p[0, 0] = 7
+        assert stab_projector(1, 4)[0, 0] == 0.5
+
     def test_commutes_with_permutations_and_cliffords(self, rng):
         for n in (1, 2):
             d = 2**n
@@ -178,6 +204,21 @@ class TestCodeBasis:
         p = stab_projector(n, k)
         assert np.allclose(p @ b.T, b.T, atol=1e-10)
 
+    @pytest.mark.parametrize("n,k", DENSE_SHAPES)
+    def test_rows_equal_the_kronecker_build(self, n, k):
+        # the same rows, in ascending order of their first index, each
+        # amplitude d^{-1/2} correctly rounded; the oracle rounds 1/sqrt(2)
+        # once per qubit, which puts it 2 ulps off at n = 3
+        got, want = stab_code_basis(n, k), stab_code_basis_kron(n, k)
+        assert got.shape == want.shape
+        first = np.argmax(got != 0, axis=1)
+        assert (np.diff(first) > 0).all()
+        want = want[np.argsort(np.argmax(want != 0, axis=1))]
+        assert ((got != 0) == (want != 0)).all()
+        assert (got[got != 0] == np.sqrt(1.0 / 2**n)).all()
+        ulps = np.abs(got - want) / np.spacing(np.sqrt(1.0 / 2**n))
+        assert ulps.max() <= (2 if n == 3 else 1)
+
     def test_single_qubit_explicit_vectors(self):
         b = stab_code_basis(1, 4)
         pairs = [(0b0000, 0b1111), (0b1001, 0b0110), (0b0101, 0b1010), (0b0011, 0b1100)]
@@ -188,6 +229,14 @@ class TestCodeBasis:
 
 
 class TestVecPauliBasis:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_the_kronecker_build(self, n):
+        assert same_bytes(vec_pauli_basis(n), vec_pauli_basis_kron(n))
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError, match="limited to dimension 4096; requested d\\^k = 65536"):
+            vec_pauli_basis(4)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_orthogonal_and_in_code(self, n):
         d = 2**n
@@ -336,6 +385,12 @@ class TestIsotropicOrbitStates:
         frame = sum(np.outer(p, p.conj()) for _, p in states)
         ratio = len(states) / dimension_table(n)[0].D_plus
         assert np.allclose(frame, ratio * plus, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_the_kronecker_build(self, n):
+        got, want = isotropic_orbit_states(n), isotropic_orbit_states_kron(n)
+        assert [M for M, _ in got] == [M for M, _ in want]
+        assert all(same_bytes(p, q) for (_, p), (_, q) in zip(got, want))
 
     def test_all_z_subspace_gives_plus_state(self):
         for n in (1, 2):
