@@ -5,10 +5,11 @@ Subcommands
 tables      exact dimension ledger, orbit-counting oracle, group potentials
 check       deviation metrics of a named or file-loaded state
 construct   exact fiducials (tensor completion / epsilon root) and weighted
-            two-orbit designs
+            two-orbit designs (n <= 10)
 moments     Monte-Carlo moment and tail study with pinned seed
 singer      basis-cycler deviation table
-orbit       frame potential of a Clifford orbit (exact or Monte-Carlo)
+orbit       frame potential of a Clifford orbit (exact: n <= 10 at t = 4 and
+            n <= 2 otherwise; or Monte-Carlo)
 
 Every randomized command requires --seed and echoes it back; exit status
 is 0 iff every assertion embedded in the requested computation passed.
@@ -26,14 +27,26 @@ import sys
 from fractions import Fraction
 
 # An orbit --mode mc estimate passes while it lies at most this many of its
-# standard errors below the design minimum; exact mode allows ORBIT_ATOL.
+# standard errors, and at least ORBIT_ATOL, below the design minimum; exact
+# mode and construct --weighted grade relative to the minimum, within
+# designs.POTENTIAL_RTOL, as the minimum falls to 2.2e-11 at n = 10, t = 4.
 ORBIT_MC_SIGMAS = 4
 ORBIT_ATOL = 1e-9
+# exact orbit --t 4 is the closed form in epsilon, read off the d^2 Pauli
+# expectations: 0.07 s at n = 10, 0.5 s and 355 MB at n = 12, 2.1 s and
+# 1.25 GB at n = 13.  Other t sum over the materialized group, n <= 2
+# (clifford.ORBIT_MAX_N; 92 897 280 elements at n = 3).
+ORBIT_T4_MAX_N = 10
+# tables prints closed forms for n = 1..N, at a cost growing about as N^5:
+# 0.26 s at N = 32, 1.6 s at 48 and 8.3 s at 64 (1.2 and 3.6 MB of JSON).
+TABLES_MAX_N = 32
 # moments samples 2^n-dimensional Haar states, about 3 s per 10^5 states at
 # n = 5, 26 s at n = 7 and 110 s at n = 8; the exact moments hold for any n.
 MOMENTS_MAX_N = 5
 # singer builds the n-qubit cycler's eigenbasis: about 2 s and 140 MB at
 # n = 10, and each further qubit multiplies the time by about 7.
+# construct --weighted seeds its negative orbit with an (n-1)-qubit cycler
+# eigenstate and shares the range.
 SINGER_MAX_N = 10
 # singer grades -epsilon against the closed form (d/2+1)/(d+1)^2 of every cycler
 SINGER_TOL = 1e-12
@@ -112,8 +125,9 @@ def cmd_tables(args) -> tuple[dict, bool]:
     from . import f2lin, stabrep
 
     n_max = args.n
-    if n_max < 1:
-        raise ValueError(f"tables needs --n >= 1, got --n {n_max}")
+    if not 1 <= n_max <= TABLES_MAX_N:
+        raise ValueError(f"tables needs 1 <= --n <= {TABLES_MAX_N}, got --n {n_max}: the "
+                         f"tables cost about 0.26 s at --n 32 and 8.3 s at --n 64")
     per_n = []
     ok = True
     for n in range(1, n_max + 1):
@@ -166,14 +180,16 @@ def cmd_check(args) -> tuple[dict, bool]:
 def cmd_construct(args) -> tuple[dict, bool]:
     import numpy as np
 
-    from .designs import design_report, sym_dim
+    from .designs import POTENTIAL_RTOL, design_report, sym_dim
     from . import fiducial
 
     n = args.n
     mode = args.construction
-    least = 1 if mode == "weighted" else 2  # alg1 and alg2 extend an (n-1)-qubit state
-    if n < least:
-        raise ValueError(f"construct --{mode} needs --n >= {least}, got --n {n}")
+    if mode == "weighted":
+        if not 1 <= n <= SINGER_MAX_N:
+            raise ValueError(f"construct --weighted needs 1 <= --n <= {SINGER_MAX_N}, got --n {n}")
+    elif n < 2:  # alg1 and alg2 extend an (n-1)-qubit state
+        raise ValueError(f"construct --{mode} needs --n >= 2, got --n {n}")
     if args.base is not None and mode != "alg1":
         raise ValueError(f"construct --base applies only to --alg1, not --{mode}")
     if args.max_iter < 1:
@@ -221,11 +237,12 @@ def cmd_construct(args) -> tuple[dict, bool]:
             neg = np.kron(fiducial.singer_eigenstates(n - 1)[0], fiducial.psi_t())
         design = fiducial.weighted_two_orbit(pos, neg, n)
         target = 1.0 / sym_dim(1 << n, 4)
-        ok = abs(design.phi4 - target) <= 1e-9
+        ok = abs(design.phi4 * sym_dim(1 << n, 4) - 1.0) <= POTENTIAL_RTOL
         payload = {
             "mode": "weighted",
-            "orbit_sizes": list(design.orbit_sizes),
-            "weights": [float(design.weights[0]), float(design.weights[-1])],
+            "orbit_sizes": None if design.orbit_sizes is None else list(design.orbit_sizes),
+            "weights": None if design.weights is None else list(design.weights),
+            "orbit_weights": list(design.orbit_weights),
             "phi4": design.phi4,
             "phi4_target": target,
             "pass": ok,
@@ -312,7 +329,8 @@ def cmd_singer(args) -> tuple[dict, bool]:
 
 
 def cmd_orbit(args) -> tuple[dict, bool]:
-    from .designs import orbit_frame_potential, sym_dim
+    from .clifford import ORBIT_MAX_N
+    from .designs import POTENTIAL_RTOL, orbit_frame_potential, sym_dim
 
     t = args.t
     if t < 1:
@@ -322,9 +340,15 @@ def cmd_orbit(args) -> tuple[dict, bool]:
     if args.mode == "exact":
         if args.samples is not None or args.seed is not None:
             raise ValueError("orbit --samples and --seed apply only to --mode mc")
+        if t == 4:
+            cap, cost = ORBIT_T4_MAX_N, "its closed form costs 0.5 s and 355 MB at n = 12"
+        else:
+            cap, cost = ORBIT_MAX_N, "it sums over the whole group, 92897280 elements at n = 3"
+        if n > cap:
+            raise ValueError(f"exact orbit at --t {t} takes n <= {cap}, got n = {n}: {cost}")
         val = orbit_frame_potential(psi, t)
         payload = {"n": n, "t": t, "mode": "exact", "phi": val}
-        slack = ORBIT_ATOL
+        slack = minimum * POTENTIAL_RTOL
     else:
         if args.seed is None:
             raise ValueError("orbit --mode mc requires --seed")

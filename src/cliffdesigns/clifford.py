@@ -10,7 +10,7 @@ and materializes projective orbits of state vectors for n <= 2.
 One kernel, _act_words, applies a stack of transvection words to a block
 of states, a signed gather per factor; orbits use it on the state itself,
 and the dense lift of a stack uses it on n + 1 basis states and builds the
-other columns from them.  A single lift at n <= 4 (LIFT_TABLE_BYTES)
+other columns from them.  A single lift at n <= 3 (LIFT_TABLE_BYTES)
 instead multiplies cached dense factors 1 + i W_v, one matrix product per
 factor; both lifts are exact and give the same matrix.
 
@@ -51,8 +51,10 @@ ORBIT_MAX_N = 2
 # the word action keeps its flat-index tables up to this many entries (128 KB)
 FLAT_INDEX_CACHED = 1 << 14
 # a single lift multiplies cached factors 1 + i W_v while their (4^n, d, d)
-# table fits this many bytes (n <= 4); larger ones go through n + 1 columns
-LIFT_TABLE_BYTES = 1 << 20
+# table fits this many bytes (n <= 3); larger ones go through n + 1 columns.
+# The 1 MiB table of n = 4 took 0.7-1.3 ms to build, more than a cold column
+# lift (0.3-0.5 ms), and a process that lifts once at n = 4 never repaid it
+LIFT_TABLE_BYTES = 1 << 16
 # projective_orbit keys a state psi by |<r|psi>|^2 for two fixed probes r,
 # rounded to this many decimals
 ORBIT_DEDUP_DECIMALS = 9
@@ -680,6 +682,20 @@ def _coset_overlaps(psi: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.abs(g.reshape(-1, d) @ _hadamard(d.bit_length() - 1)).reshape(-1, d, d)
 
 
+def _stabilizer_count(psi: np.ndarray, n: int) -> int:
+    """|Stab(psi)|, n <= 2: the projective Clifford elements with
+    |<psi|U psi>| = 1 within ORBIT_STAB_ATOL, read off the coset overlaps
+    of the |Sp| word actions on psi, which must be normalized.  The count
+    must divide the group order |Sp| d^2, else AssertionError; the orbit
+    of psi has |Sp| d^2 / |Stab(psi)| states."""
+    ov = _coset_overlaps(psi, _symplectic_images(psi, n))
+    stab = int(np.count_nonzero(np.abs(ov - 1.0) <= ORBIT_STAB_ATOL))
+    order = f2lin.sp_order(n) << 2 * n
+    if stab == 0 or order % stab:
+        raise AssertionError(f"stabilizer of {stab} elements does not divide the group order {order}")
+    return stab
+
+
 @functools.lru_cache(maxsize=None)
 def _key_weights(size: int) -> np.ndarray:
     """Fixed pseudorandom uint64 words: the splitmix64 outputs for 1..size,
@@ -711,9 +727,10 @@ def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
     ray, two numbers in place of the d^2 entries of |phi><phi|.  Each key
     keeps its first state, in group order, and every state must be the ray
     of its key's first state, |<rep|phi>| = 1 within ORBIT_STAB_ATOL.  Then
-    the orbit size times |stab(psi)|, the elements with |<psi|U psi>| = 1
-    within ORBIT_STAB_ATOL, must be the group order; both checks raise
-    AssertionError.
+    the orbit size times |Stab(psi)| (_stabilizer_count) must be the group
+    order; both checks raise AssertionError.  Production code takes orbit
+    sizes from _stabilizer_count alone; this materialized orbit is their
+    test oracle.
     """
     phis = _symplectic_images(psi, n)
     _check_normalized(psi)
@@ -728,7 +745,7 @@ def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
     if not (np.abs(np.abs(np.vecdot(states[first[inverse]], states)) - 1.0) <= ORBIT_STAB_ATOL).all():
         raise AssertionError("two orbit states share a hash but not a ray")
     orbit = states[np.sort(first)]
-    stab = np.count_nonzero(np.abs(_coset_overlaps(psi, phis) - 1.0) <= ORBIT_STAB_ATOL)
+    stab = _stabilizer_count(psi, n)
     if len(orbit) * stab != len(states):
         raise AssertionError(
             f"orbit of {len(orbit)} states and stabilizer of {stab} elements do not"

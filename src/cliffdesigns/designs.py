@@ -37,6 +37,7 @@ __all__ = [
     "design_report",
     "epsilon",
     "epsilon_from_ell4",
+    "fourth_moment",
     "frame_potential",
     "sym_dim",
     "minimal_design_size",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 BOUND_SLACK = 1e-9
+# a float64 frame potential that should equal its design value 1/C(d+t-1, t)
+# is graded against it relative to that value, within this
+POTENTIAL_RTOL = 1e-12
 # orbit_frame_potential acts on its Monte-Carlo samples in blocks of at most
 # MC_BLOCK samples, fewer where their coefficient tables would pass
 # MC_BLOCK_BYTES (_mc_block): 768 samples for n <= 5, 327 at n = 6, 62 at n = 8
@@ -113,7 +117,7 @@ def design_report(psi: np.ndarray) -> DesignReport:
     alpha = ell4 / d**2
     eps = epsilon_from_ell4(ell4, d)
     d_plus = (d + 1) * (d + 2) // 6
-    phi4 = (1.0 + 4.0 * eps**2 / ((d - 1) * (d + 4))) / sym_dim(d, 4)
+    phi4 = fourth_moment(eps, eps, d)
     bounds = {
         "ell4": 2 * d / (d + 1) - BOUND_SLACK <= ell4 <= d + BOUND_SLACK,
         "alpha_plus": 2 / (d * (d + 1)) - BOUND_SLACK <= alpha <= 1 / d + BOUND_SLACK,
@@ -130,6 +134,22 @@ def design_report(psi: np.ndarray) -> DesignReport:
         trace_norm_dev=2.0 * d_plus * abs(eps),
         bounds_ok=bounds,
     )
+
+
+def fourth_moment(eps_a, eps_b, d: int):
+    """E_U |<phi|U psi>|^8 over the Clifford group, for states phi and psi
+    of deviations eps_a and eps_b in dimension d:
+
+        (1 + 4 eps_a eps_b / ((d-1)(d+4))) / C(d+3, 4).
+
+    The paper splits the fourth moment of an orbit as E_C (C psi)^{x4} =
+    alpha_+ P_+/D_+ + (1 - alpha_+) P_-/D_-, so this is alpha_a alpha_b / D_+
+    + (1 - alpha_a)(1 - alpha_b) / D_-, bilinear in epsilon.  At eps_a =
+    eps_b = epsilon(psi) it is the orbit's fourth frame potential; for a
+    mixture of orbits with total weights W_i it is that potential at the
+    weighted mean W_1 eps_1 + W_2 eps_2.  Elementwise.
+    """
+    return (1.0 + 4.0 * eps_a * eps_b / ((d - 1) * (d + 4))) / sym_dim(d, 4)
 
 
 def epsilon_from_ell4(ell4, d: int):
@@ -183,10 +203,13 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
                           samples: int = 10000, rng=None):
     """Frame potential of the projective Clifford orbit of psi.
 
-    Exact mode averages |<psi|U psi>|^{2t} over the whole projective group
+    Exact mode at t = 4 is the closed form fourth_moment(eps, eps, d) at
+    any n, the same number as design_report(psi).phi4, bit for bit.  At
+    other t it averages |<psi|U psi>|^{2t} over the whole projective group
     (equal to the orbit double sum by invariance; n <= 2): each symplectic's
     transvection word acts on psi, and the d^2 Paulis of its coset come
-    from one Walsh-Hadamard product per X-mask (clifford._coset_overlaps).
+    from one Walsh-Hadamard product per X-mask (clifford._coset_overlaps);
+    that group sum is also the test oracle of the t = 4 closed form.
     Monte-Carlo mode samples uniform projective Cliffords and returns
     (estimate, standard error).  It draws them from rng in blocks of
     _mc_block(n) samples, each decoded and decomposed as one stack, and
@@ -202,9 +225,11 @@ def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",
     On psi_T^(x)5 at 100 samples, one seed in 300 landed 15 reported
     standard errors below the exact potential.
     """
+    n = _infer_n(psi)
+    if mode == "exact" and t == 4:
+        return design_report(psi).phi4
     from . import clifford
 
-    n = _infer_n(psi)
     _check_normalized(psi)
     if mode == "exact":
         ov = clifford._coset_overlaps(psi, clifford._symplectic_images(psi, n))

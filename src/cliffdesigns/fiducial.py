@@ -10,9 +10,8 @@ Three constructive routes are implemented:
   canonical endpoints) epsilon is a nine-term trigonometric series of the
   arc angle, and the state at its first zero is the fiducial;
 * weighted two-orbit designs -- mix the orbits of a positive and a
-  negative state with weights inversely proportional to orbit size and
-  proportional to the partner's |epsilon|, which cancels the deviation
-  exactly.
+  negative state with total weights proportional to the partner's
+  |epsilon|, which cancels the deviation exactly.
 
 The module also builds basis cyclers (Singer unitaries): Clifford elements
 of projective order d+1 whose symplectic action has no nonzero fixed point
@@ -30,11 +29,11 @@ import numpy as np
 
 from . import clifford, f2lin
 from .designs import (
-    BOUND_SLACK,
-    _overlap_powers,
+    POTENTIAL_RTOL,
     bloch_state,
     epsilon,
     epsilon_from_ell4,
+    fourth_moment,
     orbit_frame_potential,
     sym_dim,
 )
@@ -94,10 +93,14 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class WeightedDesign:
-    states: np.ndarray
-    weights: np.ndarray
+    """Two Clifford orbits weighted into a 4-design.  orbit_weights are the
+    orbits' total weights; orbit_sizes and the per-state weights, total
+    weight over orbit size, are known for n <= 2 and None beyond."""
+
+    orbit_weights: tuple[float, float]
     phi4: float
-    orbit_sizes: tuple[int, int]
+    orbit_sizes: tuple[int, int] | None
+    weights: tuple[float, float] | None
 
 
 def psi_t() -> np.ndarray:
@@ -296,34 +299,35 @@ def bisection_root(
 def weighted_two_orbit(psi1: np.ndarray, psi2: np.ndarray, n: int) -> WeightedDesign:
     """Exact weighted 4-design from the union of two Clifford orbits.
 
-    With epsilon(psi1) > 0 > epsilon(psi2), per-state weights
-    |eps2| / (|orb1| (|eps1|+|eps2|)) on the first orbit and the mirrored
-    expression on the second cancel the code-component deviation exactly.
-
-    phi4 follows from orbit invariance at O(|orbit| d): the group acts
-    transitively on each orbit and fixes the other, so with w1, w2 the
-    per-state weights and p(a, O) = sum_{k in O} |<a|k>|^8,
-    phi4 = w1^2 |O1| p(psi1, O1) + 2 w1 w2 |O1| p(psi1, O2) + w2^2 |O2| p(psi2, O2),
-    which must be at or above the design minimum 1/C(d+3, 4).
+    With epsilon(psi1) > 0 > epsilon(psi2), total orbit weights
+    W1 = |eps2| / (|eps1| + |eps2|) and W2 = |eps1| / (|eps1| + |eps2|)
+    cancel the code-component deviation exactly: phi4 is
+    fourth_moment at the weighted mean W1 eps1 + W2 eps2 = 0, at any n,
+    and no orbit is formed.  It must be at or above the design minimum
+    1/C(d+3, 4), relative to it within POTENTIAL_RTOL.  For n <= 2 the
+    orbit sizes are |G| / |Stab(psi)| (clifford._stabilizer_count) and the
+    per-state weights are |eps2| / (|orb1| (|eps1| + |eps2|)) and the
+    mirrored expression; beyond that both are None.
     """
+    d = 1 << n
+    if psi1.shape != (d,) or psi2.shape != (d,):
+        raise f2lin.DimensionError(f"expected two states of length {d} for n={n}")
     e1 = epsilon(psi1)
     e2 = epsilon(psi2)
     if not (e1 > 0 > e2):
         raise InfeasibleError(f"need epsilon(psi1) > 0 > epsilon(psi2), got {e1}, {e2}")
-    orb1 = np.array(clifford.projective_orbit(psi1, n))
-    orb2 = np.array(clifford.projective_orbit(psi2, n))
     tot = abs(e1) + abs(e2)
-    w1 = abs(e2) / (len(orb1) * tot)
-    w2 = abs(e1) / (len(orb2) * tot)
-    states = np.concatenate([orb1, orb2])
-    weights = np.concatenate([np.full(len(orb1), w1), np.full(len(orb2), w2)])
-    p11, p12, p22 = (float(_overlap_powers(a, orb, 4).sum())
-                     for a, orb in ((psi1, orb1), (psi1, orb2), (psi2, orb2)))
-    phi4 = w1 * w1 * len(orb1) * p11 + 2 * w1 * w2 * len(orb1) * p12 + w2 * w2 * len(orb2) * p22
-    if not phi4 >= 1.0 / sym_dim(1 << n, 4) - BOUND_SLACK:
+    w1, w2 = abs(e2) / tot, abs(e1) / tot
+    e = w1 * e1 + w2 * e2
+    phi4 = fourth_moment(e, e, d)
+    if not phi4 * sym_dim(d, 4) >= 1.0 - POTENTIAL_RTOL:
         raise AssertionError(f"frame potential {phi4} is not at or above the design minimum")
-    return WeightedDesign(states=states, weights=weights, phi4=phi4,
-                          orbit_sizes=(len(orb1), len(orb2)))
+    if n > clifford.ORBIT_MAX_N:
+        return WeightedDesign(orbit_weights=(w1, w2), phi4=phi4, orbit_sizes=None, weights=None)
+    order = f2lin.sp_order(n) << 2 * n
+    k1, k2 = (order // clifford._stabilizer_count(psi, n) for psi in (psi1, psi2))
+    return WeightedDesign(orbit_weights=(w1, w2), phi4=phi4, orbit_sizes=(k1, k2),
+                          weights=(abs(e2) / (k1 * tot), abs(e1) / (k2 * tot)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,21 @@ from cliffdesigns.cli import main
 from cliffdesigns.clifford import _act_words, _sample_words, random_clifford
 from cliffdesigns.designs import MC_BLOCK, MC_BLOCK_BYTES, _mc_block, _overlap_powers
 from cliffdesigns.fiducial import hoggar_fiducial, named_fiducial
+from conftest import random_state
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def state_file(tmp_path, psi) -> str:
+    """psi written as a state file; returns its path."""
+    n = len(psi).bit_length() - 1
+    path = tmp_path / f"state{n}.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[a.real, a.imag] for a in psi.tolist()]}))
+    return str(path)
 
 
 def assert_rejected(capsys, *argv):
@@ -63,6 +72,17 @@ class TestTables:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n_rejected(self, capsys, n):
         assert_rejected(capsys, "tables", "--n", n)
+
+    @pytest.mark.parametrize("n", ["33", "100"])
+    def test_n_past_cap_rejected_before_work(self, capsys, monkeypatch, n):
+        from cliffdesigns import stabrep
+
+        def no_table(n):
+            raise AssertionError("table built before validating")
+
+        monkeypatch.setattr(stabrep, "dimension_table", no_table)
+        err = assert_rejected(capsys, "tables", "--n", n)
+        assert f"1 <= --n <= 32, got --n {n}" in err
 
     def test_past_six_qubits(self, capsys):
         code, out = run_cli(capsys, "tables", "--n", "12")
@@ -257,14 +277,58 @@ class TestConstruct:
         from cliffdesigns import fiducial
 
         def equal_weights(psi1, psi2, n):
-            return fiducial.WeightedDesign(states=np.zeros((14, 2), dtype=complex),
-                                           weights=np.full(14, 1 / 14), phi4=0.2,
-                                           orbit_sizes=(6, 8))
+            return fiducial.WeightedDesign(orbit_weights=(6 / 14, 8 / 14), phi4=0.2,
+                                           orbit_sizes=(6, 8), weights=(1 / 14, 1 / 14))
 
         monkeypatch.setattr(fiducial, "weighted_two_orbit", equal_weights)
         code, out = run_cli(capsys, "construct", "--weighted", "--n", "1")
         assert code == 0
         assert json.loads(out)["orbit_sizes"] == [6, 8]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_weighted_every_n(self, capsys, n):
+        # the closed form at every n; orbit sizes and per-state weights only
+        # where the group is materialized (n <= 2)
+        code, out = run_cli(capsys, "construct", "--weighted", "--n", str(n))
+        data = json.loads(out)
+        assert code == 0 and data["pass"]
+        d = 1 << n
+        assert abs(data["phi4"] * math.comb(d + 3, 4) - 1) <= 1e-12
+        assert data["phi4_target"] == 1 / math.comb(d + 3, 4)
+        assert sum(data["orbit_weights"]) == pytest.approx(1, abs=1e-15)
+        if n <= 2:
+            assert data["orbit_sizes"] == [[6, 8], [60, 640]][n - 1]
+            for w, total, size in zip(data["weights"], data["orbit_weights"], data["orbit_sizes"]):
+                assert w == pytest.approx(total / size, rel=1e-15)
+        else:
+            assert data["orbit_sizes"] is None and data["weights"] is None
+
+    @pytest.mark.parametrize("rel", [-1e-11, 1e-11])
+    def test_weighted_off_target_fails(self, capsys, monkeypatch, rel):
+        # graded relative to 1/C(d+3, 4): at n = 8 the target is 5.5e-9, and
+        # an absolute 1e-9 would pass both of these
+        from cliffdesigns import fiducial
+
+        target = 1 / math.comb(256 + 3, 4)
+
+        def off_target(psi1, psi2, n):
+            return fiducial.WeightedDesign(orbit_weights=(0.5, 0.5), phi4=target * (1 + rel),
+                                           orbit_sizes=None, weights=None)
+
+        monkeypatch.setattr(fiducial, "weighted_two_orbit", off_target)
+        code, out = run_cli(capsys, "construct", "--weighted", "--n", "8")
+        assert code == 1 and json.loads(out)["pass"] is False
+
+    @pytest.mark.parametrize("n", ["11", "12"])
+    def test_weighted_past_singer_range_rejected(self, capsys, monkeypatch, n):
+        from cliffdesigns import fiducial
+
+        def no_work(*args):
+            raise AssertionError("computed before validating")
+
+        monkeypatch.setattr(fiducial, "singer_eigenstates", no_work)
+        err = assert_rejected(capsys, "construct", "--weighted", "--n", n)
+        assert f"1 <= --n <= 10, got --n {n}" in err
 
     @pytest.mark.parametrize("mode", ["alg2", "weighted"])
     def test_base_outside_alg1_rejected(self, capsys, mode):
@@ -414,6 +478,40 @@ class TestOrbit:
         data = json.loads(out)
         assert data["phi"] == pytest.approx(5 / 24, abs=1e-10)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exact_t4_is_check_phi4(self, capsys, tmp_path, n):
+        # exact orbit --t 4 is the closed form that check prints, bit for bit
+        path = state_file(tmp_path, random_state(1 << n, np.random.default_rng(60 + n)))
+        code, out = run_cli(capsys, "orbit", "--file", path, "--t", "4")
+        assert code == 0
+        orbit = json.loads(out)
+        _, out = run_cli(capsys, "check", "--file", path)
+        assert orbit["phi"] == json.loads(out)["phi4"]
+
+    @pytest.mark.parametrize("n, t", [(11, 4), (3, 5), (3, 3)])
+    def test_exact_past_cap_rejected(self, capsys, tmp_path, monkeypatch, n, t):
+        from cliffdesigns import designs
+
+        def no_work(*args):
+            raise AssertionError("computed before validating")
+
+        monkeypatch.setattr(designs, "orbit_frame_potential", no_work)
+        path = state_file(tmp_path, np.eye(1 << n, dtype=complex)[0])
+        err = assert_rejected(capsys, "orbit", "--file", path, "--t", str(t))
+        assert f"exact orbit at --t {t} takes n <= {10 if t == 4 else 2}, got n = {n}" in err
+
+    @pytest.mark.parametrize("rel, ok", [(-1e-11, False), (-1e-13, True)])
+    def test_exact_verdict_is_relative(self, capsys, tmp_path, monkeypatch, rel, ok):
+        # at n = 10 the minimum 1/C(1027, 4) is about 2.2e-11, below an
+        # absolute 1e-9, so only a relative bound can fail
+        from cliffdesigns import designs
+
+        minimum = 1 / math.comb(1024 + 3, 4)
+        monkeypatch.setattr(designs, "orbit_frame_potential", lambda psi, t: minimum * (1 + rel))
+        path = state_file(tmp_path, np.eye(1024, dtype=complex)[0])
+        code, out = run_cli(capsys, "orbit", "--file", path, "--t", "4")
+        assert json.loads(out)["pass"] is ok and code == (0 if ok else 1)
+
     def test_mc_mode_needs_seed(self, capsys):
         assert "requires --seed" in assert_rejected(capsys, "orbit", "--named", "psi_T",
                                                     "--mode", "mc")
@@ -534,6 +632,25 @@ def test_no_bare_assert_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on lines {lines}"
+
+
+def test_no_materialized_orbit_in_production():
+    # projective_orbit forms every group image; it stays in clifford as the
+    # n <= 2 oracle of the closed forms, and no other module calls it.
+    # fiducial's weighted designs take phi4 from designs.fourth_moment, not
+    # from overlap sums over orbit states
+    package = Path(cliffdesigns.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem != "clifford":
+            calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", getattr(node.func, "id", None))
+                     == "projective_orbit"]
+            assert not calls, f"{path.name}: projective_orbit called on lines {calls}"
+        if path.stem == "fiducial":
+            imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       and any(alias.name == "_overlap_powers" for alias in node.names)]
+            assert not imports, f"fiducial.py: _overlap_powers imported on lines {imports}"
 
 
 def test_one_pauli_kernel_and_one_pairing_rule():

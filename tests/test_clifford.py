@@ -15,6 +15,7 @@ from cliffdesigns.clifford import (
     _lift_product,
     _midpoint,
     _sample_words,
+    _stabilizer_count,
     _transvection_words,
     _x_images,
     clifford_trace_check,
@@ -375,9 +376,10 @@ class TestProductLift:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_factor_table_read_only_within_bound(self, n):
+        # the bound admits the tables of n <= 3; n = 4 (1 MiB) lifts columns
         table = _factor_table(n)
         assert table.shape == (4**n, 1 << n, 1 << n)
-        assert table.nbytes <= clifford.LIFT_TABLE_BYTES
+        assert (table.nbytes <= clifford.LIFT_TABLE_BYTES) == (n <= 3)
         with pytest.raises(ValueError):
             table[1, 0, 0] = 0
 
@@ -412,23 +414,23 @@ class TestProductLift:
             _lift_product(2, word, 0, images)
 
     def test_path_follows_the_table_bound(self, monkeypatch):
-        # n <= 4 lifts multiply factors and never lift columns; n = 5,
-        # whose table would take 16 MiB, lifts columns and builds no table
+        # n <= 3 lifts multiply factors and never lift columns; n = 4,
+        # whose table would take 1 MiB, lifts columns and builds no table
         rng = np.random.default_rng(7)
-        F4, F5 = f2lin.random_symplectic(4, rng), f2lin.random_symplectic(5, rng)
-        want5 = lift_symplectic(F5).matrix
+        F3, F4 = f2lin.random_symplectic(3, rng), f2lin.random_symplectic(4, rng)
+        want4 = lift_symplectic(F4).matrix
 
         def refuse(*args):
             raise AssertionError("wrong lift path")
 
         monkeypatch.setattr(clifford, "_lift_dense", refuse)
-        assert extract_action(lift_symplectic(F4))[0] == F4
-        assert random_clifford(4, rng).matrix.shape == (16, 16)
+        assert extract_action(lift_symplectic(F3))[0] == F3
+        assert random_clifford(3, rng).matrix.shape == (8, 8)
         monkeypatch.undo()
         monkeypatch.setattr(clifford, "_factor_table", refuse)
-        assert 16 << 4 * 5 > clifford.LIFT_TABLE_BYTES
-        assert np.array_equal(lift_symplectic(F5).matrix, want5)
-        assert random_clifford(5, rng).matrix.shape == (32, 32)
+        assert 16 << 4 * 4 > clifford.LIFT_TABLE_BYTES
+        assert np.array_equal(lift_symplectic(F4).matrix, want4)
+        assert random_clifford(4, rng).matrix.shape == (16, 16)
 
 
 class TestRandomClifford:
@@ -631,4 +633,8 @@ class TestOrbits:
         assert all(np.abs(g - w).max() <= 1e-14 for g, w in zip(got, want))
         # the orbit-stabilizer count that projective_orbit checks, from the oracle group
         overlaps = np.abs(projective_group_repeat(n) @ psi @ psi.conj())
-        assert len(got) * np.count_nonzero(np.abs(overlaps - 1) <= 1e-9) == len(overlaps)
+        stab = np.count_nonzero(np.abs(overlaps - 1) <= 1e-9)
+        assert len(got) * stab == len(overlaps)
+        # the count that orbit sizes are read from without forming the orbit
+        assert _stabilizer_count(psi, n) == stab
+        assert f2lin.sp_order(n) * 4**n // _stabilizer_count(psi, n) == len(got)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from cliffdesigns.designs import (
     bloch_state,
     design_report,
     epsilon,
+    fourth_moment,
     frame_potential,
     minimal_design_size,
     orbit_frame_potential,
@@ -18,6 +20,7 @@ from cliffdesigns.designs import (
     sym_dim,
     tensor_fiducial_admissible,
 )
+from cliffdesigns.fiducial import psi_t
 from cliffdesigns.pauli import NormalizationError
 from conftest import random_state
 from reference import product_state_bound_check
@@ -152,9 +155,7 @@ class TestOrbitPotential:
         for n in (1, 2):
             for _ in range(50):
                 psi = random_state(2**n, rng)
-                assert orbit_frame_potential(psi, 4) == pytest.approx(
-                    design_report(psi).phi4, abs=1e-10
-                )
+                assert orbit_frame_potential(psi, 4) == design_report(psi).phi4
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("t", [4, 5, 6])
@@ -169,10 +170,13 @@ class TestOrbitPotential:
             assert orbit_frame_potential(psi, t) == pytest.approx(want, rel=1e-14)
 
     def test_exact_capacity(self):
+        # t = 4 is the closed form at any n; other t sum over the group, n <= 2
         from cliffdesigns.f2lin import CapacityError
 
+        psi = random_state(8, np.random.default_rng(1))
+        assert orbit_frame_potential(psi, 4) == design_report(psi).phi4
         with pytest.raises(CapacityError):
-            orbit_frame_potential(random_state(8, np.random.default_rng(1)), 4)
+            orbit_frame_potential(psi, 5)
 
     def test_monte_carlo_mode(self, rng):
         psi = random_state(4, rng)
@@ -183,6 +187,56 @@ class TestOrbitPotential:
     def test_mc_needs_rng(self, rng):
         with pytest.raises(ValueError):
             orbit_frame_potential(random_state(2, rng), 4, mode="monte_carlo")
+
+
+def group_sum_t4(phi, psi, n):
+    """E_U |<phi|U psi>|^8 over the dense projective Clifford group."""
+    from cliffdesigns.clifford import projective_clifford_unitaries
+
+    return float(np.mean(np.abs(phi.conj() @ projective_clifford_unitaries(n) @ psi) ** 8))
+
+
+def t4_states(n):
+    """|0...0>, psi_T^(x)n, psi_T (x) |0...0> and a random state."""
+    zero = np.eye(1 << n, dtype=complex)[0]
+    power = functools.reduce(np.kron, [psi_t()] * n)
+    mixed = np.kron(psi_t(), np.eye(1 << (n - 1), dtype=complex)[0])
+    return [zero, power, mixed, random_state(1 << n, np.random.default_rng(40 + n))]
+
+
+class TestFourthMoment:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_orbit_potential_equals_group_sum(self, n):
+        for psi in t4_states(n):
+            assert orbit_frame_potential(psi, 4) == pytest.approx(group_sum_t4(psi, psi, n),
+                                                                  rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cross_potential_equals_group_sum(self, n):
+        states = t4_states(n) + [random_state(1 << n, np.random.default_rng(50 + n))]
+        for i, phi in enumerate(states):
+            for psi in states[i + 1:]:
+                want = group_sum_t4(phi, psi, n)
+                got = fourth_moment(epsilon(phi), epsilon(psi), 1 << n)
+                assert got == pytest.approx(want, rel=1e-14)
+
+    def test_alpha_form(self):
+        # alpha_a alpha_b / D_+ + (1 - alpha_a)(1 - alpha_b) / D_-
+        for d in (2, 4, 8, 256):
+            d_plus = (d + 1) * (d + 2) / 6
+            d_minus = sym_dim(d, 4) - d_plus
+            for ea, eb in ((0.0, 0.0), (0.3, -0.1), (-(d - 1) / (2 * (d + 1)), (d - 1) / 4)):
+                aa, ab = (4 * (1 + e) / (d * (d + 3)) for e in (ea, eb))
+                want = aa * ab / d_plus + (1 - aa) * (1 - ab) / d_minus
+                assert fourth_moment(ea, eb, d) == pytest.approx(want, rel=1e-13)
+
+    def test_weighted_mean_is_bilinear(self):
+        # sum_ij W_i W_j fourth_moment(e_i, e_j) = fourth_moment(e_A, e_A)
+        d, (w1, w2), (e1, e2) = 8, (0.3, 0.7), (0.5, -0.2)
+        mean = w1 * e1 + w2 * e2
+        pairs = sum(wi * wj * fourth_moment(ei, ej, d)
+                    for wi, ei in ((w1, e1), (w2, e2)) for wj, ej in ((w1, e1), (w2, e2)))
+        assert fourth_moment(mean, mean, d) == pytest.approx(pairs, rel=1e-15)
 
 
 class TestQubitClosedForms:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdesigns import f2lin
+from cliffdesigns.clifford import projective_orbit
 from cliffdesigns.designs import (bloch_state, design_report, epsilon, epsilon_from_ell4,
                                  frame_potential, sym_dim)
 from cliffdesigns.fiducial import (
@@ -239,19 +240,29 @@ class TestBisection:
         assert info["kernel_steps"] == 1
 
 
+def weighted_orbits(wd, psi1, psi2, n):
+    """The states of both orbits (projective_orbit) and the per-state weight
+    of each, as one stack and one weight vector."""
+    from cliffdesigns.clifford import projective_orbit
+
+    orbs = [np.array(projective_orbit(psi, n)) for psi in (psi1, psi2)]
+    weights = np.concatenate([np.full(len(orb), w) for orb, w in zip(orbs, wd.weights)])
+    return np.concatenate(orbs), weights
+
+
 class TestWeightedTwoOrbit:
     def test_qubit_design(self):
-        wd = weighted_two_orbit(np.array([1, 0], dtype=complex), psi_t(), 1)
-        assert wd.weights.sum() == pytest.approx(1, abs=1e-12)
+        stab = np.array([1, 0], dtype=complex)
+        wd = weighted_two_orbit(stab, psi_t(), 1)
+        states, weights = weighted_orbits(wd, stab, psi_t(), 1)
+        assert weights.sum() == pytest.approx(1, abs=1e-12)
         assert wd.phi4 == pytest.approx(1 / sym_dim(2, 4), abs=1e-10)
-        blocked = frame_potential(wd.states, 4, weights=wd.weights, block=64)
+        blocked = frame_potential(states, 4, weights=weights, block=64)
         assert blocked == pytest.approx(wd.phi4, abs=1e-10)
 
     def test_symmetric_epsilons_split_weight(self):
         # epsilon(psi2) = -epsilon(psi1) gives equal per-orbit total weight;
         # the branch state at quartic 13/15 has epsilon exactly +1/6
-        from cliffdesigns.clifford import projective_orbit
-
         psi1 = solve_bloch_quartic(1 + 13 / 15).state()
         assert epsilon(psi1) == pytest.approx(1 / 6, abs=1e-12)
         wd = weighted_two_orbit(psi1, psi_t(), 1)
@@ -272,9 +283,11 @@ class TestWeightedTwoOrbit:
 
     def test_phi4_matches_moment_operator(self):
         # phi4 is the squared Frobenius norm of the weighted fourth moment
-        wd = weighted_two_orbit(np.array([1, 0], dtype=complex), psi_t(), 1)
-        t4 = np.einsum("ka,kb,kc,ke->kabce", *[wd.states] * 4).reshape(len(wd.states), -1)
-        moment = (t4.conj() * wd.weights[:, None]).T @ t4
+        stab = np.array([1, 0], dtype=complex)
+        wd = weighted_two_orbit(stab, psi_t(), 1)
+        states, weights = weighted_orbits(wd, stab, psi_t(), 1)
+        t4 = np.einsum("ka,kb,kc,ke->kabce", *[states] * 4).reshape(len(states), -1)
+        moment = (t4.conj() * weights[:, None]).T @ t4
         assert wd.phi4 == pytest.approx(float(np.sum(np.abs(moment) ** 2)), abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -285,15 +298,60 @@ class TestWeightedTwoOrbit:
             psi1 = np.eye(4, dtype=complex)[0]
             psi2 = np.kron(singer_eigenstates(1)[0], psi_t())
         wd = weighted_two_orbit(psi1, psi2, n)
-        double = frame_potential(wd.states, 4, wd.weights)
+        states, weights = weighted_orbits(wd, psi1, psi2, n)
+        double = frame_potential(states, 4, weights)
         assert wd.phi4 == pytest.approx(double, rel=1e-13)
+
+    @staticmethod
+    def below_minimum(monkeypatch, rel):
+        """weighted_two_orbit at n = 8, where the minimum (5.5e-9) is not far
+        above an absolute 1e-9, with phi4 rel below it, relatively."""
+        n = 8
+        monkeypatch.setattr("cliffdesigns.fiducial.fourth_moment",
+                            lambda a, b, d: (1 - rel) / sym_dim(d, 4))
+        stab = np.eye(1 << n, dtype=complex)[0]
+        return weighted_two_orbit(stab, np.kron(singer_eigenstates(n - 1)[0], psi_t()), n)
 
     def test_phi4_below_minimum_raises(self, monkeypatch):
         # a potential below 1/C(d+3, 4) is impossible; the check must fire
-        monkeypatch.setattr("cliffdesigns.fiducial._overlap_powers",
-                            lambda psi, states, t: np.zeros(len(states)))
         with pytest.raises(AssertionError, match="design minimum"):
-            weighted_two_orbit(np.array([1, 0], dtype=complex), psi_t(), 1)
+            self.below_minimum(monkeypatch, 1e-11)
+
+    def test_phi4_within_relative_bound_passes(self, monkeypatch):
+        assert self.below_minimum(monkeypatch, 1e-13).phi4 == (1 - 1e-13) / sym_dim(256, 4)
+
+    @pytest.mark.parametrize("n, sizes", [(1, (6, 8)), (2, (60, 640))])
+    def test_orbit_sizes_from_stabilizer_counts(self, n, sizes):
+        # the sizes of the materialized orbits, and the per-state weights of
+        # the total weights
+        stab = np.eye(1 << n, dtype=complex)[0]
+        neg = psi_t() if n == 1 else np.kron(singer_eigenstates(1)[0], psi_t())
+        wd = weighted_two_orbit(stab, neg, n)
+        assert wd.orbit_sizes == sizes
+        assert wd.orbit_sizes == tuple(len(projective_orbit(p, n)) for p in (stab, neg))
+        for w, total, size in zip(wd.weights, wd.orbit_weights, sizes):
+            assert w == pytest.approx(total / size, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_past_two_qubits_no_orbit_is_formed(self, monkeypatch, n):
+        from cliffdesigns import clifford
+
+        def refuse(*args):
+            raise AssertionError("orbit formed")
+
+        monkeypatch.setattr(clifford, "projective_orbit", refuse)
+        monkeypatch.setattr(clifford, "_stabilizer_count", refuse)
+        stab = np.eye(1 << n, dtype=complex)[0]
+        neg = np.kron(singer_eigenstates(n - 1)[0], psi_t())
+        wd = weighted_two_orbit(stab, neg, n)
+        assert wd.orbit_sizes is None and wd.weights is None
+        assert abs(wd.phi4 * sym_dim(1 << n, 4) - 1) <= 1e-12
+        e1, e2 = epsilon(stab), epsilon(neg)
+        assert wd.orbit_weights == (abs(e2) / (e1 - e2), e1 / (e1 - e2))
+
+    def test_length_must_match_n(self):
+        with pytest.raises(f2lin.DimensionError):
+            weighted_two_orbit(np.array([1, 0], dtype=complex), psi_t(), 2)
 
     @pytest.mark.slow
     def test_two_qubit_design(self):
