@@ -27,24 +27,29 @@ import sys
 from fractions import Fraction
 
 # An orbit --mode mc estimate passes while it lies at most this many of its
-# standard errors, and at least ORBIT_ATOL, below the design minimum; exact
-# mode and construct --weighted grade relative to the minimum, within
-# designs.POTENTIAL_RTOL, as the minimum falls to 2.2e-11 at n = 10, t = 4.
+# standard errors, or minimum * designs.POTENTIAL_RTOL, below the design
+# minimum; exact mode and construct --weighted grade relative to the
+# minimum alone, as it falls to 2.2e-11 at n = 10, t = 4 and to 5e-32 at
+# n = 3, t = 100000.
 ORBIT_MC_SIGMAS = 4
-ORBIT_ATOL = 1e-9
 # exact orbit --t 4 is the closed form in epsilon, read off the d^2 Pauli
 # expectations: 0.07 s at n = 10, 0.5 s and 355 MB at n = 12, 2.1 s and
-# 1.25 GB at n = 13.  Other t sum over the materialized group, n <= 2
-# (clifford.ORBIT_MAX_N; 92 897 280 elements at n = 3).
+# 1.25 GB at n = 13.  check and construct --alg1/--alg2 grade their state
+# with the same kernel and share the cap.  Other t sum over the
+# materialized group, n <= 2 (clifford.ORBIT_MAX_N; 92 897 280 elements
+# at n = 3).
 ORBIT_T4_MAX_N = 10
+ELL4_COST = "the d^2 Pauli expectations cost 0.5 s and 355 MB at n = 12"
 # tables prints closed forms for n = 1..N, at a cost growing about as N^5:
 # 0.26 s at N = 32, 1.6 s at 48 and 8.3 s at 64 (1.2 and 3.6 MB of JSON).
 TABLES_MAX_N = 32
 # moments samples 2^n-dimensional Haar states, about 3 s per 10^5 states at
 # n = 5, 26 s at n = 7 and 110 s at n = 8; the exact moments hold for any n.
 MOMENTS_MAX_N = 5
-# singer builds the n-qubit cycler's eigenbasis: about 2 s and 140 MB at
-# n = 10, and each further qubit multiplies the time by about 7.
+# singer builds the n-qubit cycler's eigenbasis from two orbits of its
+# normal-form step: 0.45-0.7 s and 92 MB at n = 10 in a fresh process,
+# 0.3 s of it the eigenbasis, and each further qubit about 4 times the time.
+# The dense lift the normal form is read from holds d^2 complex entries.
 # construct --weighted seeds its negative orbit with an (n-1)-qubit cycler
 # eigenstate and shares the range.
 SINGER_MAX_N = 10
@@ -166,6 +171,8 @@ def cmd_check(args) -> tuple[dict, bool]:
 
     _check_tol(args.tol)
     psi, n = _load_state(args)
+    if n > ORBIT_T4_MAX_N:
+        raise ValueError(f"check takes n <= {ORBIT_T4_MAX_N}, got n = {n}: {ELL4_COST}")
     rep = design_report(psi)
     ok = all(rep.bounds_ok.values())
     payload = rep.to_dict()
@@ -188,8 +195,9 @@ def cmd_construct(args) -> tuple[dict, bool]:
     if mode == "weighted":
         if not 1 <= n <= SINGER_MAX_N:
             raise ValueError(f"construct --weighted needs 1 <= --n <= {SINGER_MAX_N}, got --n {n}")
-    elif n < 2:  # alg1 and alg2 extend an (n-1)-qubit state
-        raise ValueError(f"construct --{mode} needs --n >= 2, got --n {n}")
+    elif not 2 <= n <= ORBIT_T4_MAX_N:  # alg1 and alg2 extend an (n-1)-qubit state
+        raise ValueError(f"construct --{mode} needs 2 <= --n <= {ORBIT_T4_MAX_N}, got --n {n}: "
+                         f"{ELL4_COST}")
     if args.base is not None and mode != "alg1":
         raise ValueError(f"construct --base applies only to --alg1, not --{mode}")
     if args.max_iter < 1:
@@ -341,7 +349,7 @@ def cmd_orbit(args) -> tuple[dict, bool]:
         if args.samples is not None or args.seed is not None:
             raise ValueError("orbit --samples and --seed apply only to --mode mc")
         if t == 4:
-            cap, cost = ORBIT_T4_MAX_N, "its closed form costs 0.5 s and 355 MB at n = 12"
+            cap, cost = ORBIT_T4_MAX_N, ELL4_COST
         else:
             cap, cost = ORBIT_MAX_N, "it sums over the whole group, 92897280 elements at n = 3"
         if n > cap:
@@ -367,7 +375,7 @@ def cmd_orbit(args) -> tuple[dict, bool]:
         }
         if stderr > 0:
             payload["margin_se"] = (val - minimum) / stderr
-        slack = max(ORBIT_MC_SIGMAS * stderr, ORBIT_ATOL)
+        slack = max(ORBIT_MC_SIGMAS * stderr, minimum * POTENTIAL_RTOL)
     payload["minimum"] = minimum
     ok = val >= minimum - slack
     payload["pass"] = ok

@@ -518,24 +518,94 @@ def singer_unitary(n: int) -> clifford.CliffordElement:
     return clifford.lift_symplectic(singer_symplectic(n))
 
 
-def _cycler_bins(M: np.ndarray, r: np.ndarray, mu=None):
-    """(d+1, d) projections of r onto the eigenspaces mu w^k, k = 0..d, of a
-    unitary M with M^{d+1} = c 1, and mu, a (d+1)-th root of c.
+# i^q for q = 0..3; times c, each product is exact
+_IPOW = np.array([1, 1j, -1, -1j])
+
+
+@dataclass(frozen=True)
+class _CyclerForm:
+    """A Clifford unitary U = c D1 H P_B D2 with full-support columns, as
+    the arrays one step of its orbit reads (_cycler_walk), each of length
+    d laid out as (a, b) = (2^floor(n/2), 2^ceil(n/2)) by high and low bits."""
+
+    gather: np.ndarray  # B^{-1} j: (P_B D2 v)[j] = (D2 v)[B^{-1} j]
+    phase: np.ndarray  # i^{q2(B^{-1} j)}, D2 in gathered order
+    scale: np.ndarray  # c i^{q1(y)}, c D1
+    had: tuple[np.ndarray, np.ndarray]  # complex H_a and H_b; H = H_a (x) H_b
+
+
+def _cycler_form(M: np.ndarray) -> _CyclerForm:
+    """Read a d x d Clifford unitary whose columns have full support as
+    M[y, k] = c i^{q1(y)} (-1)^{y . Bk} i^{q2(k)} (Dehaene-De Moor).
+
+    c = M[0, 0]; q1 and q2 are the i-powers of column 0 and row 0 over c,
+    and B, a GF(2) matrix, is read off the entries M[e_a, e_b].  Every
+    entry must then equal c i^{q1(y) + 2 y.Bk + q2(k)} exactly, and B must
+    be invertible: the i-powers are integers and c i^q is formed without
+    rounding, so no tolerance enters.  A matrix that fails raises
+    AssertionError.
+    """
+    d = len(M)
+    n = d.bit_length() - 1
+    powers = M[0, 0] * _IPOW
+    units = 1 << np.arange(n)
+    # i-powers of column 0, row 0 and the unit entries in one comparison;
+    # an entry that is no c i^q reads as q = 0 and fails the check below
+    probe = np.concatenate((M[:, 0], M[0], M[units[:, None], units].ravel()))
+    q = (probe[:, None] == powers).argmax(axis=1).astype(np.uint8)
+    q1, q2 = q[:d], q[d:2 * d]
+    bits = (q[2 * d:].reshape(n, n) - q1[units, None] - q2[units]) >> 1 & 1
+    # img[k] = Bk, spanned one unit column at a time
+    img = np.zeros(1, dtype=np.int64)
+    for beta in units @ bits:
+        img = np.concatenate((img, img ^ beta))
+    expected = np.bitwise_count(np.arange(d)[:, None] & img)
+    expected <<= 1
+    expected += q1[:, None]
+    expected += q2
+    expected &= 3
+    gather = np.full(d, -1)
+    gather[img] = np.arange(d)
+    if not ((M == powers[expected]).all() and gather.min() >= 0):
+        raise AssertionError("cycler has no Clifford normal form c D1 H P_B D2")
+    shape = (1 << n // 2, 1 << n - n // 2)
+    had = tuple(_hadamard(m.bit_length() - 1).astype(complex) for m in shape)
+    return _CyclerForm(gather.reshape(shape), _IPOW[q2[gather]].reshape(shape),
+                       powers[q1].reshape(shape), had)
+
+
+def _cycler_walk(form: _CyclerForm, r: np.ndarray) -> np.ndarray:
+    """The orbit r, Ur, ..., U^{d+1} r as rows, one normal-form step per
+    power: gather by B^{-1}, multiply by D2, apply H_a (x) H_b as two small
+    GEMMs and multiply by c D1, O(d^{3/2}) where a dense product is O(d^2)."""
+    had_a, had_b = form.had
+    d = len(r)
+    orbit = np.empty((d + 2, d), dtype=complex)
+    orbit[0] = r
+    steps = orbit.reshape(d + 2, *form.scale.shape)
+    for j in range(d + 1):
+        w = orbit[j][form.gather]
+        w *= form.phase
+        np.multiply(had_a @ (w @ had_b), form.scale, out=steps[j + 1])
+    return orbit
+
+
+def _cycler_bins(form: _CyclerForm, r: np.ndarray, mu=None):
+    """(d+1, d) projections of r onto the eigenspaces mu w^k, k = 0..d, of
+    the cycler U = form with U^{d+1} = c 1, and mu, a (d+1)-th root of c.
 
     With w = e^{2 pi i/(d+1)} the projector onto mu w^k is the average of
-    (mu w^k)^{-j} M^j over j = 0..d, so the projections are the DFT bins
-    of the orbit mu^{-j} M^j r: one matrix-vector product per power and
-    one FFT.  Without mu, c is read from the closing vector M^{d+1} r of
-    a unit r.  The closing vector must equal c r within BIN_ATOL, which
-    checks M^{d+1} = c 1 along the orbit at no extra product.
+    (mu w^k)^{-j} U^j over j = 0..d, so the projections are the DFT bins
+    of the orbit mu^{-j} U^j r: one normal-form step per power
+    (_cycler_walk) and one FFT.  Without mu, c is read from the closing
+    vector U^{d+1} r of a unit r.  The closing vector must equal c r
+    within BIN_ATOL, which checks U^{d+1} = c 1 along the orbit at no
+    extra step.
     """
     from numpy.fft import fft
 
     d = len(r)
-    orbit = np.empty((d + 2, d), dtype=complex)
-    orbit[0] = r
-    for j in range(d + 1):
-        np.dot(M, orbit[j], out=orbit[j + 1])
+    orbit = _cycler_walk(form, r)
     c = np.vdot(r, orbit[d + 1]) if mu is None else mu ** (d + 1)
     if not np.linalg.norm(orbit[d + 1] - c * r) <= BIN_ATOL:
         raise AssertionError("U^{d+1} is not scalar")
@@ -543,33 +613,42 @@ def _cycler_bins(M: np.ndarray, r: np.ndarray, mu=None):
         # mu keeps the modulus of c, which rounding moves off 1; scaling
         # the orbit by it stops each eigenvector leaking into other bins
         mu = c ** (1 / (d + 1))
-    return fft(orbit[:d + 1] * (mu ** -np.arange(d + 1.0))[:, None], axis=0) / (d + 1), mu
+    # the transform runs along the rows of the transposed orbit, which
+    # pocketfft takes faster than the columns
+    scaled = np.empty((d, d + 1), dtype=complex)
+    np.multiply(orbit[:d + 1].T, mu ** -np.arange(d + 1.0) / (d + 1), out=scaled)
+    return fft(scaled, axis=1, out=scaled).T, mu
 
 
 def singer_eigenstates(n: int) -> np.ndarray:
     """Eigenvectors of the basis cycler U, one per row; its spectrum must be nondegenerate.
 
-    U^{d+1} = c 1, so its eigenvalues lie among the d+1 values mu w^k
-    (_cycler_bins) and a nondegenerate spectrum leaves exactly one of them
-    out.  The rows are ordered by k, cyclically from the missing value on:
-    row j has eigenvalue w^j times that of row 0.  The projections of e_0
-    give the eigenvectors, phased by a real positive first amplitude; a
-    second orbit from their normalized sum, whose overlaps with all of
-    them are equal, recomputes them to a uniform accuracy.
+    U is read once into its normal form (_cycler_form), and U^{d+1} = c 1,
+    so its eigenvalues lie among the d+1 values mu w^k (_cycler_bins) and a
+    nondegenerate spectrum leaves exactly one of them out.  The rows are
+    ordered by k, cyclically from the missing value on: row j has
+    eigenvalue w^j times that of row 0.  The projections of e_0 give the
+    eigenvectors, phased by a real positive first amplitude; a second
+    orbit from their normalized sum, whose overlaps with all of them are
+    equal, recomputes them to a uniform accuracy.
     """
-    M = singer_unitary(n).matrix
-    d = len(M)
+    form = _cycler_form(singer_unitary(n).matrix)
+    d = form.scale.size
     r = np.zeros(d, dtype=complex)
     r[0] = 1.0
-    bins, mu = _cycler_bins(M, r)
+    bins, mu = _cycler_bins(form, r)
     norms = np.linalg.norm(bins, axis=1)
     empty = np.flatnonzero(norms <= BIN_ATOL)
     if len(empty) != 1:
         raise AssertionError("cycler spectrum is degenerate")
-    keep = (empty[0] + 1 + np.arange(d)) % (d + 1)
-    vecs = bins[keep] / norms[keep, None]
-    bins = _cycler_bins(M, vecs.sum(axis=0) / math.sqrt(d), mu)[0][keep]
-    return bins / np.linalg.norm(bins, axis=1, keepdims=True)
+    e = empty[0]
+    # the second start is the normalized sum of the d eigenvectors, so the
+    # empty bin gets weight 0
+    norms[e] = np.inf
+    bins = _cycler_bins(form, (1 / norms) @ bins / math.sqrt(d), mu)[0]
+    vecs = np.concatenate((bins[e + 1:], bins[:e]), out=np.empty((d, d), dtype=complex))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vecs
 
 
 def _cycler_ell4(vecs: np.ndarray) -> np.ndarray:
@@ -579,15 +658,18 @@ def _cycler_ell4(vecs: np.ndarray) -> np.ndarray:
     fixes each eigenstate up to a phase, so |Xi(Fa)| = |Xi(a)| and every
     line carries the z-type line's sum:
     ||Xi||_4^4 = 1 + (d+1) sum_{z != 0} Xi(z, 0)^4, where Xi(., 0) is the
-    Walsh-Hadamard transform of |v_k|^2.  The rows must be balanced across
-    the lines; the purity identity sum_{z != 0} Xi(z, 0)^2 = (d-1)/(d+1)
-    checks that and raises AssertionError beyond BALANCE_ATOL.
+    Walsh-Hadamard transform of |v_k|^2, applied as H_a (x) H_b like a
+    cycler step.  The rows must be balanced across the lines; the purity
+    identity sum_{z != 0} Xi(z, 0)^2 = (d-1)/(d+1) checks that and raises
+    AssertionError beyond BALANCE_ATOL.
     """
     vecs = np.asarray(vecs)
     n = _infer_n(vecs, ndim=2)
     d = 1 << n
     _check_normalized(vecs)
-    xi = ((vecs.real**2 + vecs.imag**2) @ _hadamard(n))[:, 1:]
+    had_a, had_b = _hadamard(n // 2), _hadamard(n - n // 2)
+    probs = (vecs.real**2 + vecs.imag**2).reshape(-1, len(had_a), len(had_b))
+    xi = (had_a @ (probs @ had_b)).reshape(-1, d)[:, 1:]
     x2 = xi * xi
     balance = np.abs(x2.sum(axis=1) - (d - 1) / (d + 1)).max()
     if not balance <= BALANCE_ATOL:

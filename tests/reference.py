@@ -31,8 +31,10 @@ computes in closed form or by exact combinatorics:
   the unused half checked as an imaginary residue (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
   points and order, one for the z-type spread, the basis cycler found
-  by exhaustive search over Sp(2n, F2), and the epsilon root found by
-  bisection or regula falsi on the chord (fiducial).
+  by exhaustive search over Sp(2n, F2), the cycler orbit walked by
+  dense matrix-vector products, the dense matrix of a read cycler normal
+  form, and the epsilon root found by bisection or regula falsi on the
+  chord (fiducial).
 """
 
 from __future__ import annotations
@@ -632,6 +634,27 @@ def bisection_loop(psi1, psi2, tol: float, max_iter: int = 200, mode: str = "bis
         else:
             p2, e2 = mid, em
     raise ConvergenceError(f"|epsilon| > {tol} after {max_iter} iterations")
+
+
+def dense_cycler_walk(M: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The orbit r, Mr, ..., M^{d+1} r as rows, one dense matrix-vector
+    product per power: the walk the normal-form step replaces."""
+    d = len(r)
+    orbit = np.empty((d + 2, d), dtype=complex)
+    orbit[0] = r
+    for j in range(d + 1):
+        np.dot(M, orbit[j], out=orbit[j + 1])
+    return orbit
+
+
+def cycler_form_matrix(form) -> np.ndarray:
+    """The dense matrix c D1 H P_B D2 of a read normal form, entry by entry:
+    column k = B^{-1} j is c i^{q1(y)} (-1)^{y . j} i^{q2(k)}."""
+    d = form.scale.size
+    out = np.empty((d, d), dtype=complex)
+    out[:, form.gather.ravel()] = (form.scale.reshape(d, 1) * _hadamard(d.bit_length() - 1)
+                                   * form.phase.ravel())
+    return out
 
 
 def singer_search(n: int) -> F2Matrix:

@@ -200,6 +200,18 @@ class TestCheck:
         assert data["m2"] == pytest.approx(-math.log(4 * (1 + data["epsilon"]) / (d + 3)),
                                            abs=1e-12)
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_past_cap_rejected_before_work(self, capsys, tmp_path, monkeypatch, n):
+        from cliffdesigns import designs
+
+        def no_work(*args):
+            raise AssertionError("computed before validating")
+
+        monkeypatch.setattr(designs, "design_report", no_work)
+        path = state_file(tmp_path, np.eye(1 << n, dtype=complex)[0])
+        err = assert_rejected(capsys, "check", "--file", path)
+        assert f"check takes n <= 10, got n = {n}" in err
+
     def test_zero_norm_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [0, 0]]}))
@@ -329,6 +341,19 @@ class TestConstruct:
         monkeypatch.setattr(fiducial, "singer_eigenstates", no_work)
         err = assert_rejected(capsys, "construct", "--weighted", "--n", n)
         assert f"1 <= --n <= 10, got --n {n}" in err
+
+    @pytest.mark.parametrize("n", ["11", "12"])
+    @pytest.mark.parametrize("mode", ["alg1", "alg2"])
+    def test_past_cap_rejected_before_work(self, capsys, monkeypatch, mode, n):
+        from cliffdesigns import fiducial
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computed before validating")
+
+        for name in ("tensor_completion", "singer_eigenstates", "bisection_root"):
+            monkeypatch.setattr(fiducial, name, no_work)
+        err = assert_rejected(capsys, "construct", f"--{mode}", "--n", n)
+        assert f"construct --{mode} needs 2 <= --n <= 10, got --n {n}" in err
 
     @pytest.mark.parametrize("mode", ["alg2", "weighted"])
     def test_base_outside_alg1_rejected(self, capsys, mode):
@@ -545,6 +570,16 @@ class TestOrbit:
         assert data["margin_se"] == pytest.approx(
             (data["phi"] - data["minimum"]) / data["stderr"], rel=1e-12)
         assert code == 0 and data["pass"]
+
+    def test_mc_verdict_can_fail(self, capsys):
+        # the minimum is 5.0e-32 and both samples underflow to 0: an absolute
+        # slack would pass any estimate, the relative one fails this one
+        code, out = run_cli(capsys, "orbit", "--named", "hoggar", "--t", "100000",
+                            "--mode", "mc", "--seed", "1", "--samples", "2")
+        data = json.loads(out)
+        assert data["phi"] == 0.0 and data["stderr"] == 0.0
+        assert 0 < data["minimum"] < 1e-31
+        assert code == 1 and data["pass"] is False
 
     def test_mc_hoggar_pinned(self, capsys):
         # phi and stderr of this run, recorded when each block of words

@@ -33,6 +33,8 @@ from cliffdesigns.fiducial import (
     _primitive_polynomial,
     _arc_series,
     _cycler_ell4,
+    _cycler_form,
+    _cycler_walk,
     _first_crossing,
     _is_basis_cycler,
     _series,
@@ -40,7 +42,8 @@ from cliffdesigns.fiducial import (
 from cliffdesigns.pauli import (NormalizationError, _ell4_rows, alpha_plus_batch,
                                characteristic_function, ell4_norm4)
 from conftest import random_state
-from reference import bisection_loop, cycler_two_walks, singer_search, sp_elements
+from reference import (bisection_loop, cycler_form_matrix, cycler_two_walks, dense_cycler_walk,
+                       singer_search, sp_elements)
 
 
 class TestNamedFiducials:
@@ -476,20 +479,68 @@ class TestSinger:
     def test_nonscalar_power_rejected(self, monkeypatch):
         from cliffdesigns import clifford, fiducial
 
-        # X^3 = X is no scalar, whatever the phase
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        monkeypatch.setattr(fiducial, "singer_unitary", lambda n: clifford.CliffordElement(x, 1))
+        # H^3 = H is no scalar, whatever the phase; H has full-support columns,
+        # so it passes the normal-form reader and reaches the closing check
+        h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+        monkeypatch.setattr(fiducial, "singer_unitary", lambda n: clifford.CliffordElement(h, 1))
         with pytest.raises(AssertionError, match="not scalar"):
             singer_eigenstates(1)
 
     def test_degenerate_spectrum_rejected(self, monkeypatch):
+        from cliffdesigns import fiducial
+
+        # no full-support 2-qubit Clifford with a scalar 5th power leaves more
+        # than one bin empty, so a second bin of the cycler's first orbit is
+        # zeroed: two missing eigenvalues leave one of the rest twice
+        bins_of = fiducial._cycler_bins
+
+        def two_empty(form, r, mu=None):
+            bins, mu = bins_of(form, r, mu)
+            bins = bins.copy()
+            bins[np.argsort(np.linalg.norm(bins, axis=1))[1]] = 0
+            return bins, mu
+
+        monkeypatch.setattr(fiducial, "_cycler_bins", two_empty)
+        with pytest.raises(AssertionError, match="degenerate"):
+            singer_eigenstates(2)
+
+    @pytest.mark.parametrize("matrix", [np.array([[0, 1], [1, 0]], dtype=complex),
+                                        np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex),
+                                        np.diag([1, 1j]) @ np.ones((2, 2)) / math.sqrt(2)],
+                             ids=["X", "identity", "zero", "singular_B"])
+    def test_no_normal_form_refused(self, monkeypatch, matrix):
         from cliffdesigns import clifford, fiducial
 
-        # the identity has one eigenvalue d times, so its eigenvectors are arbitrary
+        # X and 1 have zero entries; the last has entries c i^q but B = 0
         monkeypatch.setattr(fiducial, "singer_unitary",
-                            lambda n: clifford.CliffordElement(np.eye(2, dtype=complex), 1))
-        with pytest.raises(AssertionError, match="degenerate"):
+                            lambda n: clifford.CliffordElement(matrix, 1))
+        with pytest.raises(AssertionError, match="no Clifford normal form"):
             singer_eigenstates(1)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_normal_form_is_every_entry(self, n):
+        M = singer_unitary(n).matrix
+        form = _cycler_form(M)
+        assert np.array_equal(cycler_form_matrix(form), M)
+        # B^{-1} is a permutation and the phases are i-powers of modulus 1
+        assert np.array_equal(np.sort(form.gather.ravel()), np.arange(1 << n))
+        assert np.array_equal(np.abs(form.phase), np.ones(form.phase.shape))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_walk_matches_dense_products(self, n, rng):
+        M = singer_unitary(n).matrix
+        r = random_state(1 << n, rng)
+        orbit = _cycler_walk(_cycler_form(M), r)
+        assert np.abs(orbit - dense_cycler_walk(M, r)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 4, pytest.param(8, marks=pytest.mark.slow)])
+    def test_eigenstates_match_dense_walk(self, monkeypatch, n):
+        from cliffdesigns import fiducial
+
+        vecs = singer_eigenstates(n)
+        M = singer_unitary(n).matrix
+        monkeypatch.setattr(fiducial, "_cycler_walk", lambda form, r: dense_cycler_walk(M, r))
+        assert np.abs(vecs - singer_eigenstates(n)).max() <= 1e-13
 
     @pytest.mark.parametrize("n,digest", [
         (1, "dc4307c0856536f8d790253fc6f914ad433118405609c52f26d7c2ed9f3ec947"),
@@ -516,7 +567,9 @@ class TestSinger:
         assert np.abs(_cycler_ell4(vecs) - alpha_plus_batch(vecs) * len(vecs) ** 2).max() <= 1e-11
 
     @pytest.mark.parametrize("n, minus_eps", [(1, Fraction(2, 9)), (2, Fraction(3, 25)),
-                                              (4, Fraction(9, 289)), (8, Fraction(129, 66049))])
+                                              (4, Fraction(9, 289)), (8, Fraction(129, 66049)),
+                                              (9, Fraction(257, 263169)),
+                                              (10, Fraction(513, 1050625))])
     def test_table_closed_forms(self, n, minus_eps):
         # MUB-balanced states: ||Xi||_4^4 = 3d^2/(d+1)^2, -epsilon = (d/2+1)/(d+1)^2
         d = 1 << n
