@@ -10,8 +10,8 @@ Every i^j W_a is a signed permutation of the computational basis: with
 (z, x) = label_split(a, n) it sends |k> to i^{j + |z&x|} (-1)^{|z&k|} |k ^ x>,
 |.| the popcount.  One kernel returns that pair (x, phases); dense
 matrices, the action on states and matrices, the Clifford lift and the
-dense k-copy code objects of stabrep all read W_a from it, so the sign and
-i-power conventions live in one place.
+copy-pair means of stabrep's isotropic-orbit states all read W_a from it,
+so the sign and i-power conventions live in one place.
 
 The characteristic function of a state collects all d^2 real expectation
 values <psi|W_a|psi>.  One kernel computes it for a batch of states.  Per

@@ -17,14 +17,16 @@ symmetric-group commutant, and everything about the decomposition of
                        fixed-space dimensions, and the group sums over
                        Sp(2n, F_2) as closed-form orbit counts.
 
-The dense code objects (stab_projector, stab_code_basis, vec_pauli_basis,
-isotropic_orbit_states) index k copies copy-major, copy 0 the most
-significant base-d digit, and read every W_a from pauli._signed_perms.
+The code objects (apply_code_projector, stab_code_basis,
+isotropic_orbit_states) read k copies copy-major, copy 0 the most
+significant base-d digit, through one rule (_copy_digits), and form no
+d^k x d^k array: P acts on a stack of vectors as a Z-parity mask and a
+mean of d index shifts, and W_a on some copies as a gather signed by
+pauli._signed_perms.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +39,8 @@ from .pauli import _signed_perms
 __all__ = [
     "PARTITIONS",
     "DimensionRow",
-    "stab_projector",
+    "apply_code_projector",
     "stab_code_basis",
-    "vec_pauli_basis",
     "dimension_table",
     "orbit_counting_dims",
     "symplectic_character",
@@ -61,7 +62,8 @@ S4_CHARACTER = {
     (3, 1): {(1, 1, 1, 1): 3, (2, 2): -1, (2, 1, 1): 1, (3, 1): 0, (4,): -1},
 }
 
-DENSE_DIM_MAX = 4096
+# the largest stab_code_basis, 64 MiB of complex entries: every d^k <= 4096
+CODE_BASIS_MAX_ENTRIES = 1 << 22
 
 
 def weyl_dim(lam: tuple, d: int) -> Fraction:
@@ -80,43 +82,38 @@ def weyl_dim(lam: tuple, d: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense projectors
+# the code on k copies, matrix-free
 
 
-def _check_stab_args(n: int, k: int) -> None:
+def _check_k(k: int) -> None:
     if k % 4 != 0 or k <= 0:
         raise ValueError("k must be a positive multiple of 4")
-    if (1 << n) ** k > DENSE_DIM_MAX:
-        raise CapacityError(
-            f"dense stabilizer projector limited to dimension {DENSE_DIM_MAX}; "
-            f"requested d^k = {(1 << n) ** k}"
-        )
 
 
-def _copy_pauli_mean(n: int, labels, copies, k: int) -> np.ndarray:
-    """The mean over a in labels of W_a on each of the given copies and 1 on
-    the others, as a d^k x d^k array: W_a sends |j> to v_a[j] |j ^ x_a>, so
-    each term sends J to J ^ X_a, X_a the digit x_a on each given copy, times
-    v_a at their digits of J.  Exact when len(labels) is a power of 2."""
+def _copy_digits(J, n: int, copies, k: int):
+    """The base-d digits of the copy-major indices J on the given copies,
+    copy 0 the most significant, and the index with digit 1 on each of
+    them: XOR by x times it puts x on those copies."""
+    places = [n * (k - 1 - c) for c in copies]
+    return np.array([J >> p & (1 << n) - 1 for p in places]), sum(1 << p for p in places)
+
+
+def apply_code_projector(v, n: int, k: int = 4) -> np.ndarray:
+    """P_{n,k} = (1/d^2) sum_a W_a^{(x k)} applied to the last axis of v.
+
+    For k a multiple of 4 the i-powers cancel, so W_a^{(x k)} =
+    X_x^{(x k)} Z_z^{(x k)} and P = Pi_X Pi_Z: Pi_Z keeps the J whose k
+    digits XOR to 0, and Pi_X is the mean of the d shifts J ^ (x, ..., x).
+    """
+    _check_k(k)
     d = 1 << n
-    x, v = _signed_perms(n, np.asarray(labels, dtype=np.int64))
-    shifts = [n * (k - 1 - c) for c in copies]
+    v = np.asarray(v)
+    if v.shape[-1] != d**k:
+        raise ValueError(f"last axis must have length d^k = {d**k}, got {v.shape[-1]}")
     J = np.arange(d**k)
-    out = np.zeros((d**k, d**k), dtype=complex)
-    for xa, va in zip(x.tolist(), v):
-        term = np.prod([va[J >> s & d - 1] for s in shifts], axis=0)
-        out[J ^ sum(xa << s for s in shifts), J] += term / len(v)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def stab_projector(n: int, k: int = 4) -> np.ndarray:
-    """Projector (1/d^2) sum_a W_a^{(x k)} onto the k-copy stabilizer code,
-    read-only as it is shared by every caller."""
-    _check_stab_args(n, k)
-    out = _copy_pauli_mean(n, range(1 << 2 * n), range(k), k)
-    out.flags.writeable = False
-    return out
+    digits, ones = _copy_digits(J, n, range(k), k)
+    u = np.where(np.bitwise_xor.reduce(digits) == 0, v, 0)
+    return sum(np.take(u, J ^ x * ones, axis=-1) for x in range(d)) / d
 
 
 def stab_code_basis(n: int, k: int = 4) -> np.ndarray:
@@ -127,27 +124,17 @@ def stab_code_basis(n: int, k: int = 4) -> np.ndarray:
     XOR to 0: the diagonal Paulis fix such J, and X_x^{(x k)} permutes the
     d indices of each row.
     """
-    _check_stab_args(n, k)
+    _check_k(k)
     d = 1 << n
+    if d ** (2 * k - 2) > CODE_BASIS_MAX_ENTRIES:
+        raise CapacityError(f"code basis limited to {CODE_BASIS_MAX_ENTRIES} entries; "
+                            f"requested d^(k-2) x d^k = {d ** (2 * k - 2)}")
     J = np.arange(d ** (k - 1))  # the copy-0 digit is 0
-    rows = J[np.bitwise_xor.reduce([J >> n * c & d - 1 for c in range(k - 1)]) == 0]
+    digits, ones = _copy_digits(J, n, range(k), k)
+    rows = J[np.bitwise_xor.reduce(digits) == 0]
     out = np.zeros((len(rows), d**k), dtype=complex)
-    ones = sum(1 << n * c for c in range(k))  # the digit 1 on every copy
     np.put_along_axis(out, rows[:, None] ^ np.arange(d) * ones, np.sqrt(1.0 / d), axis=1)
     return out
-
-
-def vec_pauli_basis(n: int) -> np.ndarray:
-    """The d^2 orthogonal code vectors vec(W_a) x vec(W_a), shape (d^2, d^4)."""
-    _check_stab_args(n, 4)
-    d = 1 << n
-    x, v = _signed_perms(n, np.arange(d * d))
-    j = np.arange(d)
-    idx = (x[:, None] ^ j) * d + j  # vec(W_a) holds v_a[j] there, row-major
-    out = np.zeros((d * d, d * d, d * d), dtype=complex)
-    a = np.arange(d * d)[:, None, None]
-    out[a, idx[:, :, None], idx[:, None, :]] = v[:, :, None] * v[:, None, :]
-    return out.reshape(d * d, d**4)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +200,7 @@ def orbit_counting_dims(n: int) -> tuple[int, int]:
 
 def symplectic_character(F: F2Matrix, k: int = 4) -> int:
     """Exact character of the code representation: [(-4)^{k/4}/2]^{dim ker(F-1)}."""
-    if k % 4 != 0 or k <= 0:
-        raise ValueError("k must be a positive multiple of 4")
+    _check_k(k)
     base = (-4) ** (k // 4) // 2
     return base ** fixed_space_dim(F)
 
@@ -223,8 +209,7 @@ def sp_multiplicity_sum(n: int, k: int = 4) -> Fraction:
     """(1/|Sp|) sum_F f(F)^{k-2} over Sp(2n, F_2), f(F) = 2^{dim ker(F-1)}:
     the squared-multiplicity sum of the code representation, which by
     Burnside's lemma is the number of orbits on (k-2)-tuples of vectors."""
-    if k % 4 != 0 or k <= 0:
-        raise ValueError("k must be a positive multiple of 4")
+    _check_k(k)
     return Fraction(f2lin.sp_orbit_count(n, k - 2))
 
 
@@ -244,25 +229,33 @@ def clifford_frame_potential(n: int, t: int = 4) -> Fraction:
 # code states labeled by maximal isotropic subspaces
 
 
+def _copy_mean(u, n: int, x, v, copies) -> np.ndarray:
+    """The mean over (x_a, v_a) = pauli._signed_perms of W_a on the given
+    copies of four, applied to the last axis of u: term a scales u by v_a
+    at those copies' digits and gathers it at J ^ (x_a on those copies)."""
+    J = np.arange(u.shape[-1])
+    digits, unit = _copy_digits(J, n, copies, 4)
+    return sum(np.take(u * np.prod(va[digits], axis=0), J ^ xa * unit, axis=-1)
+               for xa, va in zip(x.tolist(), v)) / len(v)
+
+
 def isotropic_orbit_states(n: int) -> list[tuple[IsotropicSubspace, np.ndarray]]:
     """One code state per maximal isotropic subspace M of F_2^{2n}.
 
-    The state is the unique joint +1 eigenvector of the diagonal Paulis
-    together with W_a x W_a x 1 x 1 and W_a x 1 x W_a x 1 for a in M; it is
-    produced by projecting the first computational basis vector with a
-    nonzero image and lives in the symmetric part of the code.
+    The state v_M is the unique joint +1 eigenvector of the diagonal Paulis
+    together with W_a x W_a x 1 x 1 and W_a x 1 x W_a x 1 for a in M, and
+    lives in the symmetric part of the code.  |v_M><v_M| = P q1 q2, q1 and
+    q2 the means over M of those two Paulis, and <0|v_M> is nonzero: v_M is
+    P q1 q2 e_0, normalized.  n <= 3, as each state holds d^4 amplitudes
+    and n = 4 would hold 2 295 states of 1 MB each.
     """
-    if n > 2:
-        raise CapacityError("isotropic-orbit states supported for n <= 2")
-    proj_code = stab_projector(n, 4)
+    if n > 3:
+        raise CapacityError("isotropic-orbit states supported for n <= 3; "
+                            "n = 4 would hold 2295 states of 1 MB each")
+    e0 = np.eye(1, (1 << n) ** 4, dtype=complex)[0]
     out = []
     for M in f2lin.maximal_isotropic_subspaces(n):
-        q1 = _copy_pauli_mean(n, M.vectors(), (0, 1), 4)
-        q2 = _copy_pauli_mean(n, M.vectors(), (0, 2), 4)
-        proj = proj_code @ q1 @ q2
-        nonzero = np.linalg.norm(proj, axis=0) > 1e-8
-        if not nonzero.any():
-            raise AssertionError("code projector annihilates every basis vector")
-        v = proj[:, nonzero.argmax()]
-        out.append((M, v / np.linalg.norm(v)))
+        x, v = _signed_perms(n, np.asarray(M.vectors(), dtype=np.int64))
+        u = apply_code_projector(_copy_mean(_copy_mean(e0, n, x, v, (0, 2)), n, x, v, (0, 1)), n)
+        out.append((M, u / np.linalg.norm(u)))
     return out

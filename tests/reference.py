@@ -6,8 +6,9 @@ computes in closed form or by exact combinatorics:
 * the S8 permutation census and the five-case assembly of E[alpha_+^2],
   with a dense 256-dimensional n = 1 evaluation (moments),
 * dense isotypic (Young) projectors of S4 on (C^d)^{x4}, and the code
-  projector, code basis, vec-Pauli basis and isotropic-orbit states
-  built from Kronecker products of single-qubit Paulis (stabrep),
+  projector (whole, or a column block at a time), code basis, vec-Pauli
+  basis and isotropic-orbit states built from Kronecker products of
+  single-qubit Paulis (stabrep),
 * the code character tr(U^{x k} P_{n,k}) from the dense Clifford unitary,
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
@@ -75,7 +76,7 @@ from cliffdesigns.pauli import (
     pauli_matrix,
     pauli_product,
 )
-from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, _check_stab_args, stab_projector
+from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, _check_k
 
 YOUNG_DENSE_MAX_N = 2
 
@@ -215,7 +216,7 @@ def dense_second_moment_qubit() -> float:
         y = sum(bits[perm[c]] << (7 - c) for c in range(8))
         np.add.at(counts, (y, idx), 1.0)
     p8 = counts / 40320.0
-    p14 = stab_projector(1, 4)
+    p14 = stab_projector_kron(1, 4)
     doubled = np.kron(p14, p14)
     d8 = 9  # dim of the 8-fold symmetric subspace at d = 2
     return float(np.trace(doubled @ p8).real / d8)
@@ -240,10 +241,15 @@ def reorder_qubit_major_to_copy_major(arr: np.ndarray, n: int, k: int) -> np.nda
     return arr.reshape((2,) * (2 * bits)).transpose(full).reshape(dim, dim)
 
 
-def stab_projector_kron(n: int, k: int = 4) -> np.ndarray:
-    """stabrep.stab_projector as the n-fold Kronecker power of the one-qubit
-    projector, its legs reordered copy-major."""
-    _check_stab_args(n, k)
+def _check_kron_args(n: int, k: int, dim_max: int) -> None:
+    _check_k(k)
+    if (1 << n) ** k > dim_max:
+        raise CapacityError(f"Kronecker oracle limited to d^k <= {dim_max}; "
+                            f"requested d^k = {(1 << n) ** k}")
+
+
+def _one_qubit_code_projector(k: int) -> np.ndarray:
+    """(1/4) sum_a W_a^{(x k)} at n = 1, from dense Pauli matrices."""
     p1 = np.zeros((1 << k, 1 << k), dtype=complex)
     for a in range(4):
         w = pauli_matrix(PauliLabel(1, a))
@@ -251,7 +257,15 @@ def stab_projector_kron(n: int, k: int = 4) -> np.ndarray:
         for _ in range(k):
             term = np.kron(term, w)
         p1 += term
-    p1 /= 4.0
+    return p1 / 4.0
+
+
+def stab_projector_kron(n: int, k: int = 4) -> np.ndarray:
+    """The code projector P_{n,k} as the n-fold Kronecker power of the
+    one-qubit projector, its legs reordered copy-major; d^k <= 256, past
+    which stab_projector_kron_columns gives it a column block at a time."""
+    _check_kron_args(n, k, 256)
+    p1 = _one_qubit_code_projector(k)
     out = p1
     for _ in range(n - 1):
         out = np.kron(out, p1)
@@ -260,11 +274,33 @@ def stab_projector_kron(n: int, k: int = 4) -> np.ndarray:
     return out
 
 
+def _qubit_strings(J: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """Per qubit q, the k-bit string that qubit takes across the copies of
+    the copy-major indices J, copy 0 the most significant bit: the row or
+    column of J in qubit q's one-qubit factor."""
+    return [sum((J >> n * (k - c) - 1 - q & 1) << k - 1 - c for c in range(k))
+            for q in range(n)]
+
+
+def stab_projector_kron_columns(n: int, k: int, cols) -> np.ndarray:
+    """The columns cols of stab_projector_kron(n, k), each entry the product
+    over qubits of the one-qubit projector at that qubit's k-bit strings;
+    no d^k x d^k array is formed."""
+    _check_kron_args(n, k, 4096)
+    p1 = _one_qubit_code_projector(k)
+    rows = _qubit_strings(np.arange((1 << n) ** k), n, k)
+    strings = _qubit_strings(np.asarray(cols), n, k)
+    out = p1[np.ix_(rows[0], strings[0])]
+    for r, c in zip(rows[1:], strings[1:]):
+        out *= p1[np.ix_(r, c)]
+    return out
+
+
 def stab_code_basis_kron(n: int, k: int = 4) -> np.ndarray:
     """stabrep.stab_code_basis as tensor products of the single-qubit
     vectors (|u> + |~u>)/sqrt(2) over even-weight bitstrings u with leading
     bit 0, in lexicographic order of the qubits' u."""
-    _check_stab_args(n, k)
+    _check_kron_args(n, k, 4096)
     dim = 1 << k
     singles = []
     for u in range(dim // 2):  # leading bit of u is 0
@@ -286,7 +322,8 @@ def stab_code_basis_kron(n: int, k: int = 4) -> np.ndarray:
 
 
 def vec_pauli_basis_kron(n: int) -> np.ndarray:
-    """stabrep.vec_pauli_basis from dense Pauli matrices."""
+    """The d^2 orthogonal code vectors vec(W_a) x vec(W_a), shape
+    (d^2, d^4), from dense Pauli matrices."""
     d = 1 << n
     out = np.empty((d * d, d**4), dtype=complex)
     for a in range(d * d):

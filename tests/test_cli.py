@@ -208,7 +208,7 @@ class TestCheck:
             raise AssertionError("computed before validating")
 
         monkeypatch.setattr(designs, "design_report", no_work)
-        path = state_file(tmp_path, np.eye(1 << n, dtype=complex)[0])
+        path = state_file(tmp_path, np.eye(1, 1 << n, dtype=complex)[0])
         err = assert_rejected(capsys, "check", "--file", path)
         assert f"check takes n <= 10, got n = {n}" in err
 
@@ -521,7 +521,7 @@ class TestOrbit:
             raise AssertionError("computed before validating")
 
         monkeypatch.setattr(designs, "orbit_frame_potential", no_work)
-        path = state_file(tmp_path, np.eye(1 << n, dtype=complex)[0])
+        path = state_file(tmp_path, np.eye(1, 1 << n, dtype=complex)[0])
         err = assert_rejected(capsys, "orbit", "--file", path, "--t", str(t))
         assert f"exact orbit at --t {t} takes n <= {10 if t == 4 else 2}, got n = {n}" in err
 
@@ -689,14 +689,21 @@ def test_no_materialized_orbit_in_production():
 
 
 def test_one_pauli_kernel_and_one_pairing_rule():
-    # stabrep builds its dense objects from pauli._signed_perms, not from
-    # Kronecker products of dense Paulis; f2lin completes a symplectic basis
-    # by one Gram-map rule, with no branch on which form it was given
+    # stabrep reads W_a from pauli._signed_perms, not from Kronecker
+    # products of dense Paulis, and caches no array; f2lin completes a
+    # symplectic basis by one Gram-map rule, with no branch on which form
+    # it was given
     package = Path(cliffdesigns.__file__).parent
     stabrep = ast.parse((package / "stabrep.py").read_text())
     dense = [node.lineno for node in ast.walk(stabrep) if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("kron", "pauli_matrix")]
     assert not dense, f"stabrep.py: np.kron or pauli_matrix called on lines {dense}"
+    cache_names = ("lru_cache", "cache")
+    caches = [node.lineno for node in ast.walk(stabrep)
+              if isinstance(node, ast.Attribute) and node.attr in cache_names
+              or isinstance(node, ast.Name) and node.id in cache_names
+              or isinstance(node, ast.alias) and node.name in cache_names]
+    assert not caches, f"stabrep.py: a functools cache on lines {caches}"
     f2lin = ast.parse((package / "f2lin.py").read_text())
     forks = [node.lineno for node in ast.walk(f2lin) if isinstance(node, ast.Compare)
              and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)

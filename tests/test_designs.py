@@ -334,9 +334,9 @@ class TestProductStateBound:
                 assert -1e-10 <= v <= 1 / d + 1e-10
 
     def test_dense_oracle(self, rng):
-        from cliffdesigns.stabrep import stab_projector
+        from reference import stab_projector_kron
 
-        p = stab_projector(1, 4)
+        p = stab_projector_kron(1, 4)
         states = [random_state(2, rng) for _ in range(4)]
         rho = np.array([[1.0 + 0j]])
         for s in states:

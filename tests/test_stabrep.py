@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,15 +13,14 @@ from cliffdesigns.stabrep import (
     PARTITIONS,
     S4_CHARACTER,
     SPECHT_DIM,
+    apply_code_projector,
     clifford_frame_potential,
     dimension_table,
     isotropic_orbit_states,
     orbit_counting_dims,
     sp_multiplicity_sum,
     stab_code_basis,
-    stab_projector,
     symplectic_character,
-    vec_pauli_basis,
     weyl_dim,
 )
 from reference import (
@@ -31,14 +31,32 @@ from reference import (
     sp_elements,
     stab_code_basis_kron,
     stab_projector_kron,
+    stab_projector_kron_columns,
     string_orbit_sweep,
     vec_pauli_basis_kron,
     young_projector,
 )
 
 # the shapes compared with the Kronecker builds: n = 1..3 at k = 4, up to
-# the dense cap d^k <= 4096, and k = 8 at n = 1
+# d^k = 4096, and k = 8 at n = 1
 DENSE_SHAPES = [(1, 4), (2, 4), (3, 4), (1, 8)]
+
+
+def dense_code_projector(n, k=4):
+    """P_{n,k} as a d^k x d^k array, for the structural checks at small d^k:
+    the kernel applied to each basis vector gives a column of P, which is
+    real and symmetric."""
+    return apply_code_projector(np.eye((2**n) ** k), n, k)
+
+
+def traced_peak_mb(f, *args):
+    """The tracemalloc peak, in MiB, of one call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def same_bytes(a, b, rows=256):
@@ -143,7 +161,7 @@ class TestDimensionTable:
 
     def test_dense_trace_oracle_n1(self):
         # tr(P_{1,4} P_lam) = d_lam * D_plus, checked densely
-        p = stab_projector(1, 4)
+        p = dense_code_projector(1)
         for row in dimension_table(1):
             tr = np.trace(p @ young_projector(row.lam, 1)).real
             assert abs(tr - row.d_lam * row.D_plus) < 1e-10
@@ -152,36 +170,56 @@ class TestDimensionTable:
 class TestStabProjector:
     @pytest.mark.parametrize("n,k,rank", [(1, 4, 4), (2, 4, 16), (1, 8, 64)])
     def test_projector_and_rank(self, n, k, rank):
-        p = stab_projector(n, k)
+        p = dense_code_projector(n, k)
         assert np.allclose(p, p.conj().T, atol=1e-12)
         assert np.allclose(p @ p, p, atol=1e-10)
         assert abs(np.trace(p).real - rank) < 1e-9
 
     def test_trace_n3(self):
-        assert abs(np.trace(stab_projector(3, 4)).real - 64) < 1e-8
+        # the diagonal a block of 256 basis vectors at a time
+        trace = sum(np.trace(apply_code_projector(np.eye(256, 4096, j), 3), offset=j)
+                    for j in range(0, 4096, 256))
+        assert abs(trace - 64) < 1e-8
 
     def test_invalid_degree(self):
-        with pytest.raises(ValueError):
-            stab_projector(1, 6)
+        # one check of k serves every k-copy entry point
+        for k in (0, 6, -4):
+            for call in (lambda: apply_code_projector(np.zeros(16), 1, k),
+                         lambda: stab_code_basis(1, k),
+                         lambda: symplectic_character(F2Matrix.identity(1), k),
+                         lambda: sp_multiplicity_sum(1, k)):
+                with pytest.raises(ValueError, match="positive multiple of 4"):
+                    call()
 
-    def test_capacity(self):
-        with pytest.raises(CapacityError):
-            stab_projector(2, 8)
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="last axis must have length d\\^k = 256, got 255"):
+            apply_code_projector(np.zeros((3, 255)), 2, 4)
+        with pytest.raises(ValueError, match="d\\^k = 16, got 256"):
+            apply_code_projector(np.zeros(256), 1, 4)
 
     @pytest.mark.parametrize("n,k", DENSE_SHAPES)
-    def test_equals_the_kronecker_build(self, n, k):
-        assert same_bytes(stab_projector(n, k), stab_projector_kron(n, k))
-
-    def test_cached_projector_is_read_only(self):
-        p = stab_projector(1, 4)
-        with pytest.raises(ValueError, match="read-only"):
-            p[0, 0] = 7
-        assert stab_projector(1, 4)[0, 0] == 0.5
+    def test_equals_the_kronecker_build(self, n, k, rng):
+        # every basis vector and a random stack against the oracle's
+        # columns, a block of 128 at a time: no d^k x d^k array is formed
+        dim = (2**n) ** k
+        step = min(dim, 128)
+        blocks = [range(j, j + step) for j in range(0, dim, step)]
+        v = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+        pv = 0
+        for cols in blocks:
+            want = stab_projector_kron_columns(n, k, cols)
+            got = apply_code_projector(np.eye(step, dim, cols.start), n, k)
+            assert np.abs(got.T - want).max() <= 1e-15 * np.abs(want).max()
+            pv = pv + v[:, cols] @ want.T
+        got = apply_code_projector(v, n, k)
+        assert np.abs(got - pv).max() <= 1e-15 * np.abs(pv).max()
+        if dim <= 256:  # the column blocks are the whole Kronecker power
+            assert same_bytes(stab_projector_kron_columns(n, k, range(dim)), stab_projector_kron(n, k))
 
     def test_commutes_with_permutations_and_cliffords(self, rng):
         for n in (1, 2):
             d = 2**n
-            p = stab_projector(n, 4)
+            p = dense_code_projector(n)
             # permutation of the four copies
             idx = np.arange(d**4)
             digits = [(idx // d ** (3 - c)) % d for c in range(4)]
@@ -201,8 +239,7 @@ class TestCodeBasis:
         assert b.shape[0] == (2**n) ** (k - 2)
         gram = b.conj() @ b.T
         assert np.allclose(gram, np.eye(b.shape[0]), atol=1e-12)
-        p = stab_projector(n, k)
-        assert np.allclose(p @ b.T, b.T, atol=1e-10)
+        assert np.allclose(apply_code_projector(b, n, k), b, atol=1e-10)
 
     @pytest.mark.parametrize("n,k", DENSE_SHAPES)
     def test_rows_equal_the_kronecker_build(self, n, k):
@@ -227,29 +264,29 @@ class TestCodeBasis:
             want[lo] = want[hi] = 1 / math.sqrt(2)
             assert any(np.allclose(v, want) for v in b)
 
+    def test_capacity(self):
+        # capped on its d^{k-2} x d^k output, checked before any allocation
+        with pytest.raises(CapacityError, match="requested d\\^\\(k-2\\) x d\\^k = 16777216"):
+            stab_code_basis(4, 4)
+        with pytest.raises(CapacityError, match="limited to 4194304 entries"):
+            stab_code_basis(2, 8)
+
 
 class TestVecPauliBasis:
+    # the vectors vec(W_a) x vec(W_a), built from dense Paulis, against the code kernel
+
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_equals_the_kronecker_build(self, n):
-        assert same_bytes(vec_pauli_basis(n), vec_pauli_basis_kron(n))
-
-    def test_capacity(self):
-        with pytest.raises(CapacityError, match="limited to dimension 4096; requested d\\^k = 65536"):
-            vec_pauli_basis(4)
-
-    @pytest.mark.parametrize("n", [1, 2])
     def test_orthogonal_and_in_code(self, n):
         d = 2**n
-        basis = vec_pauli_basis(n)
+        basis = vec_pauli_basis_kron(n)
         gram = basis.conj() @ basis.T
         assert np.allclose(gram, d * d * np.eye(d * d), atol=1e-10)
-        p = stab_projector(n, 4)
-        assert np.allclose(p @ basis.T, basis.T, atol=1e-10)
+        assert np.allclose(apply_code_projector(basis, n), basis, atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_clifford_action_is_signed_permutation(self, n, rng):
         d = 2**n
-        basis = vec_pauli_basis(n)
+        basis = vec_pauli_basis_kron(n)
         for _ in range(50):
             u = random_clifford(n, rng).matrix
             u4 = np.kron(np.kron(u, u), np.kron(u, u))
@@ -351,6 +388,17 @@ class TestGroupSums:
         assert clifford_frame_potential(2, 4) == 29
         assert clifford_frame_potential(3, 4) == 30
 
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_frame_potential_closed_form(self, t):
+        # prod_{k=0}^{t-2} (2^k + 1) for every n >= t - 1, and strictly
+        # less below that: 15, 29 and then 30 at t = 4
+        bound = math.prod(2**k + 1 for k in range(t - 1))
+        for n in range(1, 10):
+            if n >= t - 1:
+                assert clifford_frame_potential(n, t) == bound
+            else:
+                assert clifford_frame_potential(n, t) < bound
+
     def test_three_design_potentials(self):
         # the group is a 3-design: potential equals the Haar value
         assert clifford_frame_potential(1, 3) == 5  # (2t)!/(t!(t+1)!) at d=2
@@ -369,20 +417,31 @@ class TestGroupSums:
 
 
 class TestIsotropicOrbitStates:
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_overlap_formula_and_tight_frame(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_overlap_formula_and_tight_frame(self, n, rng):
         d = 2**n
         states = isotropic_orbit_states(n)
-        assert len(states) == [3, 15][n - 1]
+        assert len(states) == [3, 15, 135][n - 1]
         for i, (M, pm) in enumerate(states):
             assert abs(np.linalg.norm(pm) - 1) < 1e-12
+            assert pm[0].real > 0  # e_0 has a nonzero image
             for (N, pn) in states[i:]:
                 inter = len(set(M.vectors()) & set(N.vectors()))
                 dim_int = inter.bit_length() - 1
                 want = (2.0 ** (dim_int - n)) ** 2
                 assert abs(abs(np.vdot(pm, pn)) ** 2 - want) < 1e-9
-        plus = stab_projector(n, 4) @ young_projector((4,), n)
-        frame = sum(np.outer(p, p.conj()) for _, p in states)
+        # the frame operator sum_M |v_M><v_M| is (#states / D_plus) P Sym,
+        # Sym the mean of the 24 copy permutations: compared on the whole
+        # basis at n <= 2 and on a random stack at n = 3
+        if n <= 2:
+            x = np.eye(d**4)
+        else:
+            x = rng.normal(size=(4, d**4)) + 1j * rng.normal(size=(4, d**4))
+        v = np.array([p for _, p in states])
+        frame = (x @ v.conj().T) @ v
+        legs = x.reshape(len(x), d, d, d, d)
+        sym = sum(legs.transpose(0, *(1 + np.array(perm))) for perm in itertools.permutations(range(4)))
+        plus = apply_code_projector(sym.reshape(len(x), d**4) / 24, n)
         ratio = len(states) / dimension_table(n)[0].D_plus
         assert np.allclose(frame, ratio * plus, atol=1e-9)
 
@@ -393,7 +452,7 @@ class TestIsotropicOrbitStates:
         assert all(same_bytes(p, q) for (_, p), (_, q) in zip(got, want))
 
     def test_all_z_subspace_gives_plus_state(self):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             d = 2**n
             for M, psi in isotropic_orbit_states(n):
                 if all(b & 0xAAAAAAAA == 0 for b in M.basis):
@@ -401,3 +460,15 @@ class TestIsotropicOrbitStates:
                     for x in range(d):
                         ref[((x * d + x) * d + x) * d + x] = 1 / math.sqrt(d)
                     assert abs(abs(np.vdot(ref, psi)) - 1) < 1e-10
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError, match="n <= 3; n = 4 would hold 2295 states of 1 MB each"):
+            isotropic_orbit_states(4)
+
+
+def test_code_objects_stay_small(rng):
+    # no d^4 x d^4 array is formed: the 135 states at n = 3 hold 8.4 MiB,
+    # and one (4, 4096) stack 0.25 MiB
+    assert traced_peak_mb(isotropic_orbit_states, 3) < 16
+    v = rng.normal(size=(4, 4096)) + 1j * rng.normal(size=(4, 4096))
+    assert traced_peak_mb(apply_code_projector, v, 3) < 2
