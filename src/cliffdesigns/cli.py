@@ -88,10 +88,19 @@ def _load_state(args):
         # the first test keeps 1 << n from being formed for a huge n
         if n != len(amps).bit_length() - 1 or len(amps) != 1 << n:
             raise ValueError(f"state file has {len(amps)} amplitudes, not 2^n for n = {n}")
-        nrm = np.linalg.norm(amps)
-        if nrm < 1e-12:
+        finite = np.isfinite(amps)
+        if not finite.all():
+            raise ValueError(f"state file {args.file} has a non-finite amplitude at index "
+                             f"{np.argmin(finite)}")
+        # scaled by a power of 2 to a largest real or imaginary part in
+        # [1/2, 1), so the norm cannot overflow; the quotient is that of the
+        # unscaled amplitudes, bit for bit, unless a part underflows
+        parts = amps.view(float)
+        top = np.abs(parts).max()
+        if top == 0:
             raise ValueError("state file has zero norm")
-        psi = amps / nrm
+        amps = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+        psi = amps / np.linalg.norm(amps)
     n = len(psi).bit_length() - 1
     return psi, n
 
@@ -200,14 +209,16 @@ def cmd_construct(args) -> tuple[dict, bool]:
                          f"{ELL4_COST}")
     if args.base is not None and mode != "alg1":
         raise ValueError(f"construct --base applies only to --alg1, not --{mode}")
-    if args.max_iter < 1:
-        raise ValueError(f"construct needs --max-iter >= 1, got --max-iter {args.max_iter}")
     _check_tol(args.tol)
     if mode != "alg2":
         # only --alg2 reads these, so the echoed config leaves them out
-        del args.tol, args.max_iter, args.mode
+        del args.tol, args.mode
     if mode == "alg1":
         base = fiducial.named_fiducial(args.base) if args.base else _default_base(n)
+        k = len(base).bit_length() - 1
+        if k != n - 1:
+            raise ValueError(f"construct --base {args.base} is a {k}-qubit state, so --alg1 "
+                             f"needs --n {k + 1}, got --n {n}")
         psi = fiducial.tensor_completion(base, n)
         rep = design_report(psi)
         ok = abs(rep.epsilon) <= 1e-9
@@ -414,10 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", help="named base state for --alg1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-8, help="largest |epsilon| --alg2 accepts")
-    # parsed, validated and echoed, but --alg2 has no iteration to steer
-    ignored = "ignored: --alg2 solves for its root in closed form"
-    p.add_argument("--max-iter", type=int, default=200, help=ignored)
-    p.add_argument("--mode", choices=("bisect", "secant"), default="bisect", help=ignored)
+    # parsed and echoed, but --alg2 has no iteration to steer
+    p.add_argument("--mode", choices=("bisect", "secant"), default="bisect",
+                   help="ignored: --alg2 solves for its root in closed form")
 
     p = sub.add_parser("moments", help="Monte-Carlo moment study", parents=[output])
     p.add_argument("--n", type=int, default=2)

@@ -1,11 +1,11 @@
 """Clifford group elements as dense unitaries with exact symplectic actions.
 
 A Clifford unitary U satisfies U W_a U^dag = (-1)^{f(a)} W_{Fa} for a unique
-symplectic F and a sign function f.  This module builds the generators
-H, S, CNOT (with the i-power-friendly Hadamard prefactor (1+i)/2), extracts
-(F, f) from a unitary, lifts any symplectic matrix back to a unitary via
-transvections, samples the projective Clifford group exactly uniformly,
-and materializes projective orbits of state vectors for n <= 2.
+symplectic F and a sign function f.  This module lifts any symplectic
+matrix to a unitary via transvections, samples the projective Clifford
+group exactly uniformly, reads (F, f on the basis labels) back from a
+unitary, and materializes projective orbits of state vectors for n <= 2.
+Every element it returns carries the F it was built from.
 
 One kernel, _act_words, applies a stack of transvection words to a block
 of states, a signed gather per factor; orbits use it on the state itself,
@@ -29,14 +29,11 @@ import numpy as np
 from . import f2lin
 from .f2lin import CapacityError, F2Matrix, fixed_space_dim, is_symplectic
 from .pauli import (PauliLabel, _check_normalized, _hadamard, _parity_signs, _pauli_parts,
-                    _product_phase, _signed_perms, label_join, pauli_matrix)
+                    _signed_perms, label_join, pauli_matrix)
 
 __all__ = [
     "CliffordElement",
     "NotCliffordError",
-    "generator_matrix",
-    "compose_word",
-    "parse_word",
     "extract_action",
     "lift_symplectic",
     "transvection_decomposition",
@@ -61,8 +58,6 @@ ORBIT_DEDUP_DECIMALS = 9
 # an element stabilizes psi when |<psi|U psi>| is 1 within this
 ORBIT_STAB_ATOL = 1e-9
 
-_H2 = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]], dtype=complex)
-_S2 = np.array([[1, 0], [0, -1j]], dtype=complex)
 _RTOL = 1e-5  # the default rtol of np.allclose
 
 
@@ -70,146 +65,33 @@ class NotCliffordError(ValueError):
     """Conjugation of a basis Pauli did not return a signed Pauli."""
 
 
+@dataclass(frozen=True, eq=False)
 class CliffordElement:
-    """Dense d x d Clifford unitary with its cached symplectic action."""
+    """Dense d x d Clifford unitary and the symplectic F it induces."""
 
-    def __init__(self, matrix: np.ndarray, n: int, action=None, symplectic=None):
-        self.matrix = matrix
-        self.n = n
-        self._action = action
-        self._symplectic = symplectic
-
-    @property
-    def d(self) -> int:
-        return 1 << self.n
-
-    @property
-    def action(self) -> tuple[F2Matrix, tuple[int, ...]]:
-        if self._action is None:
-            self._action = extract_action(self)
-        return self._action
-
-    @property
-    def symplectic(self) -> F2Matrix:
-        if self._symplectic is None:
-            self._symplectic = self.action[0]
-        return self._symplectic
-
-    def sign_of(self, a: int) -> int:
-        """f(a) with U W_a U^dag = (-1)^{f(a)} W_{Fa}, from the basis signs.
-
-        Writing W_a as an i-power times a product of basis Paulis, the
-        cocycle mismatch between source and image labels folds into the
-        sign, so f on all 4^n labels follows from the 2n basis values.
-        """
-        F, basis_signs = self.action
-        f = 0
-        acc = 0
-        acc_im = 0
-        phi_src = 0
-        phi_dst = 0
-        for k in range(2 * self.n):
-            if not (a >> k) & 1:
-                continue
-            e = 1 << k
-            phi_src += _product_phase(acc, e, self.n)
-            fe = F.apply(e)
-            phi_dst += _product_phase(acc_im, fe, self.n)
-            f ^= basis_signs[k]
-            acc ^= e
-            acc_im ^= fe
-        delta = (phi_dst - phi_src) % 4
-        if delta % 2:
-            raise AssertionError(f"odd cocycle mismatch {delta} for label {a}")
-        return (f + delta // 2) % 2
-
-    def __matmul__(self, other: "CliffordElement") -> "CliffordElement":
-        if self.n != other.n:
-            raise f2lin.DimensionError("qubit count mismatch")
-        return CliffordElement(self.matrix @ other.matrix, self.n)
-
-
-def _embed_1q(gate: np.ndarray, q: int, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for i in range(n):
-        out = np.kron(out, gate if i == q else np.eye(2))
-    return out
-
-
-def _cnot_matrix(control: int, target: int, n: int) -> np.ndarray:
-    d = 1 << n
-    idx = np.arange(d)
-    flip = ((idx >> (n - 1 - control)) & 1) << (n - 1 - target)
-    out = np.zeros((d, d), dtype=complex)
-    out[idx ^ flip, idx] = 1.0
-    return out
-
-
-def generator_matrix(token: tuple, n: int) -> CliffordElement:
-    """Embedded generator: ("H", q), ("S", q) or ("CX", control, target)."""
-    kind = token[0]
-    if kind == "H":
-        (q,) = token[1:]
-        _check_q(q, n)
-        return CliffordElement(_embed_1q(_H2, q, n), n)
-    if kind == "S":
-        (q,) = token[1:]
-        _check_q(q, n)
-        return CliffordElement(_embed_1q(_S2, q, n), n)
-    if kind == "CX":
-        c, t = token[1:]
-        _check_q(c, n)
-        _check_q(t, n)
-        if c == t:
-            raise ValueError("CX needs distinct qubits")
-        return CliffordElement(_cnot_matrix(c, t, n), n)
-    raise ValueError(f"unknown gate token {token!r}")
-
-
-def _check_q(q: int, n: int) -> None:
-    if not 0 <= q < n:
-        raise ValueError(f"qubit index {q} out of range for n={n}")
-
-
-def parse_word(text: str) -> list[tuple]:
-    """Parse gate syntax like 'H0 S1 CX0,2' into tokens."""
-    tokens = []
-    for part in text.split():
-        if part.startswith("CX"):
-            c, t = part[2:].split(",")
-            tokens.append(("CX", int(c), int(t)))
-        elif part[0] in ("H", "S"):
-            tokens.append((part[0], int(part[1:])))
-        else:
-            raise ValueError(f"cannot parse gate {part!r}")
-    return tokens
-
-
-def compose_word(word, n: int) -> CliffordElement:
-    """Ordered product of generator matrices; accepts tokens or text."""
-    if isinstance(word, str):
-        word = parse_word(word)
-    mat = np.eye(1 << n, dtype=complex)
-    for token in word:
-        mat = mat @ generator_matrix(token, n).matrix
-    return CliffordElement(mat, n)
+    matrix: np.ndarray
+    n: int
+    symplectic: F2Matrix
 
 
 # ---------------------------------------------------------------------------
 # symplectic action
 
 
-def extract_action(U: CliffordElement) -> tuple[F2Matrix, tuple[int, ...]]:
-    """Recover (F, f on basis labels) from U W_e U^dag for the 2n basis Paulis."""
-    n = U.n
+def extract_action(U: np.ndarray) -> tuple[F2Matrix, tuple[int, ...]]:
+    """Recover (F, f on basis labels) from U W_e U^dag for the 2n basis
+    Paulis, U a d x d unitary; NotCliffordError unless each is a signed Pauli."""
+    d = len(U)
+    if U.shape != (d, d) or not d or d & (d - 1):
+        raise f2lin.DimensionError(f"expected a d x d matrix with d a power of 2, got {U.shape}")
+    n = d.bit_length() - 1
     cols = []
     signs = []
-    Um = U.matrix
-    Udag = Um.conj().T
-    k = np.arange(1 << n)
+    Udag = U.conj().T
+    k = np.arange(d)
     # U W_e by a column gather: column k is v[k] times column k ^ x of U
     for x, v in zip(*_signed_perms(n, 1 << np.arange(2 * n))):
-        b, f = _identify_signed_pauli(Um[:, k ^ x] * v @ Udag, n)
+        b, f = _identify_signed_pauli(U[:, k ^ x] * v @ Udag, n)
         cols.append(b)
         signs.append(f)
     F = F2Matrix(f2lin._transpose(cols, 2 * n), n)
@@ -542,7 +424,7 @@ def lift_symplectic(F: F2Matrix) -> CliffordElement:
     Each transvection Z_v lifts to (1 + i W_v)/sqrt(2); an extra global
     phase keeps all matrix entries in Q[i] when the factor count is odd.
     The representative is one of the 4d^2 unitaries inducing F and is
-    deterministic but otherwise arbitrary, and carries F for .symplectic.
+    deterministic but otherwise arbitrary, and carries F as .symplectic.
     """
     if not is_symplectic(F):
         raise ValueError("input is not symplectic")
@@ -560,7 +442,7 @@ def _lift_one(F: F2Matrix, cols, label: int = 0) -> CliffordElement:
     else:
         U = _lift_dense(F.n, np.array(word, dtype=np.int64)[None, :], np.array([len(word)]),
                         images[None], [label])[0]
-    return CliffordElement(U, F.n, symplectic=F)
+    return CliffordElement(U, F.n, F)
 
 
 def _sample_words(n: int, rng: np.random.Generator, count: int):
@@ -594,7 +476,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     clifford_trace_check needs: [tr U]^4 = (-4)^{dim ker(F-1)} holds for
     it, and a factor e^{i pi/4} would flip the sign of [tr U]^4.  The orbit
     and frame-potential metrics do not depend on the phase.  The element
-    carries its sampled symplectic, so .symplectic needs no extraction."""
+    carries its sampled symplectic."""
     index, label = f2lin._rand_below_many(rng, [f2lin.sp_order(n), 1 << (2 * n)])
     cols = f2lin._cols_from_index(index, n)
     return _lift_one(F2Matrix(f2lin._transpose(cols, 2 * n), n), cols, label)

@@ -8,8 +8,9 @@ stabilizer code, equal to ||Xi(psi)||_4^4 / d^2.  Its normalized deviation
 vanishes exactly on fiducial vectors of projective 4-designs, equals the
 operator norm of the orbit's deviation from the symmetric-subspace
 average, and determines the orbit's fourth frame potential in closed form.
-Frame potentials of explicit state sets, the single-qubit closed forms,
-and tensor-product admissibility all live here.
+The Clifford-orbit frame potentials (closed form at t = 4, a group sum at
+n <= 2 or Monte-Carlo otherwise), the single-qubit closed forms and
+tensor-product admissibility all live here.
 
 A weighted design in a smaller dimension dtilde <= d can always be cut out
 of an exact design by projecting onto a dtilde-dimensional subspace and
@@ -24,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import (
-    NormalizationError,
-    alpha_plus,
-    _check_normalized,
-    _ell4_rows,
-    _infer_n,
-)
+from .pauli import alpha_plus, _check_normalized, _ell4_rows, _infer_n
 
 __all__ = [
     "DesignReport",
@@ -38,7 +33,6 @@ __all__ = [
     "epsilon",
     "epsilon_from_ell4",
     "fourth_moment",
-    "frame_potential",
     "sym_dim",
     "minimal_design_size",
     "orbit_frame_potential",
@@ -165,38 +159,6 @@ def epsilon(psi: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # frame potentials
-
-
-def frame_potential(states, t: int, weights=None, block: int = 2048) -> float:
-    """Weighted frame potential sum_{jk} w_j w_k |<psi_j|psi_k>|^{2t}.
-
-    With no weights this is the plain (1/K^2) double sum.  Blocked over
-    rows so large unions never materialize a full Gram matrix.
-    """
-    psis = np.asarray(states)
-    if psis.ndim != 2 or psis.shape[0] == 0:
-        raise ValueError("need a nonempty list of state vectors")
-    k = psis.shape[0]
-    if weights is None:
-        w = np.full(k, 1.0 / k)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (k,) or not (w >= 0).all():
-            raise ValueError("weights must be nonnegative, one per state")
-        if not abs(w.sum() - 1.0) <= 1e-10:
-            raise NormalizationError(f"weights sum to {w.sum()}, not 1")
-    conj = psis.conj()
-    total = 0.0
-    for lo in range(0, k, block):
-        # in place: a block holds one complex and one real K-wide array
-        p = np.abs(psis[lo : lo + block] @ conj.T)
-        np.square(p, out=p)
-        np.power(p, t, out=p)
-        total += float(np.einsum("i,ij,j->", w[lo : lo + block], p, w))
-    d = psis.shape[1]
-    if not total >= 1.0 / sym_dim(d, t) - BOUND_SLACK:
-        raise AssertionError(f"frame potential {total} is not at or above the design minimum")
-    return total
 
 
 def orbit_frame_potential(psi: np.ndarray, t: int, mode: str = "exact",

@@ -9,9 +9,9 @@ is always Hermitian and squares to the identity.
 Every i^j W_a is a signed permutation of the computational basis: with
 (z, x) = label_split(a, n) it sends |k> to i^{j + |z&x|} (-1)^{|z&k|} |k ^ x>,
 |.| the popcount.  One kernel returns that pair (x, phases); dense
-matrices, the action on states and matrices, the Clifford lift and the
-copy-pair means of stabrep's isotropic-orbit states all read W_a from it,
-so the sign and i-power conventions live in one place.
+matrices, the Clifford lift and its word action, and the copy-pair means
+of stabrep's isotropic-orbit states all read W_a from it, so the sign and
+i-power conventions live in one place.
 
 The characteristic function of a state collects all d^2 real expectation
 values <psi|W_a|psi>.  One kernel computes it for a batch of states.  Per
@@ -32,14 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .f2lin import DimensionError, symplectic_form
+from .f2lin import DimensionError
 
 __all__ = [
     "PauliLabel",
     "CharacteristicFunction",
     "pauli_matrix",
-    "pauli_product",
-    "apply_pauli",
     "characteristic_function",
     "ell4_norm4",
     "alpha_plus",
@@ -178,42 +176,6 @@ def pauli_matrix(p: PauliLabel) -> np.ndarray:
     k = np.arange(len(v))
     out = np.zeros((len(v), len(v)), dtype=complex)
     out[k ^ x, k] = v
-    return out
-
-
-def _product_phase(a: int, b: int, n: int) -> int:
-    """i-power phi with W_a W_b = i^phi W_{a^b}, tracked exactly mod 4: the
-    per-qubit zx + z'x' + 2zx' - (z^z')(x^x'), each term summed by a popcount."""
-    even = (1 << (2 * n)) // 3  # the z bit of every qubit
-    z, x, zp, xp = a & even, a >> 1 & even, b & even, b >> 1 & even
-    phi = (z & x).bit_count() + (zp & xp).bit_count() + 2 * (z & xp).bit_count()
-    return (phi - ((z ^ zp) & (x ^ xp)).bit_count()) % 4
-
-
-def pauli_product(p: PauliLabel, q: PauliLabel) -> PauliLabel:
-    """Label of the matrix product, with the i-power tracked exactly."""
-    if p.n != q.n:
-        raise DimensionError("qubit count mismatch")
-    phase = (p.phase_exp + q.phase_exp + _product_phase(p.a, q.a, p.n)) % 4
-    return PauliLabel(p.n, p.a ^ q.a, phase)
-
-
-def commutes(p: PauliLabel, q: PauliLabel) -> bool:
-    return symplectic_form(p.a, q.a, p.n) == 0
-
-
-# ---------------------------------------------------------------------------
-# action on states and matrices
-
-
-def apply_pauli(p: PauliLabel, psi: np.ndarray) -> np.ndarray:
-    """i^j W_a psi for a (d,) state or a (d, m) matrix, by a signed row permutation."""
-    d = 1 << p.n
-    if psi.ndim not in (1, 2) or psi.shape[0] != d:
-        raise DimensionError(f"expected a ({d},) state or a ({d}, m) matrix")
-    x, v = _signed_perm(p)
-    out = np.empty(psi.shape, dtype=complex)
-    out[np.arange(d) ^ x] = v.reshape((d,) + (1,) * (psi.ndim - 1)) * psi
     return out
 
 

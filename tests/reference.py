@@ -12,7 +12,8 @@ computes in closed form or by exact combinatorics:
 * the code character tr(U^{x k} P_{n,k}) from the dense Clifford unitary,
   and the multiplicity sum over an explicit subgroup of Sp(2n, F2)
   (stabrep),
-* the code overlap of a product of four states (designs),
+* the code overlap of a product of four states, and the frame potential
+  of an explicit state set as the double sum over its pairs (designs),
 * the projective orbit deduplicated one state at a time, the matrix-step
   lift of transvection words (one dense product per factor), and the
   projective group lifted by it one labelled word per element (clifford),
@@ -26,10 +27,10 @@ computes in closed form or by exact combinatorics:
   per pairing, and Sp(2n, F2) streamed as one F2Matrix per element (f2lin),
 * the transvection midpoint found by a search over candidate vectors
   (clifford),
-* the Pauli product phase summed, and a label split, one qubit at a
-  time, and the characteristic function by full-length Walsh-Hadamard
-  transforms of both the real and the imaginary part of every product,
-  the unused half checked as an imaginary residue (pauli),
+* the Pauli label product with its phase summed, and a label split, one
+  qubit at a time, and the characteristic function by full-length
+  Walsh-Hadamard transforms of both the real and the imaginary part of
+  every product, the unused half checked as an imaginary residue (pauli),
 * the basis-cycler test as two walks over the powers, one for fixed
   points and order, one for the z-type spread, the basis cycler found
   by exhaustive search over Sp(2n, F2), the cycler orbit walked by
@@ -48,9 +49,10 @@ from typing import Iterator
 import numpy as np
 
 from cliffdesigns.clifford import _transvection_words
-from cliffdesigns.designs import epsilon, sym_dim
+from cliffdesigns.designs import BOUND_SLACK, epsilon, sym_dim
 from cliffdesigns.f2lin import (
     CapacityError,
+    DimensionError,
     F2Matrix,
     IsotropicSubspace,
     _gaussian_binomial,
@@ -65,6 +67,7 @@ from cliffdesigns.f2lin import (
 )
 from cliffdesigns.fiducial import ConvergenceError, InfeasibleError, _is_basis_cycler
 from cliffdesigns.pauli import (
+    NormalizationError,
     PauliLabel,
     _check_normalized,
     _hadamard,
@@ -74,7 +77,6 @@ from cliffdesigns.pauli import (
     characteristic_function,
     label_join,
     pauli_matrix,
-    pauli_product,
 )
 from cliffdesigns.stabrep import S4_CHARACTER, SPECHT_DIM, _check_k
 
@@ -471,6 +473,42 @@ def product_state_bound_check(psi1, psi2, psi3, psi4) -> float:
 
 
 # ---------------------------------------------------------------------------
+# frame potentials
+
+
+def frame_potential(states, t: int, weights=None, block: int = 2048) -> float:
+    """Weighted frame potential sum_{jk} w_j w_k |<psi_j|psi_k>|^{2t}.
+
+    With no weights this is the plain (1/K^2) double sum.  Blocked over
+    rows so large unions never materialize a full Gram matrix.
+    """
+    psis = np.asarray(states)
+    if psis.ndim != 2 or psis.shape[0] == 0:
+        raise ValueError("need a nonempty list of state vectors")
+    k = psis.shape[0]
+    if weights is None:
+        w = np.full(k, 1.0 / k)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (k,) or not (w >= 0).all():
+            raise ValueError("weights must be nonnegative, one per state")
+        if not abs(w.sum() - 1.0) <= 1e-10:
+            raise NormalizationError(f"weights sum to {w.sum()}, not 1")
+    conj = psis.conj()
+    total = 0.0
+    for lo in range(0, k, block):
+        # in place: a block holds one complex and one real K-wide array
+        p = np.abs(psis[lo : lo + block] @ conj.T)
+        np.square(p, out=p)
+        np.power(p, t, out=p)
+        total += float(np.einsum("i,ij,j->", w[lo : lo + block], p, w))
+    d = psis.shape[1]
+    if not total >= 1.0 / sym_dim(d, t) - BOUND_SLACK:
+        raise AssertionError(f"frame potential {total} is not at or above the design minimum")
+    return total
+
+
+# ---------------------------------------------------------------------------
 # projective orbits
 
 
@@ -612,6 +650,13 @@ def product_phase_loop(a: int, b: int, n: int) -> int:
         zp, xp = (b >> 2 * i) & 1, (b >> 2 * i + 1) & 1
         phi += z * x + zp * xp + 2 * z * xp - (z ^ zp) * (x ^ xp)
     return phi % 4
+
+
+def pauli_product(p: PauliLabel, q: PauliLabel) -> PauliLabel:
+    """Label of the matrix product, its i-power from product_phase_loop."""
+    if p.n != q.n:
+        raise DimensionError("qubit count mismatch")
+    return PauliLabel(p.n, p.a ^ q.a, p.phase_exp + q.phase_exp + product_phase_loop(p.a, q.a, p.n))
 
 
 def cycler_two_walks(F, n: int) -> bool:

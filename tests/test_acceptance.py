@@ -24,7 +24,6 @@ from cliffdesigns.clifford import (
 from cliffdesigns.designs import (
     bloch_state,
     epsilon,
-    frame_potential,
     orbit_frame_potential,
     qubit_phi4,
     qubit_six_design_roots,
@@ -57,6 +56,7 @@ from conftest import random_state
 from reference import (
     census_second_moment,
     dense_second_moment_qubit,
+    frame_potential,
     multiplicity_sum,
     numeric_symplectic_character,
     product_state_bound_check,

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cliffdesigns
-from cliffdesigns.cli import main
+from cliffdesigns.cli import _load_state, main
 from cliffdesigns.clifford import _act_words, _sample_words, random_clifford
 from cliffdesigns.designs import MC_BLOCK, MC_BLOCK_BYTES, _mc_block, _overlap_powers
 from cliffdesigns.fiducial import hoggar_fiducial, named_fiducial
@@ -212,6 +214,24 @@ class TestCheck:
         err = assert_rejected(capsys, "check", "--file", path)
         assert f"check takes n <= 10, got n = {n}" in err
 
+    def test_non_finite_amplitude_rejected(self, tmp_path, capsys):
+        # one error line naming the file, and no numpy warning before it
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 1, "amplitudes": [[NaN, 0], [1, 0]]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = assert_rejected(capsys, "check", "--file", str(path))
+        assert err == f"error: state file {path} has a non-finite amplitude at index 0\n"
+
+    def test_huge_amplitudes_normalized(self, tmp_path, capsys):
+        # the norm of (1e308, 1e308) overflows a float; the file holds |+>
+        path = tmp_path / "plus.json"
+        path.write_text('{"n": 1, "amplitudes": [[1e308, 0], [1e308, 0]]}')
+        psi, n = _load_state(SimpleNamespace(named=None, file=str(path)))
+        assert n == 1 and np.abs(psi - 2 ** -0.5).max() <= 1e-15
+        code, out = run_cli(capsys, "check", "--file", str(path))
+        assert code == 0 and json.loads(out)["ell4"] == pytest.approx(2, abs=1e-12)
+
     def test_zero_norm_rejected(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         path.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [0, 0]]}))
@@ -266,8 +286,7 @@ class TestConstruct:
     def test_alg2_secant_is_bisect(self, capsys):
         # the flags select nothing; regula falsi used to stall at n = 5
         _, bisect = run_cli(capsys, "construct", "--alg2", "--n", "5", "--mode", "bisect")
-        code, secant = run_cli(capsys, "construct", "--alg2", "--n", "5", "--mode", "secant",
-                               "--max-iter", "1")
+        code, secant = run_cli(capsys, "construct", "--alg2", "--n", "5", "--mode", "secant")
         assert code == 0
         assert json.loads(secant)["state"] == json.loads(bisect)["state"]
 
@@ -275,7 +294,9 @@ class TestConstruct:
         with pytest.raises(SystemExit) as exc:
             main(["construct", "--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out.count("ignored: --alg2 solves for its root") == 2
+        out = capsys.readouterr().out
+        assert out.count("ignored: --alg2 solves for its root") == 1
+        assert "--max-iter" not in out
 
     def test_weighted(self, capsys):
         code, out = run_cli(capsys, "construct", "--weighted", "--n", "1")
@@ -381,13 +402,27 @@ class TestConstruct:
 
     @pytest.mark.parametrize("max_iter", ["0", "-1"])
     def test_max_iter_below_one_rejected(self, capsys, max_iter):
-        err = assert_rejected(capsys, "construct", "--alg2", "--n", "2", "--max-iter", max_iter)
-        assert f"--max-iter {max_iter}" in err
+        # --max-iter is no option: argparse refuses it, whatever its value
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--alg2", "--n", "2", "--max-iter", max_iter])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --max-iter {max_iter}" in capsys.readouterr().err
 
     def test_convergence_failure_reported(self, capsys):
-        err = assert_rejected(capsys, "construct", "--alg2", "--n", "2", "--tol", "1e-300",
-                              "--max-iter", "5")
+        err = assert_rejected(capsys, "construct", "--alg2", "--n", "2", "--tol", "1e-300")
         assert "did not converge" in err
+
+    @pytest.mark.parametrize("base, k, n", [("psi_T", 1, "3"), ("hoggar", 3, "2")])
+    def test_base_of_the_wrong_size_rejected_before_work(self, capsys, monkeypatch, base, k, n):
+        from cliffdesigns import fiducial
+
+        def no_work(*args):
+            raise AssertionError("computed before validating")
+
+        monkeypatch.setattr(fiducial, "tensor_completion", no_work)
+        err = assert_rejected(capsys, "construct", "--alg1", "--n", n, "--base", base)
+        assert err == (f"error: construct --base {base} is a {k}-qubit state, so --alg1 "
+                       f"needs --n {k + 1}, got --n {n}\n")
 
 
 class TestMoments:
@@ -712,6 +747,27 @@ def test_one_pauli_kernel_and_one_pairing_rule():
     assert not forks, f"f2lin.py: a form tested for identity with _omega on lines {forks}"
 
 
+def test_no_gate_words_and_no_test_only_names():
+    # clifford and pauli build no Kronecker products (elements come from
+    # symplectic lifts), and no module defines or binds a name that only
+    # tests called: those oracles live in tests/reference.py
+    package = Path(cliffdesigns.__file__).parent
+    removed = {"generator_matrix", "compose_word", "parse_word", "sign_of", "apply_pauli",
+               "pauli_product", "frame_potential"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name in ("clifford.py", "pauli.py"):
+            krons = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", getattr(node.func, "id", None)) == "kron"]
+            assert not krons, f"{path.name}: kron called on lines {krons}"
+        bound = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias))
+                 and node.name in removed
+                 or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                 and node.id in removed]
+        assert not bound, f"{path.name}: a removed name defined or bound on lines {bound}"
+
+
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("argv", [
     ("check", "--named", "psi_T"),
@@ -766,7 +822,7 @@ def test_threads_below_one_rejected(capsys, monkeypatch, threads):
       "n": 2}),
     (["construct", "--alg2", "--n", "2"],
      {"command": "construct", "format": "json", "construction": "alg2", "n": 2,
-      "tol": 1e-8, "max_iter": 200, "mode": "bisect"}),
+      "tol": 1e-8, "mode": "bisect"}),
 ])
 def test_config_echoes_the_parsed_options(capsys, argv, config):
     # the echoed config holds exactly the options the command parsed and reads

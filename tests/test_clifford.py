@@ -19,11 +19,8 @@ from cliffdesigns.clifford import (
     _transvection_words,
     _x_images,
     clifford_trace_check,
-    compose_word,
     extract_action,
-    generator_matrix,
     lift_symplectic,
-    parse_word,
     projective_clifford_unitaries,
     projective_orbit,
     random_clifford,
@@ -38,6 +35,11 @@ from reference import (lift_words_dense, midpoint_search, projective_group_repea
                        projective_orbit_loop, sp_elements)
 
 E0 = np.array([1, 0], dtype=complex)
+# the Hadamard with the i-power prefactor (1 + i)/2, the phase gate and the CNOT
+# with control qubit 0 (the leftmost factor)
+H = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]], dtype=complex)
+S = np.diag([1, -1j])
+CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 def word_stack(F: F2Matrix):
@@ -53,71 +55,33 @@ def qubit_swap(n: int) -> F2Matrix:
     return F2Matrix(tuple(1 << (2 * swap.get(i // 2, i // 2) + i % 2) for i in range(2 * n)), n)
 
 
-class TestGenerators:
-    def test_hadamard_printed_matrix(self):
-        want = (0.5 + 0.5j) * np.array([[1, 1], [1, -1]])
-        assert np.allclose(generator_matrix(("H", 0), 1).matrix, want)
-
-    def test_phase_printed_matrix(self):
-        assert np.allclose(generator_matrix(("S", 0), 1).matrix, np.diag([1, -1j]))
-
-    def test_cnot_printed_matrix(self):
-        want = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], float)
-        assert np.allclose(generator_matrix(("CX", 0, 1), 2).matrix, want)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            generator_matrix(("H", 2), 2)
-
-    def test_unitarity_of_embeddings(self):
-        for tok in (("H", 1), ("S", 0), ("CX", 2, 0)):
-            u = generator_matrix(tok, 3).matrix
-            assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-
-
-class TestWords:
-    def test_empty_word_is_identity(self):
-        assert np.allclose(compose_word([], 2).matrix, np.eye(4))
-
-    def test_hh_is_central_phase(self):
-        assert np.allclose(compose_word("H0 H0", 1).matrix, 1j * np.eye(2))
-
-    def test_hs_cubed_is_central(self):
-        u = compose_word("H0 S0 H0 S0 H0 S0", 1).matrix
-        assert np.allclose(u, u[0, 0] * np.eye(2), atol=1e-12)
-        assert abs(abs(u[0, 0]) - 1) < 1e-12
-
-    def test_parse_syntax(self):
-        assert parse_word("H0 S1 CX0,2") == [("H", 0), ("S", 1), ("CX", 0, 2)]
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_word("Q3")
-
-
 class TestExtractAction:
     def test_identity(self):
-        F, signs = extract_action(CliffordElement(np.eye(4, dtype=complex), 2))
+        F, signs = extract_action(np.eye(4, dtype=complex))
         assert F.rows == F2Matrix.identity(2).rows
         assert signs == (0, 0, 0, 0)
 
     def test_hadamard_swaps_z_and_x(self):
-        F, _ = extract_action(generator_matrix(("H", 0), 1))
+        F, _ = extract_action(H)
         assert F.rows == (0b10, 0b01)
 
     def test_pauli_conjugation_signs(self):
         for n in (1, 2):
             for b in range(4**n):
-                u = CliffordElement(pauli_matrix(PauliLabel(n, b)), n)
-                F, _ = extract_action(u)
+                F, signs = extract_action(pauli_matrix(PauliLabel(n, b)))
                 assert F.rows == F2Matrix.identity(n).rows
-                for a in range(4**n):
-                    assert u.sign_of(a) == symplectic_form(b, a, n)
+                assert signs == tuple(symplectic_form(b, 1 << k, n) for k in range(2 * n))
 
     def test_non_clifford_rejected(self, rng):
         t = np.diag([1.0, np.exp(0.25j * np.pi)])  # pi/8-type gate
         with pytest.raises(NotCliffordError):
-            extract_action(CliffordElement(t, 1))
+            extract_action(t)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (4,), (2, 4), (3, 3)])
+    def test_rejects_wrong_shape(self, shape):
+        # the qubit count is read off the matrix, which must be 2^n x 2^n
+        with pytest.raises(f2lin.DimensionError):
+            extract_action(np.zeros(shape, dtype=complex))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
@@ -125,31 +89,32 @@ class TestExtractAction:
         rng = np.random.default_rng(seed)
         u = random_clifford(n, rng)
         v = random_clifford(n, rng)
-        Fuv, _ = extract_action(u @ v)
+        Fuv, _ = extract_action(u.matrix @ v.matrix)
         assert Fuv.rows == (u.symplectic @ v.symplectic).rows
 
     def test_cnot_action_matrix(self):
         # X on the control grows an X on the target; Z on the target grows
         # a Z on the control
-        F, signs = extract_action(generator_matrix(("CX", 0, 1), 2))
+        F, signs = extract_action(CX)
         assert F.rows == (0b0101, 0b0010, 0b0100, 0b1010)
         assert signs == (0, 0, 0, 0)
 
     def test_hadamard_sign_on_y(self):
-        u = generator_matrix(("H", 0), 1)
-        assert u.symplectic.apply(0b11) == 0b11
-        assert u.sign_of(0b11) == 1  # H flips the sign of the (1,1) Pauli
+        assert extract_action(H)[0].apply(0b11) == 0b11
+        y = pauli_matrix(PauliLabel(1, 0b11))
+        assert np.allclose(H @ y @ H.conj().T, -y)  # H flips the sign of the (1,1) Pauli
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
     def test_sign_map_matches_dense_conjugation(self, seed, n):
+        # the extracted signs f(e_k) of the basis labels
         rng = np.random.default_rng(seed)
         u = random_clifford(n, rng)
-        F, _ = u.action
-        a = int(rng.integers(4**n))
-        lhs = u.matrix @ pauli_matrix(PauliLabel(n, a)) @ u.matrix.conj().T
-        rhs = (-1.0) ** u.sign_of(a) * pauli_matrix(PauliLabel(n, F.apply(a)))
-        assert np.allclose(lhs, rhs, atol=1e-10)
+        F, signs = extract_action(u.matrix)
+        for k in range(2 * n):
+            lhs = u.matrix @ pauli_matrix(PauliLabel(n, 1 << k)) @ u.matrix.conj().T
+            rhs = (-1.0) ** signs[k] * pauli_matrix(PauliLabel(n, F.apply(1 << k)))
+            assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 class TestLift:
@@ -157,17 +122,17 @@ class TestLift:
     def test_roundtrip_exhaustive(self, n):
         for F in sp_elements(n):
             u = lift_symplectic(F)
-            got, _ = extract_action(u)
+            got, _ = extract_action(u.matrix)
             assert got.rows == F.rows
             assert np.allclose(
-                u.matrix @ u.matrix.conj().T, np.eye(u.d), atol=1e-10
+                u.matrix @ u.matrix.conj().T, np.eye(1 << n), atol=1e-10
             )
 
     def test_roundtrip_random_n3_n4(self, rng):
         for n in (3, 4):
             for _ in range(25):
                 F = f2lin.random_symplectic(n, rng)
-                got, _ = extract_action(lift_symplectic(F))
+                got, _ = extract_action(lift_symplectic(F).matrix)
                 assert got.rows == F.rows
 
     def test_lift_carries_its_symplectic(self, rng, monkeypatch):
@@ -317,9 +282,9 @@ class TestWordAction:
         assert F @ F != F2Matrix.identity(n)
         words, lengths, images = word_stack(F)
         U = lift_symplectic(F)
-        assert extract_action(U)[0] == F
+        assert extract_action(U.matrix)[0] == F
         reversed_word = lift_words_dense(n, words[:, ::-1], lengths)[0]
-        assert extract_action(CliffordElement(reversed_word, n))[0] != F
+        assert extract_action(reversed_word)[0] != F
         psi = random_state(1 << n, np.random.default_rng(n))
         assert np.abs(_act_words(n, words, lengths, psi[None, :])[0, 0] - U.matrix @ psi).max() <= 1e-14
         # the columns of U are the word's images of the basis states, exactly
@@ -351,7 +316,7 @@ class TestWordAction:
         mats = [f2lin.random_symplectic(n, rng) for _ in range(12 if n < 5 else 2)]
         mats += [singer_symplectic(n), qubit_swap(n)]
         for F in mats:
-            assert extract_action(lift_symplectic(F))[0] == F
+            assert extract_action(lift_symplectic(F).matrix)[0] == F
 
     def test_wrong_images_raise(self):
         # the X images of the identity do not map U e_0 to U e_{2^b}
@@ -424,7 +389,7 @@ class TestProductLift:
             raise AssertionError("wrong lift path")
 
         monkeypatch.setattr(clifford, "_lift_dense", refuse)
-        assert extract_action(lift_symplectic(F3))[0] == F3
+        assert extract_action(lift_symplectic(F3).matrix)[0] == F3
         assert random_clifford(3, rng).matrix.shape == (8, 8)
         monkeypatch.undo()
         monkeypatch.setattr(clifford, "_factor_table", refuse)
@@ -437,7 +402,7 @@ class TestRandomClifford:
     def test_normalizer_invariant(self, rng):
         for n in (1, 2, 3):
             u = random_clifford(n, rng)
-            F, _ = u.action  # extraction itself asserts the +-Pauli images
+            F, _ = extract_action(u.matrix)  # extraction itself asserts the +-Pauli images
             assert f2lin.is_symplectic(F)
 
     def test_reproducible(self):
@@ -449,7 +414,7 @@ class TestRandomClifford:
     def test_carried_symplectic_is_the_extracted_one(self, n, monkeypatch):
         rng = np.random.default_rng(60 + n)
         draws = [random_clifford(n, rng) for _ in range(40 if n < 5 else 10)]
-        extracted = [extract_action(u)[0] for u in draws]
+        extracted = [extract_action(u.matrix)[0] for u in draws]
 
         def no_extraction(u):
             raise AssertionError("extracted a carried symplectic")
@@ -496,11 +461,11 @@ class TestRandomClifford:
 
 class TestTraceIdentities:
     def test_identity_element(self):
-        rep = clifford_trace_check(CliffordElement(np.eye(2, dtype=complex), 1))
+        rep = clifford_trace_check(CliffordElement(np.eye(2, dtype=complex), 1, F2Matrix.identity(1)))
         assert rep.passed and rep.kernel_dim == 2 and rep.trace == 2
 
     def test_phase_gate(self):
-        rep = clifford_trace_check(generator_matrix(("S", 0), 1))
+        rep = clifford_trace_check(CliffordElement(S, 1, extract_action(S)[0]))
         assert rep.passed and not rep.traceless
         assert rep.kernel_dim == 1
         assert abs(rep.trace - (1 - 1j)) < 1e-12

@@ -12,7 +12,6 @@ from cliffdesigns.designs import (
     design_report,
     epsilon,
     fourth_moment,
-    frame_potential,
     minimal_design_size,
     orbit_frame_potential,
     qubit_phi4,
@@ -23,7 +22,7 @@ from cliffdesigns.designs import (
 from cliffdesigns.fiducial import psi_t
 from cliffdesigns.pauli import NormalizationError
 from conftest import random_state
-from reference import product_state_bound_check
+from reference import frame_potential, product_state_bound_check
 
 
 def random_bloch(rng):

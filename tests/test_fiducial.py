@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from cliffdesigns import f2lin
 from cliffdesigns.clifford import projective_orbit
-from cliffdesigns.designs import (bloch_state, design_report, epsilon, epsilon_from_ell4,
-                                 frame_potential, sym_dim)
+from cliffdesigns.designs import bloch_state, design_report, epsilon, epsilon_from_ell4, sym_dim
 from cliffdesigns.fiducial import (
     BlochVector,
     ConvergenceError,
@@ -43,7 +42,7 @@ from cliffdesigns.pauli import (NormalizationError, _ell4_rows, alpha_plus_batch
                                characteristic_function, ell4_norm4)
 from conftest import random_state
 from reference import (bisection_loop, cycler_form_matrix, cycler_two_walks, dense_cycler_walk,
-                       singer_search, sp_elements)
+                       frame_potential, singer_search, sp_elements)
 
 
 class TestNamedFiducials:
@@ -433,14 +432,14 @@ class TestSinger:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_unitary_is_projectively_cyclic(self, n):
         u = singer_unitary(n)
-        d = u.d
+        d = 1 << n
         power = np.linalg.matrix_power(u.matrix, d + 1)
         assert np.allclose(power, power[0, 0] * np.eye(d), atol=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_cycled_bases_are_mutually_unbiased(self, n):
         u = singer_unitary(n)
-        d = u.d
+        d = 1 << n
         bases = [np.eye(d, dtype=complex)]
         for _ in range(d):
             bases.append(u.matrix @ bases[-1])
@@ -482,7 +481,8 @@ class TestSinger:
         # H^3 = H is no scalar, whatever the phase; H has full-support columns,
         # so it passes the normal-form reader and reaches the closing check
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        monkeypatch.setattr(fiducial, "singer_unitary", lambda n: clifford.CliffordElement(h, 1))
+        monkeypatch.setattr(fiducial, "singer_unitary",
+                            lambda n: clifford.CliffordElement(h, 1, singer_symplectic(1)))
         with pytest.raises(AssertionError, match="not scalar"):
             singer_eigenstates(1)
 
@@ -513,7 +513,7 @@ class TestSinger:
 
         # X and 1 have zero entries; the last has entries c i^q but B = 0
         monkeypatch.setattr(fiducial, "singer_unitary",
-                            lambda n: clifford.CliffordElement(matrix, 1))
+                            lambda n: clifford.CliffordElement(matrix, 1, singer_symplectic(1)))
         with pytest.raises(AssertionError, match="no Clifford normal form"):
             singer_eigenstates(1)
 
