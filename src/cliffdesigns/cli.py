@@ -46,13 +46,9 @@ TABLES_MAX_N = 32
 # moments samples 2^n-dimensional Haar states, about 3 s per 10^5 states at
 # n = 5, 26 s at n = 7 and 110 s at n = 8; the exact moments hold for any n.
 MOMENTS_MAX_N = 5
-# singer builds the n-qubit cycler's eigenbasis from two orbits of its
-# normal-form step: 0.45-0.7 s and 92 MB at n = 10 in a fresh process,
-# 0.3 s of it the eigenbasis, and each further qubit about 4 times the time.
-# The dense lift the normal form is read from holds d^2 complex entries.
-# construct --weighted seeds its negative orbit with an (n-1)-qubit cycler
-# eigenstate and shares the range.
-SINGER_MAX_N = 10
+# singer takes --n up to fiducial.SINGER_MAX_N, the end of the cycler's
+# polynomial table; construct --weighted seeds its negative orbit with an
+# (n-1)-qubit cycler eigenstate and shares the range.
 # singer grades -epsilon against the closed form (d/2+1)/(d+1)^2 of every cycler
 SINGER_TOL = 1e-12
 
@@ -202,8 +198,9 @@ def cmd_construct(args) -> tuple[dict, bool]:
     n = args.n
     mode = args.construction
     if mode == "weighted":
-        if not 1 <= n <= SINGER_MAX_N:
-            raise ValueError(f"construct --weighted needs 1 <= --n <= {SINGER_MAX_N}, got --n {n}")
+        if not 1 <= n <= fiducial.SINGER_MAX_N:
+            raise ValueError(
+                f"construct --weighted needs 1 <= --n <= {fiducial.SINGER_MAX_N}, got --n {n}")
     elif not 2 <= n <= ORBIT_T4_MAX_N:  # alg1 and alg2 extend an (n-1)-qubit state
         raise ValueError(f"construct --{mode} needs 2 <= --n <= {ORBIT_T4_MAX_N}, got --n {n}: "
                          f"{ELL4_COST}")
@@ -335,8 +332,8 @@ def cmd_singer(args) -> tuple[dict, bool]:
     from . import fiducial
 
     n = args.n
-    if not 1 <= n <= SINGER_MAX_N:
-        raise ValueError(f"singer needs 1 <= --n <= {SINGER_MAX_N}, got --n {n}")
+    if not 1 <= n <= fiducial.SINGER_MAX_N:
+        raise ValueError(f"singer needs 1 <= --n <= {fiducial.SINGER_MAX_N}, got --n {n}")
     row = fiducial.singer_epsilon_table((n,))[0]
     d = 1 << n
     ref = (d // 2 + 1) / (d + 1) ** 2

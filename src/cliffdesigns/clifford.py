@@ -10,7 +10,8 @@ Every element it returns carries the F it was built from.
 One kernel, _act_words, applies a stack of transvection words to a block
 of states, a signed gather per factor; orbits use it on the state itself,
 and the dense lift of a stack uses it on n + 1 basis states and builds the
-other columns from them.  A single lift at n <= 3 (LIFT_TABLE_BYTES)
+other columns from them; _lift_probes reads row 0 from the same columns
+without forming the rest.  A single lift at n <= 3 (LIFT_TABLE_BYTES)
 instead multiplies cached dense factors 1 + i W_v, one matrix product per
 factor; both lifts are exact and give the same matrix.
 
@@ -340,27 +341,40 @@ def _x_images(cols) -> np.ndarray:
     return np.asarray(cols, dtype=np.int64)[..., ::-2]
 
 
-def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarray,
-                labels=None) -> np.ndarray:
-    """(S, d, d) stack of the unitaries U of _act_words, from n + 1 columns each.
+def _signed_columns(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarray,
+                    labels=None):
+    """(order, cols, x, f) for the unitaries U of _act_words: cols[i] holds
+    U e_0 and the U e_{2^b}, b < n, and P_b = U X_b U^dag acts as
+    (P_b phi)[k] = f[i, b, k] phi[k ^ x[i, b]], for sample order[i] in the
+    order of _sorted_action.
 
     images[s] holds the labels c_b of F X_b F^{-1} (_x_images) for the
     symplectic F that word s induces.  The word acts on e_0 and the
-    e_{2^b}; P_b = U X_b U^dag = sigma_b W_{c_b}, so U e_{2^b} = P_b U e_0
-    gives the sign sigma_b, whose modulus must be 1 within 1e-9.  Column k is
-    then (prod_b P_b^{k_b}) U e_0: the columns below 2^{b+1} are the ones
-    below 2^b and their images under P_b, one signed gather per bit, built
-    as the rows of U^T and transposed in the final copy.  The columns are
-    exact (_act_words) and the signs and i-powers are exact, so a stack
-    equals its samples lifted alone, bit for bit.
+    e_{2^b}; P_b = sigma_b W_{c_b}, so U e_{2^b} = P_b U e_0 gives the sign
+    sigma_b, whose modulus must be 1 within 1e-9.  The columns are exact
+    (_act_words), and every f is a power of i.
     """
-    d = 1 << n
     order, cols, x, coef = _sorted_action(n, words, lengths, _column_basis(n), labels, images)
     # (W_c phi)[k] = coef[k ^ x] phi[k ^ x]: two gathers by one index
     idx = _flat_index(coef.shape) ^ x[..., None]
     sigma = np.vecdot((coef * cols[:, :1]).take(idx), cols[:, 1:]).real
     _check_signed_paulis(sigma)
-    f = coef.take(idx) * np.sign(sigma)[..., None]
+    return order, cols, x, coef.take(idx) * np.sign(sigma)[..., None]
+
+
+def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarray,
+                labels=None) -> np.ndarray:
+    """(S, d, d) stack of the unitaries U of _act_words, from n + 1 columns each.
+
+    Column k is (prod_b P_b^{k_b}) U e_0, from the columns and signed Paulis
+    P_b of _signed_columns: the columns below 2^{b+1} are the ones below
+    2^b and their images under P_b, one signed gather per bit, built as the
+    rows of U^T and transposed in the final copy.  The columns, the signs
+    and the i-powers are exact, so a stack equals its samples lifted alone,
+    bit for bit.
+    """
+    d = 1 << n
+    order, cols, x, f = _signed_columns(n, words, lengths, images, labels)
     # column k of U is row k of t; XOR with x changes the entry of a flat
     # index [s, k, j] alone
     t = np.empty((len(cols), d, d), dtype=complex)
@@ -374,6 +388,33 @@ def _lift_dense(n: int, words: np.ndarray, lengths: np.ndarray, images: np.ndarr
     lifts[order] = t.transpose(0, 2, 1)
     lifts += 0.0  # -0.0 -> +0.0, as in _lift_product
     return lifts
+
+
+def _lift_probes(F: F2Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, row): U e_0 and the U e_{2^b}, b < n, as the rows of an
+    (n + 1, d) array, and row 0 of U, for U = lift_symplectic(F), which is
+    not formed; F is not checked.  O(n d) where the lift is O(d^2).
+
+    The columns and the P_b come from _signed_columns, as in _lift_dense.
+    Column k of U is Q_k U e_0 with Q_k the product of the P_b over the
+    bits b of k, which commute.  Q_k is a signed permutation, so
+    (Q_k v)[0] = g(k) v[pos(k)] for every v, and Q_{k + 2^b} = Q_k P_b for
+    k < 2^b gives g(k + 2^b) = g(k) f_b[pos(k)] and
+    pos(k + 2^b) = pos(k) ^ x_b: n doubling steps, and then
+    U[0, k] = g(k) (U e_0)[pos(k)].  Every g is a power of i, so each entry
+    equals that of the dense lift exactly, with +0.0 for -0.0 as there.
+    """
+    cols = f2lin._transpose(F.rows, 2 * F.n)
+    word = _decompose(cols)
+    _, u, x, f = _signed_columns(F.n, np.array(word, dtype=np.int64)[None, :],
+                                 np.array([len(word)]), _x_images(cols)[None])
+    u, x, f = u[0] + 0.0, x[0], f[0]
+    g = np.ones(1, dtype=complex)
+    pos = np.zeros(1, dtype=np.int64)
+    for b in range(F.n):
+        g = np.concatenate((g, g * f[b, pos]))
+        pos = np.concatenate((pos, pos ^ x[b]))
+    return u, g * u[0, pos] + 0.0
 
 
 def _check_signed_paulis(sigma: np.ndarray) -> None:

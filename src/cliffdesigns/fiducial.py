@@ -356,48 +356,30 @@ def _gf_pow(a: int, e: int, p: int, m: int) -> int:
     return out
 
 
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= x:
-        if x % f == 0:
-            out.append(f)
-            while x % f == 0:
-                x //= f
-        f += 1
-    if x > 1:
-        out.append(x)
-    return out
+# the smallest primitive polynomial of each even degree m over GF(2), x^m
+# as bit m: its root generates GF(2^m)*; tests/reference.py's search
+# re-derives the table
+_PRIMITIVE_POLYNOMIALS = {2: 0x7, 4: 0x13, 6: 0x43, 8: 0x11D, 10: 0x409, 12: 0x1053,
+                          14: 0x402B, 16: 0x1002D, 18: 0x40027, 20: 0x100009}
+# basis cyclers are built for n <= SINGER_MAX_N, the degrees m = 2n of the
+# table.  The eigenbasis takes about 0.15 s at n = 10, and each further
+# qubit would take about 4 times the time and memory of its two orbits
+SINGER_MAX_N = max(_PRIMITIVE_POLYNOMIALS) // 2
 
 
-@functools.lru_cache(maxsize=None)
-def _primitive_polynomial(m: int) -> int:
-    """Smallest degree-m polynomial over GF(2) whose root generates GF(2^m)*."""
-    order = (1 << m) - 1
-    factors = _prime_factors(order)
-    for low in range(1, 1 << m, 2):
-        p = (1 << m) | low
-        if _gf_pow(2, order, p, m) != 1:
-            continue
-        if all(_gf_pow(2, order // q, p, m) != 1 for q in factors):
-            return p
-    raise AssertionError(f"no primitive polynomial of degree {m}")
-
-
-def _gf_trace_vector(p: int, m: int) -> int:
-    """Bitmask t with Tr(u) = parity(popcount(u & t)); Tr(u) = sum u^{2^j}."""
-    t = 0
-    for i in range(m):
-        u = 1 << i
-        acc = u
-        sq = u
-        for _ in range(m - 1):
-            sq = _gf_mul(sq, sq, p, m)
-            acc ^= sq
-        if acc not in (0, 1):
-            raise AssertionError(f"GF(2^{m}) trace of basis element {i} is not in GF(2)")
-        t |= acc << i
-    return t
+def _power_traces(p: int, m: int, count: int) -> list[int]:
+    """Tr(x^k) for k < count in GF(2^m) = GF(2)[x]/(p), Tr(u) = sum u^{2^j}:
+    the power sums s_k of the roots of p, by Newton's identities mod 2,
+    s_k = sum_{j=1}^{min(k-1, m)} e_j s_{k-j} + k e_k, with e_j the
+    coefficient of x^{m-j} in p (e_k = 0 past m)."""
+    e = [p >> m - j & 1 for j in range(m + 1)]
+    s = [m & 1]
+    for k in range(1, count):
+        acc = k & e[k] if k <= m else 0
+        for j in range(1, min(k, m + 1)):
+            acc ^= e[j] & s[k - j]
+        s.append(acc)
+    return s
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,23 +390,25 @@ def singer_symplectic(n: int) -> f2lin.F2Matrix:
     norm-one element of order 2^n + 1 preserves the alternating form
     Tr(u v^{2^n} beta) once beta is trace-orthogonal to the subfield
     GF(2^n); expressing that form in a symplectic basis gives a
-    standard-form matrix.  The one-walk cycler test and the symplectic
-    check are its proof.
+    standard-form matrix.  The field's polynomial comes from a table, so
+    n <= SINGER_MAX_N, and past it CapacityError is raised before any
+    work.  The cycler walk and the symplectic check are its proof.
     """
     if n < 1:
         raise f2lin.DimensionError(f"basis cyclers need n >= 1, got n={n}")
+    if n > SINGER_MAX_N:
+        raise f2lin.CapacityError(f"basis cyclers are built for n <= {SINGER_MAX_N}, got n={n}")
     m = 2 * n
-    p = _primitive_polynomial(m)
-    tr = _gf_trace_vector(p, m)
+    p = _PRIMITIVE_POLYNOMIALS[m]
     # the trace form Tr(u w) = parity(u & gram w): gram[i][j] = Tr(x^{i+j})
-    powers = [1]
-    for _ in range(2 * m - 2):
-        powers.append(_gf_mul(powers[-1], 2, p, m))
-    traces = [f2lin._parity(x & tr) for x in powers]
+    traces = _power_traces(p, m, 2 * m - 1)
     gram = tuple(sum(traces[i + j] << j for j in range(m)) for i in range(m))
-    # columns of the Frobenius map u -> u^{2^n}; its fixed points are the
-    # subfield GF(2^n)
-    frob_cols = [_gf_pow(1 << i, 1 << n, p, m) for i in range(m)]
+    # columns of the Frobenius map u -> u^{2^n}, (x^i)^{2^n} = y^i for
+    # y = x^{2^n}; its fixed points are the subfield GF(2^n)
+    y = _gf_pow(2, 1 << n, p, m)
+    frob_cols = [1]
+    for _ in range(m - 1):
+        frob_cols.append(_gf_mul(frob_cols[-1], y, p, m))
     fq_basis = f2lin._kernel([c ^ (1 << i) for i, c in enumerate(frob_cols)], m)
     if len(fq_basis) != n:
         raise AssertionError(f"subfield GF(2^{n}) has a basis of {len(fq_basis)} elements")
@@ -460,10 +444,15 @@ def _is_basis_cycler(F: f2lin.F2Matrix, n: int) -> bool:
     Then the d+1 bases U^k (computational basis) are pairwise mutually
     unbiased for any unitary U inducing F.
 
-    The walk starts from the d-1 nonzero vectors s of L and applies F d
-    times as int64 arrays, one XOR table per byte of a vector.  It fails
-    as soon as some F^k s equals s (1 <= k <= d), and it passes iff
-    F^{d+1} s = s for every s and the d-1 orbits have distinct minima.
+    The walk holds F^k s for the d-1 nonzero vectors s of L and
+    k = 0..d+1, as int64 arrays.  F^k is linear, so F^k s is the XOR of
+    F^k z_j over the z-type basis vectors z_j in s: the n vectors F^k z_j
+    are found by doubling, F^{k + 2^t} z = F^{2^t} (F^k z) for k < 2^t,
+    with F^{2^t} squared once per step and applied through one XOR table
+    per byte of a vector, ceil(log2(d+2)) steps in all; their spans, one
+    doubling per z_j, give every F^k s.  The walk fails if some F^k s
+    equals s (1 <= k <= d), and it passes iff F^{d+1} s = s for every s
+    and the d-1 orbits have distinct minima.
     Proof of equivalence.  If the walk passes, each orbit has exactly d+1
     elements, and distinct minima make the d-1 orbits distinct, hence
     disjoint: together they hold (d-1)(d+1) = d^2-1 vectors, every
@@ -476,44 +465,56 @@ def _is_basis_cycler(F: f2lin.F2Matrix, n: int) -> bool:
     F is such a cycler, no F^k s equals s, F^{d+1} s = s, and two
     s != s' in one orbit would give s' = F^k s in L and F^k L, so the
     orbits and their minima are distinct.
+
+    The walk holds (d+2)(d-1) vectors, so n is capped at SINGER_MAX_N.
     """
+    if n > SINGER_MAX_N:
+        raise f2lin.CapacityError(f"the cycler walk holds (d+2)(d-1) vectors; n <= {SINGER_MAX_N}, "
+                                  f"got n={n}")
     nn = 2 * n
-    if nn > 63:
-        raise f2lin.CapacityError(f"the cycler walk holds 2n = {nn} bits in an int64, "
-                                  "which has room for 63")
-    cols = np.array(f2lin._transpose(F.rows, nn) + (0,) * (-nn % 8), dtype=np.int64)
-    # tables[b][u]: F applied to the vector with byte b equal to u, other bytes 0
+    d = 1 << n
     bits = np.arange(256)[:, None] >> np.arange(8) & 1
-    tables = [np.bitwise_xor.reduce(bits * cols[8 * b:8 * b + 8], axis=1)
-              for b in range(len(cols) // 8)]
 
-    def apply(v):
-        out = tables[0][v & 255]
+    def apply(cols, *vs):
+        # cols: the columns of a map, padded to whole bytes; tables[b][u] is
+        # the map applied to the vector with byte b equal to u, other bytes 0
+        tables = [np.bitwise_xor.reduce(bits * cols[8 * b:8 * b + 8], axis=1)
+                  for b in range(len(cols) // 8)]
+        outs = [tables[0][v & 255] for v in vs]
         for b, table in enumerate(tables[1:], 1):
-            out ^= table[v >> 8 * b & 255]
-        return out
+            for out, v in zip(outs, vs):
+                out ^= table[v >> 8 * b & 255]
+        return outs
 
-    # the nonzero vectors of L: the bits of 1..d-1 on the z coordinates
-    k = np.arange(1, 1 << n)
-    start = ((k[:, None] >> np.arange(n) & 1) << 2 * np.arange(n)).sum(axis=1)
-    cur = lo = start
-    for _ in range(1 << n):
-        cur = apply(cur)
-        if (cur == start).any():
-            return False
-        lo = np.minimum(lo, cur)
-    lo = np.sort(lo)
-    return bool((apply(cur) == start).all() and (lo[1:] != lo[:-1]).all())
+    # power holds the columns of F^{2^t}; walk[k, j] = F^k z_j, k < 2^t,
+    # the z_j on the z coordinates 0, 2, .., 2n - 2
+    power = np.array(f2lin._transpose(F.rows, nn) + (0,) * (-nn % 8), dtype=np.int64)
+    walk = (1 << 2 * np.arange(n, dtype=np.int64))[None, :]
+    while len(walk) < d + 2:
+        step, power = apply(power, walk[:d + 2 - len(walk)], power)
+        walk = np.concatenate((walk, step))
+    # span[k, i] = F^k s for s with the z-bits of i + 1, as i = 0..d-2
+    span = np.zeros((d + 2, 1), dtype=np.int64)
+    for j in range(n):
+        span = np.concatenate((span, span ^ walk[:, j, None]), axis=1)
+    span = span[:, 1:]
+    start = span[0]
+    if (span[1:d + 1] == start).any():
+        return False
+    lo = np.sort(span[:d + 1].min(axis=0))
+    return bool((span[d + 1] == start).all() and (lo[1:] != lo[:-1]).all())
 
 
 def singer_unitary(n: int) -> clifford.CliffordElement:
-    """A Clifford basis cycler: projective order d+1.
+    """A Clifford basis cycler as a dense d x d unitary: projective order d+1.
 
     The walk of singer_symplectic proves F^{d+1} = 1 with F free of nonzero
     fixed points, so U^{d+1} = lambda W_b for some Pauli W_b.  U commutes
     with its own power, so W_{Fb} is proportional to W_b: Fb = b, hence
     b = 0 and U^{d+1} is scalar.  _cycler_bins checks this numerically on
-    every orbit it builds.
+    every orbit it builds.  singer_eigenstates never forms this matrix; it
+    reads the cycler's normal form from n + 1 columns and one row of the
+    same lift (_cycler_form), and the dense matrix is the tests' oracle.
     """
     return clifford.lift_symplectic(singer_symplectic(n))
 
@@ -534,39 +535,52 @@ class _CyclerForm:
     had: tuple[np.ndarray, np.ndarray]  # complex H_a and H_b; H = H_a (x) H_b
 
 
-def _cycler_form(M: np.ndarray) -> _CyclerForm:
-    """Read a d x d Clifford unitary whose columns have full support as
-    M[y, k] = c i^{q1(y)} (-1)^{y . Bk} i^{q2(k)} (Dehaene-De Moor).
+def _cycler_form(cols: np.ndarray, row: np.ndarray) -> _CyclerForm:
+    """The normal form of a Clifford unitary U whose columns have full
+    support, U[y, k] = c i^{q1(y)} (-1)^{y . Bk} i^{q2(k)} (Dehaene-De Moor),
+    read from U e_0 and the U e_{2^b}, the rows of cols, and row 0 of U
+    (clifford._lift_probes), in O(n d).
 
-    c = M[0, 0]; q1 and q2 are the i-powers of column 0 and row 0 over c,
-    and B, a GF(2) matrix, is read off the entries M[e_a, e_b].  Every
-    entry must then equal c i^{q1(y) + 2 y.Bk + q2(k)} exactly, and B must
-    be invertible: the i-powers are integers and c i^q is formed without
-    rounding, so no tolerance enters.  A matrix that fails raises
-    AssertionError.
+    c = U[0, 0]; q1 and q2 are the i-powers of column 0 and row 0 over c,
+    and B, a GF(2) matrix, is read off the entries U[2^a, 2^b].  The read
+    raises AssertionError unless
+    * every probed entry is c i^q for an integer q, with c != 0;
+    * q1 and q2 are Z4 quadratic forms, the diagonals of Clifford gates;
+    * B is invertible;
+    * the form's columns e_{2^b} equal U's.
+    The i-powers are integers and c i^q is formed without rounding, so no
+    tolerance enters.  Proof that the form V is then U.  D1 and D2 are
+    Clifford diagonals, so V is a multiple of a Clifford unitary and
+    V X_b V^-1 = Q_b is a Pauli up to sign, as is P_b = U X_b U^dag.  With
+    psi = V e_0 = U e_0, Q_b psi = V e_{2^b} = U e_{2^b} = P_b psi, so the
+    Pauli S_b = P_b^dag Q_b fixes psi.  Moving every S_b past the P_b to the
+    right costs a sign alone, so V e_k = prod_b Q_b^{k_b} psi =
+    +-prod_b P_b^{k_b} psi = +-U e_k for every k; V[0, k] = c i^{q2(k)} =
+    U[0, k] != 0 fixes each sign to +.
     """
-    d = len(M)
-    n = d.bit_length() - 1
-    powers = M[0, 0] * _IPOW
+    n = len(cols) - 1
+    d = 1 << n
+    powers = cols[0, 0] * _IPOW
     units = 1 << np.arange(n)
-    # i-powers of column 0, row 0 and the unit entries in one comparison;
-    # an entry that is no c i^q reads as q = 0 and fails the check below
-    probe = np.concatenate((M[:, 0], M[0], M[units[:, None], units].ravel()))
-    q = (probe[:, None] == powers).argmax(axis=1).astype(np.uint8)
-    q1, q2 = q[:d], q[d:2 * d]
-    bits = (q[2 * d:].reshape(n, n) - q1[units, None] - q2[units]) >> 1 & 1
-    # img[k] = Bk, spanned one unit column at a time
-    img = np.zeros(1, dtype=np.int64)
-    for beta in units @ bits:
-        img = np.concatenate((img, img ^ beta))
-    expected = np.bitwise_count(np.arange(d)[:, None] & img)
-    expected <<= 1
-    expected += q1[:, None]
-    expected += q2
-    expected &= 3
+    # i-powers of the columns and of row 0 in one comparison; an entry that
+    # is no c i^q reads as q = 0 and fails the first check
+    probe = np.concatenate((cols.ravel(), row))
+    q = (probe[:, None] == powers).argmax(axis=1)
+    q1, qcols, q2 = q[:d], q[d:-d].reshape(n, d), q[-d:]
+    # bits[a, b] = bit a of B e_b, and kbits[k, a] = bit a of k
+    bits = (qcols[:, units].T - q1[units, None] - q2[units]) >> 1 & 1
+    kbits = np.arange(d)[:, None] >> np.arange(n) & 1
     gather = np.full(d, -1)
-    gather[img] = np.arange(d)
-    if not ((M == powers[expected]).all() and gather.min() >= 0):
+    gather[(kbits @ bits.T & 1) @ units] = np.arange(d)
+    # q(k) = sum_a k_a q(e_a) + 2 sum_{a<b} k_a k_b beta_ab with beta_ab bit
+    # 1 of q(e_a + e_b) - q(e_a) - q(e_b); an odd difference fails at e_a + e_b
+    qs = np.stack((q1, q2))
+    lin = qs[:, units]
+    beta = np.triu((qs[:, units[:, None] | units] - lin[:, :, None] - lin[:, None]) >> 1 & 1, 1)
+    quad = kbits @ lin.T + 2 * ((kbits @ beta) * kbits).sum(axis=2).T
+    form_cols = q1[:, None] + 2 * (kbits @ bits & 1) + q2[units]
+    if not (powers[0] != 0 and (probe == powers[q]).all() and ((quad - qs.T) & 3 == 0).all()
+            and gather.min() >= 0 and ((form_cols - qcols.T) & 3 == 0).all()):
         raise AssertionError("cycler has no Clifford normal form c D1 H P_B D2")
     shape = (1 << n // 2, 1 << n - n // 2)
     had = tuple(_hadamard(m.bit_length() - 1).astype(complex) for m in shape)
@@ -623,7 +637,9 @@ def _cycler_bins(form: _CyclerForm, r: np.ndarray, mu=None):
 def singer_eigenstates(n: int) -> np.ndarray:
     """Eigenvectors of the basis cycler U, one per row; its spectrum must be nondegenerate.
 
-    U is read once into its normal form (_cycler_form), and U^{d+1} = c 1,
+    U is the lift of singer_symplectic(n).  Its normal form is read from
+    n + 1 columns and row 0 of it (clifford._lift_probes, _cycler_form),
+    and the d x d matrix is never formed.  U^{d+1} = c 1,
     so its eigenvalues lie among the d+1 values mu w^k (_cycler_bins) and a
     nondegenerate spectrum leaves exactly one of them out.  The rows are
     ordered by k, cyclically from the missing value on: row j has
@@ -632,7 +648,7 @@ def singer_eigenstates(n: int) -> np.ndarray:
     orbit from their normalized sum, whose overlaps with all of them are
     equal, recomputes them to a uniform accuracy.
     """
-    form = _cycler_form(singer_unitary(n).matrix)
+    form = _cycler_form(*clifford._lift_probes(singer_symplectic(n)))
     d = form.scale.size
     r = np.zeros(d, dtype=complex)
     r[0] = 1.0
@@ -647,7 +663,10 @@ def singer_eigenstates(n: int) -> np.ndarray:
     norms[e] = np.inf
     bins = _cycler_bins(form, (1 / norms) @ bins / math.sqrt(d), mu)[0]
     vecs = np.concatenate((bins[e + 1:], bins[:e]), out=np.empty((d, d), dtype=complex))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    # vecs /= norm, bit for bit: numpy divides a complex by a real as a
+    # product with its reciprocal, here on the real view
+    parts = vecs.view(float)
+    parts *= 1 / np.linalg.norm(vecs, axis=1, keepdims=True)
     return vecs
 
 

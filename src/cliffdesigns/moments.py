@@ -45,6 +45,8 @@ TAIL_MIN_SAMPLES = 10**4
 # haar_alphas draws states this many at a time; the seeded stream depends on
 # it, so changing it changes every seeded value
 HAAR_BATCH = 20000
+# the row norms of a sampled block are taken this many entries at a time
+NORM_BLOCK = 1 << 16
 
 
 def sample_uniform_state(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -54,8 +56,26 @@ def sample_uniform_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_uniform_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    """(count, d) Haar states: v / norm(v) for v = rng.normal(size=(count, d))
+    + 1j * rng.normal(size=(count, d)), bit for bit and from the same draws.
+
+    Both draws go through one float buffer.  numpy divides a complex by a
+    real as a product with its reciprocal, so the real view of the states
+    is scaled by 1 / norm, NORM_BLOCK entries at a time, which bounds the
+    temporaries of the norms.
+    """
+    parts = np.empty((count, d))
+    states = np.empty((count, d), dtype=complex)
+    rng.standard_normal(out=parts)
+    states.real = parts
+    rng.standard_normal(out=parts)
+    states.imag = parts
+    rows = max(NORM_BLOCK // d, 1)
+    for lo in range(0, count, rows):
+        block = states[lo : lo + rows]
+        scaled = block.view(float)
+        scaled *= 1 / np.linalg.norm(block, axis=1, keepdims=True)
+    return states
 
 
 # ---------------------------------------------------------------------------

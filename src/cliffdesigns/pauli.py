@@ -20,9 +20,11 @@ X-mask m it keeps one product conj(psi_k) psi_{k^m} of each Hermitian pair
 GEMMs of length L = d/2, H_L = H_{L/b} (x) H_b, b = min(L, 32): 2 d L (L/b + b)
 real multiply-adds per state, not d^3 complex ones.  The purity identity
 checks each state's transform.  It takes the batch in chunks of at most 2^16
-transformed entries, so memory stays a few MB plus index tables of
-max(2^16, d^2) entries per d.  The cached tables are read-only, as every
-caller shares them.
+transformed entries, so memory stays a few MB plus two gather tables of
+d/2 entries per row: d rows per state, for the batch's state count rounded
+up to a power of 2, and at most max(2^16/d, d) rows, so one state reads
+tables of d^2/2 entries and a large batch those of one full chunk.  The
+cached tables are read-only, as every caller shares them.
 """
 
 from __future__ import annotations
@@ -225,8 +227,11 @@ def _check_norms(nrm: np.ndarray) -> None:
 # + m, both factors are plain 2-D GEMMs: 2 d L (L/b + b) multiply-adds per
 # state, about a quarter of the 2 d^2 (d/b + b) that full-length transforms
 # of both parts take.  A chunk holds _CHUNK // d rows, at most _CHUNK
-# transformed entries, a shape fixed by d alone.  The purity identity
-# sum_a Xi(a)^2 = d Xi(0)^2 checks the transform of every state.
+# transformed entries, a shape fixed by d alone.  The gather tables cover
+# the rows a batch reads (_table_rows): a chunk's rows, or fewer when the
+# whole batch is smaller, so one state builds tables of d rows, not of
+# _CHUNK // d.  The purity identity sum_a Xi(a)^2 = d Xi(0)^2 checks the
+# transform of every state.
 
 _CHUNK = 1 << 16
 _WHT_BLOCK = 32
@@ -258,13 +263,20 @@ def _pair_split(u: np.ndarray, m: np.ndarray, d: int) -> tuple[np.ndarray, np.nd
     return (u & -top) << 1 | (u & top - 1), top
 
 
+def _table_rows(d: int, s: int) -> int:
+    """Rows of the gather tables for a batch of s states: d per state, for s
+    rounded up to a power of 2, and at most max(chunk, d), the rows one
+    chunk reads."""
+    return min(max(_blocks(d)[1], d), d << (s - 1).bit_length())
+
+
 @functools.lru_cache(maxsize=None)
-def _kernel_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices of k and k ^ m over max(chunk, d) rows, [u_hi, row, u_lo],
-    read-only."""
+def _kernel_tables(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of k and k ^ m over the given rows, [u_hi, row, u_lo],
+    read-only; rows is a multiple of d (_table_rows)."""
     d = 1 << n
-    b, step = _blocks(d)
-    r = np.arange(max(step, d)).reshape(1, -1, 1)
+    b, _ = _blocks(d)
+    r = np.arange(rows).reshape(1, -1, 1)
     m = r % d
     k = _pair_split(np.arange(d // 2).reshape(-1, 1, b), m, d)[0]
     return _read_only(r - m + k, r - m + (k ^ m))
@@ -286,7 +298,7 @@ def _xi_chunks(psis: np.ndarray):
         raise DimensionError("the characteristic function needs a state of at least one qubit")
     s, d = psis.shape
     flat = np.ascontiguousarray(psis, dtype=complex).ravel()
-    own, partner = _kernel_tables(n)
+    own, partner = _kernel_tables(n, _table_rows(d, s))
     b, step = _blocks(d)
     q = d // 2 // b
     had_lo, had_hi = _hadamard(b.bit_length() - 1), _hadamard(q.bit_length() - 1)

@@ -65,7 +65,8 @@ from cliffdesigns.f2lin import (
     sp_order,
     symplectic_form,
 )
-from cliffdesigns.fiducial import ConvergenceError, InfeasibleError, _is_basis_cycler
+from cliffdesigns.fiducial import (_IPOW, ConvergenceError, InfeasibleError, _CyclerForm, _gf_pow,
+                                  _is_basis_cycler)
 from cliffdesigns.pauli import (
     NormalizationError,
     PauliLabel,
@@ -737,6 +738,74 @@ def cycler_form_matrix(form) -> np.ndarray:
     out[:, form.gather.ravel()] = (form.scale.reshape(d, 1) * _hadamard(d.bit_length() - 1)
                                    * form.phase.ravel())
     return out
+
+
+def cycler_form_dense(M: np.ndarray) -> _CyclerForm:
+    """The normal form of a d x d Clifford unitary M with full-support
+    columns, M[y, k] = c i^{q1(y)} (-1)^{y . Bk} i^{q2(k)} (Dehaene-De
+    Moor), read off the dense matrix and checked at all d^2 entries: the
+    read that fiducial._cycler_form does from n + 1 columns and row 0.
+
+    c = M[0, 0]; q1 and q2 are the i-powers of column 0 and row 0 over c,
+    and B is read off the entries M[e_a, e_b].  Every entry must equal
+    c i^{q1(y) + 2 y.Bk + q2(k)} exactly, and B must be invertible, else
+    AssertionError.
+    """
+    d = len(M)
+    n = d.bit_length() - 1
+    powers = M[0, 0] * _IPOW
+    units = 1 << np.arange(n)
+    probe = np.concatenate((M[:, 0], M[0], M[units[:, None], units].ravel()))
+    q = (probe[:, None] == powers).argmax(axis=1).astype(np.uint8)
+    q1, q2 = q[:d], q[d:2 * d]
+    bits = (q[2 * d:].reshape(n, n) - q1[units, None] - q2[units]) >> 1 & 1
+    img = np.zeros(1, dtype=np.int64)
+    for beta in units @ bits:
+        img = np.concatenate((img, img ^ beta))
+    expected = (2 * np.bitwise_count(np.arange(d)[:, None] & img) + q1[:, None] + q2) & 3
+    gather = np.full(d, -1)
+    gather[img] = np.arange(d)
+    if not ((M == powers[expected]).all() and gather.min() >= 0):
+        raise AssertionError("cycler has no Clifford normal form c D1 H P_B D2")
+    shape = (1 << n // 2, 1 << n - n // 2)
+    had = tuple(_hadamard(m.bit_length() - 1).astype(complex) for m in shape)
+    return _CyclerForm(gather.reshape(shape), _IPOW[q2[gather]].reshape(shape),
+                       powers[q1].reshape(shape), had)
+
+
+def dense_probes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What clifford._lift_probes returns, read off a dense d x d matrix:
+    columns e_0 and e_{2^b} as the rows of an (n + 1, d) array, and row 0."""
+    n = len(M).bit_length() - 1
+    return M[:, (1 << np.arange(n + 1)) >> 1].T, M[0]
+
+
+def _prime_factors(x: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= x:
+        if x % f == 0:
+            out.append(f)
+            while x % f == 0:
+                x //= f
+        f += 1
+    if x > 1:
+        out.append(x)
+    return out
+
+
+def primitive_polynomial_search(m: int) -> int:
+    """Smallest degree-m polynomial over GF(2) whose root generates
+    GF(2^m)*: the first whose root has order exactly 2^m - 1, by search."""
+    order = (1 << m) - 1
+    factors = _prime_factors(order)
+    for low in range(1, 1 << m, 2):
+        p = (1 << m) | low
+        if _gf_pow(2, order, p, m) != 1:
+            continue
+        if all(_gf_pow(2, order // q, p, m) != 1 for q in factors):
+            return p
+    raise AssertionError(f"no primitive polynomial of degree {m}")
 
 
 def singer_search(n: int) -> F2Matrix:

@@ -723,6 +723,23 @@ def test_no_materialized_orbit_in_production():
             assert not imports, f"fiducial.py: _overlap_powers imported on lines {imports}"
 
 
+def test_no_dense_cycler_lift_in_production():
+    # the cycler's normal form is read from n + 1 columns and row 0 of its
+    # lift (clifford._lift_probes); singer_unitary stays the tests' dense
+    # oracle and is the one place in fiducial that forms the d x d matrix
+    path = Path(cliffdesigns.__file__).parent / "fiducial.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    oracle = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "singer_unitary"]
+    assert len(oracle) == 1
+    inside = {id(node) for node in ast.walk(oracle[0])}
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and id(node) not in inside
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in ("lift_symplectic", "singer_unitary")]
+    assert not calls, f"fiducial.py: dense cycler lift called on lines {calls}"
+
+
 def test_one_pauli_kernel_and_one_pairing_rule():
     # stabrep reads W_a from pauli._signed_perms, not from Kronecker
     # products of dense Paulis, and caches no array; f2lin completes a

@@ -27,9 +27,11 @@ from cliffdesigns.fiducial import (
     solve_bloch_quartic,
     tensor_completion,
     weighted_two_orbit,
+    SINGER_MAX_N,
+    _PRIMITIVE_POLYNOMIALS,
     _gf_mul,
     _gf_pow,
-    _primitive_polynomial,
+    _power_traces,
     _arc_series,
     _cycler_ell4,
     _cycler_form,
@@ -41,8 +43,9 @@ from cliffdesigns.fiducial import (
 from cliffdesigns.pauli import (NormalizationError, _ell4_rows, alpha_plus_batch,
                                characteristic_function, ell4_norm4)
 from conftest import random_state
-from reference import (bisection_loop, cycler_form_matrix, cycler_two_walks, dense_cycler_walk,
-                       frame_potential, singer_search, sp_elements)
+from reference import (bisection_loop, cycler_form_dense, cycler_form_matrix, cycler_two_walks,
+                       dense_cycler_walk, dense_probes, frame_potential,
+                       primitive_polynomial_search, singer_search, sp_elements)
 
 
 class TestNamedFiducials:
@@ -367,7 +370,7 @@ class TestWeightedTwoOrbit:
 class TestGF2m:
     def test_primitive_polynomials_have_full_order(self):
         for m in (2, 4, 8):
-            p = _primitive_polynomial(m)
+            p = _PRIMITIVE_POLYNOMIALS[m]
             order = (1 << m) - 1
             assert _gf_pow(2, order, p, m) == 1
             seen = set()
@@ -376,6 +379,24 @@ class TestGF2m:
                 x = _gf_mul(x, 2, p, m)
                 seen.add(x)
             assert len(seen) == order
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 12])
+    def test_power_traces_are_the_definition(self, m):
+        # Tr(x^k) = x^k + x^{2k} + ... + x^{2^{m-1} k}, by repeated squaring
+        p = _PRIMITIVE_POLYNOMIALS[m]
+        x = 1
+        for t in _power_traces(p, m, 2 * m - 1):
+            acc = sq = x
+            for _ in range(m - 1):
+                sq = _gf_mul(sq, sq, p, m)
+                acc ^= sq
+            assert acc == t
+            x = _gf_mul(x, 2, p, m)
+
+    def test_polynomial_table_is_the_search(self):
+        assert sorted(_PRIMITIVE_POLYNOMIALS) == list(range(2, 2 * SINGER_MAX_N + 1, 2))
+        for m, p in _PRIMITIVE_POLYNOMIALS.items():
+            assert p == primitive_polynomial_search(m)
 
 
 class TestSinger:
@@ -429,6 +450,23 @@ class TestSinger:
         with pytest.raises(f2lin.CapacityError):
             _is_basis_cycler(f2lin.F2Matrix.identity(32), 32)
 
+    def test_walk_past_the_table_raises(self):
+        n = SINGER_MAX_N + 1
+        with pytest.raises(f2lin.CapacityError, match=f"n <= {SINGER_MAX_N}"):
+            _is_basis_cycler(f2lin.F2Matrix.identity(n), n)
+
+    @pytest.mark.parametrize("n", [SINGER_MAX_N + 1, 31, 40])
+    def test_past_the_table_raises_before_work(self, monkeypatch, n):
+        from cliffdesigns import fiducial
+
+        def no_work(*args):
+            raise AssertionError("field arithmetic started")
+
+        monkeypatch.setattr(fiducial, "_gf_mul", no_work)
+        monkeypatch.setattr(fiducial, "_power_traces", no_work)
+        with pytest.raises(f2lin.CapacityError, match=f"n <= {SINGER_MAX_N}, got n={n}$"):
+            singer_symplectic(n)
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_unitary_is_projectively_cyclic(self, n):
         u = singer_unitary(n)
@@ -476,13 +514,12 @@ class TestSinger:
             singer_symplectic(0)
 
     def test_nonscalar_power_rejected(self, monkeypatch):
-        from cliffdesigns import clifford, fiducial
+        from cliffdesigns import clifford
 
         # H^3 = H is no scalar, whatever the phase; H has full-support columns,
         # so it passes the normal-form reader and reaches the closing check
         h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-        monkeypatch.setattr(fiducial, "singer_unitary",
-                            lambda n: clifford.CliffordElement(h, 1, singer_symplectic(1)))
+        monkeypatch.setattr(clifford, "_lift_probes", lambda F: dense_probes(h))
         with pytest.raises(AssertionError, match="not scalar"):
             singer_eigenstates(1)
 
@@ -509,18 +546,66 @@ class TestSinger:
                                         np.diag([1, 1j]) @ np.ones((2, 2)) / math.sqrt(2)],
                              ids=["X", "identity", "zero", "singular_B"])
     def test_no_normal_form_refused(self, monkeypatch, matrix):
-        from cliffdesigns import clifford, fiducial
+        from cliffdesigns import clifford
 
         # X and 1 have zero entries; the last has entries c i^q but B = 0
-        monkeypatch.setattr(fiducial, "singer_unitary",
-                            lambda n: clifford.CliffordElement(matrix, 1, singer_symplectic(1)))
+        monkeypatch.setattr(clifford, "_lift_probes", lambda F: dense_probes(matrix))
         with pytest.raises(AssertionError, match="no Clifford normal form"):
             singer_eigenstates(1)
 
+    @pytest.mark.parametrize("where", ["row_not_quadratic", "column_not_quadratic",
+                                       "column_off_the_form"])
+    def test_probes_off_the_form_refused(self, monkeypatch, where):
+        from cliffdesigns import clifford
+
+        # each entry stays c i^q and B stays invertible; only the O(n d)
+        # checks see these: q2(3) - q2(1) - q2(2) odd, the same for q1, and
+        # an entry of U e_1 away from the unit rows that B is read from
+        cols, row = clifford._lift_probes(singer_symplectic(2))
+        cols, row = cols.copy(), row.copy()
+        if where == "row_not_quadratic":
+            row[3] *= 1j
+        elif where == "column_not_quadratic":
+            cols[0, 3] *= 1j
+        else:
+            cols[1, 3] *= -1
+        monkeypatch.setattr(clifford, "_lift_probes", lambda F: (cols, row))
+        with pytest.raises(AssertionError, match="no Clifford normal form"):
+            singer_eigenstates(2)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_probe_form_equals_dense_form(self, n):
+        from cliffdesigns import clifford
+
+        form = _cycler_form(*clifford._lift_probes(singer_symplectic(n)))
+        dense = cycler_form_dense(singer_unitary(n).matrix)
+        for field in ("gather", "phase", "scale"):
+            got, want = getattr(form, field), getattr(dense, field)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), field
+        for got, want in zip(form.had, dense.had):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_probes_are_entries_of_the_lift(self, n):
+        from cliffdesigns import clifford
+        from cliffdesigns.clifford import lift_symplectic
+
+        rng = np.random.default_rng(30 + n)
+        mats = [f2lin.random_symplectic(n, rng) for _ in range(40)] + [singer_symplectic(n)]
+        for F in mats:
+            cols, row = clifford._lift_probes(F)
+            want_cols, want_row = dense_probes(lift_symplectic(F).matrix)
+            assert cols.tobytes() == want_cols.tobytes()
+            assert row.tobytes() == want_row.tobytes()
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_normal_form_is_every_entry(self, n):
+        from cliffdesigns import clifford
+
+        # the proof of _cycler_form: the form read from the probes is U
         M = singer_unitary(n).matrix
-        form = _cycler_form(M)
+        form = _cycler_form(*clifford._lift_probes(singer_symplectic(n)))
         assert np.array_equal(cycler_form_matrix(form), M)
         # B^{-1} is a permutation and the phases are i-powers of modulus 1
         assert np.array_equal(np.sort(form.gather.ravel()), np.arange(1 << n))
@@ -530,7 +615,7 @@ class TestSinger:
     def test_walk_matches_dense_products(self, n, rng):
         M = singer_unitary(n).matrix
         r = random_state(1 << n, rng)
-        orbit = _cycler_walk(_cycler_form(M), r)
+        orbit = _cycler_walk(cycler_form_dense(M), r)
         assert np.abs(orbit - dense_cycler_walk(M, r)).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 4, pytest.param(8, marks=pytest.mark.slow)])

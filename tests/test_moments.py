@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from cliffdesigns.moments import (
     lipschitz_probe,
     mc_moment_report,
     sample_uniform_state,
+    _sample_uniform_batch,
 )
 from reference import (
     S8_CLASS_COUNTS,
@@ -84,6 +86,28 @@ class TestUniformSampling:
         d = 4
         vals = [abs(sample_uniform_state(d, rng)[0]) ** 2 for _ in range(4000)]
         assert np.mean(vals) == pytest.approx(1 / d, abs=5 * np.std(vals) / np.sqrt(len(vals)))
+
+
+class TestHaarSampler:
+    @pytest.mark.parametrize("n,count", [(1, 7), (3, 1000), (9, 5)])
+    def test_block_is_the_complex_division(self, n, count):
+        # v / norm(v) in complex arithmetic, drawn from a twin generator
+        d = 1 << n
+        rng, twin = (np.random.Generator(np.random.Philox(4)) for _ in range(2))
+        v = twin.normal(size=(count, d)) + 1j * twin.normal(size=(count, d))
+        want = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert _sample_uniform_batch(d, count, rng).tobytes() == want.tobytes()
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("n,samples,seed,digest", [
+        (1, 20001, 5, "0a6ba37d694c7393a33b257d42daeb6c81ed4dea9f04e1c0f973134efd435f32"),
+        (2, 20000, 1, "9420337b4812914601e61bd25b9b82c48e2f923e932c71735aa8c4f6b24cd5da"),
+        (3, 25000, 7, "3c57b83e5474b2ad99cc6ea054be703e609b8b03b5fc722fecb87e57dbd44740"),
+        (6, 300, 11, "cb4a3d40aa827d41bc45a8f7b98553305446b42e8f4a7e59532ba9928d75f25b"),
+    ])
+    def test_alphas_pinned(self, n, samples, seed, digest):
+        # recorded with a sampler that divided the complex block by its norms
+        assert hashlib.sha256(haar_alphas(n, samples, seed).tobytes()).hexdigest() == digest
 
 
 class TestMonteCarloReports:

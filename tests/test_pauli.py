@@ -202,7 +202,7 @@ class TestCachedTables:
     @pytest.mark.parametrize("table", [
         lambda: [pauli._hadamard(3)],
         lambda: list(pauli._parity_signs(3)),
-        lambda: list(pauli._kernel_tables(3)),
+        lambda: list(pauli._kernel_tables(3, 64)),
         lambda: list(pauli._label_table(3)),
         lambda: [pauli._split_table()[1]],
     ], ids=["hadamard", "parity_signs", "kernel_tables", "label_table", "split_table"])
@@ -347,6 +347,11 @@ class TestBatch:
         assert np.array_equal(big[:21], seven)
         assert np.array_equal(seven, ones)
         assert np.array_equal(alpha_plus_batch(psis[3:]), big[3:])
+        # the gather tables are sized to the batch: d rows for one state, up
+        # to the 2^16 / d rows of a full chunk at 2^16 / d^2 states
+        d = 1 << n
+        for size in (1, 2, 9, (1 << 16) // d**2, (1 << 16) // d**2 + 1):
+            assert np.array_equal(alpha_plus_batch(psis[-size:]), big[-size:])
 
     def test_rows_independent_within_a_state(self, rng):
         # d = 512 splits each state over several chunks
