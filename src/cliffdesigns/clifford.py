@@ -4,8 +4,11 @@ A Clifford unitary U satisfies U W_a U^dag = (-1)^{f(a)} W_{Fa} for a unique
 symplectic F and a sign function f.  This module lifts any symplectic
 matrix to a unitary via transvections, samples the projective Clifford
 group exactly uniformly, reads (F, f on the basis labels) back from a
-unitary, and materializes projective orbits of state vectors for n <= 2.
-Every element it returns carries the F it was built from.
+unitary, and counts the stabilizer of a state for n <= 2, which gives its
+orbit size.  Every element it returns carries the F it was built from.
+The public transvection decomposition, the sampled stack of unitaries and
+the materialized projective orbit are test oracles in tests/reference.py,
+on this module's kernels.
 
 One kernel, _act_words, applies a stack of transvection words to a block
 of states, a signed gather per factor; orbits use it on the state itself,
@@ -23,25 +26,21 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import f2lin
-from .f2lin import CapacityError, F2Matrix, fixed_space_dim, is_symplectic
-from .pauli import (PauliLabel, _check_normalized, _hadamard, _parity_signs, _pauli_parts,
-                    _signed_perms, label_join, pauli_matrix)
+from .f2lin import CapacityError, F2Matrix, _Record, _set, fixed_space_dim, is_symplectic
+from .pauli import (PauliLabel, _hadamard, _parity_signs, _pauli_parts, _signed_perms,
+                    label_join, pauli_matrix)
 
 __all__ = [
     "CliffordElement",
     "NotCliffordError",
     "extract_action",
     "lift_symplectic",
-    "transvection_decomposition",
     "random_clifford",
-    "random_clifford_unitaries",
     "clifford_trace_check",
-    "projective_orbit",
     "projective_clifford_unitaries",
 ]
 
@@ -53,9 +52,6 @@ FLAT_INDEX_CACHED = 1 << 14
 # The 1 MiB table of n = 4 took 0.7-1.3 ms to build, more than a cold column
 # lift (0.3-0.5 ms), and a process that lifts once at n = 4 never repaid it
 LIFT_TABLE_BYTES = 1 << 16
-# projective_orbit keys a state psi by |<r|psi>|^2 for two fixed probes r,
-# rounded to this many decimals
-ORBIT_DEDUP_DECIMALS = 9
 # an element stabilizes psi when |<psi|U psi>| is 1 within this
 ORBIT_STAB_ATOL = 1e-9
 
@@ -66,13 +62,18 @@ class NotCliffordError(ValueError):
     """Conjugation of a basis Pauli did not return a signed Pauli."""
 
 
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    """Dense d x d Clifford unitary and the symplectic F it induces."""
+class CliffordElement(_Record):
+    """Dense d x d Clifford unitary and the symplectic F it induces; an
+    element equals only itself."""
 
-    matrix: np.ndarray
-    n: int
-    symplectic: F2Matrix
+    __slots__ = ("matrix", "n", "symplectic")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, matrix: np.ndarray, n: int, symplectic: F2Matrix):
+        _set(self, "matrix", matrix)
+        _set(self, "n", n)
+        _set(self, "symplectic", symplectic)
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +164,9 @@ def _transvection_step(c, j: int, form=f2lin._omega):
     return hit * (c ^ target) | need * (c ^ w), need * (w ^ target)
 
 
-def transvection_decomposition(F: F2Matrix) -> list[int]:
-    """Vectors v_1..v_m with F = Z_{v_1} Z_{v_2} ... Z_{v_m} (at most 4 per pair)."""
-    if not is_symplectic(F):
-        raise ValueError("input is not symplectic")
-    return _decompose(f2lin._transpose(F.rows, 2 * F.n))
-
-
 def _decompose(cols) -> list[int]:
-    """transvection_decomposition of the symplectic with columns cols,
-    which it does not check."""
+    """Vectors v_1..v_m with F = Z_{v_1} Z_{v_2} ... Z_{v_m} (at most 4 per
+    pair), for the symplectic F with columns cols, which it does not check."""
     cols = list(cols)
     even = (1 << len(cols)) // 3  # the z bits, for J v = (v & even) << 1 | v >> 1 & even
     out = []
@@ -191,7 +185,7 @@ def _decompose(cols) -> list[int]:
 
 
 def _transvection_words(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """transvection_decomposition of every symplectic in an (S, 2n) stack of
+    """_decompose of every symplectic in an (S, 2n) stack of
     columns, as (S, W) words padded with zeros and their (S,) lengths.
 
     Each step applies one transvection to every sample, the zero vector
@@ -215,13 +209,6 @@ def _transvection_words(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     # each row's nonzero vectors in order, then its zeros
     words = np.take_along_axis(steps, np.argsort(steps == 0, axis=1, kind="stable"), axis=1)
     return words[:, :lengths.max(initial=0)], lengths
-
-
-def _xor_gather(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a[..., k ^ x] for every k along the last axis of a, whose length d is
-    a power of 2; x[..., None] broadcasts against a and lies below d, so
-    XOR with the flat index [..., k] changes k alone."""
-    return a.take(np.arange(a.size).reshape(a.shape) ^ x[..., None])
 
 
 def _act_words(n: int, words: np.ndarray, lengths: np.ndarray, states: np.ndarray,
@@ -290,7 +277,8 @@ def _sorted_action(n: int, words: np.ndarray, lengths: np.ndarray, states: np.nd
     xs = x[:, :, None, None]
     for t in reversed(range(width)):
         m = prefix[t]
-        # (i W_v phi)[k ^ x] = coef[k] phi[k], gathered as in _xor_gather
+        # (i W_v phi)[k ^ x] = coef[k] phi[k]: d is a power of 2 and x < d,
+        # so XOR with the flat index [s, r, k] changes k alone
         phi[:m] += (phi[:m] * coef[:m, t, None]).take(flat[:m] ^ xs[:m, t])
     phi = (phi * coef[:, width, None]).take(flat ^ xs[:, width])
     if paulis is None:
@@ -496,17 +484,6 @@ def _sample_words(n: int, rng: np.random.Generator, count: int):
     return cols, *_transvection_words(cols, n), np.array(draws[1::2], dtype=np.int64)
 
 
-def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Stack of count uniform projective Clifford unitaries, shape (count, d, d).
-
-    The stack equals count random_clifford draws from the same generator,
-    entry for entry, and leaves the generator in the same state; the
-    symplectics are decoded and decomposed as one stack, then lifted.
-    """
-    cols, words, lengths, labels = _sample_words(n, rng, count)
-    return _lift_dense(n, words, lengths, _x_images(cols), labels)
-
-
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Uniform projective Clifford element: W_a times the lift of a uniform
     symplectic F (lift_symplectic), for a uniform Pauli label a.
@@ -523,12 +500,17 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     return _lift_one(F2Matrix(f2lin._transpose(cols, 2 * n), n), cols, label)
 
 
-@dataclass(frozen=True)
-class TraceCheckReport:
-    trace: complex
-    kernel_dim: int
-    traceless: bool
-    passed: bool
+class TraceCheckReport(_Record):
+    """clifford_trace_check's verdict: tr U, dim ker(F - 1), whether tr U
+    vanishes, and whether the check passed."""
+
+    __slots__ = ("trace", "kernel_dim", "traceless", "passed")
+
+    def __init__(self, trace: complex, kernel_dim: int, traceless: bool, passed: bool):
+        _set(self, "trace", trace)
+        _set(self, "kernel_dim", kernel_dim)
+        _set(self, "traceless", traceless)
+        _set(self, "passed", passed)
 
 
 def clifford_trace_check(U: CliffordElement, atol: float = 1e-8) -> TraceCheckReport:
@@ -617,60 +599,3 @@ def _stabilizer_count(psi: np.ndarray, n: int) -> int:
     if stab == 0 or order % stab:
         raise AssertionError(f"stabilizer of {stab} elements does not divide the group order {order}")
     return stab
-
-
-@functools.lru_cache(maxsize=None)
-def _key_weights(size: int) -> np.ndarray:
-    """Fixed pseudorandom uint64 words: the splitmix64 outputs for 1..size,
-    in wrapping uint64 arithmetic; read-only."""
-    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    z.flags.writeable = False
-    return z
-
-
-def _key_probes(d: int) -> np.ndarray:
-    """Two fixed pseudorandom unit vectors of length d, the rows of a (2, d)
-    array: _key_weights(4 d) read as uniform numbers in [-1/2, 1/2), real
-    parts then imaginary parts."""
-    w = _key_weights(4 * d) / 2.0**64 - 0.5
-    r = (w[:2 * d] + 1j * w[2 * d:]).reshape(2, d)
-    return r / np.linalg.norm(r, axis=1, keepdims=True)
-
-
-def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
-    """All distinct states (up to global phase) in the Clifford orbit of psi.
-
-    The states W_a U_F psi come from the |Sp| word actions U_F psi and d^2
-    signed gathers; element i d^2 + a has symplectic i and label a.  The
-    key of a state phi is |<r|phi>|^2 for the two probes r of _key_probes,
-    times 10^ORBIT_DEDUP_DECIMALS and rounded to integers: a hash of its
-    ray, two numbers in place of the d^2 entries of |phi><phi|.  Each key
-    keeps its first state, in group order, and every state must be the ray
-    of its key's first state, |<rep|phi>| = 1 within ORBIT_STAB_ATOL.  Then
-    the orbit size times |Stab(psi)| (_stabilizer_count) must be the group
-    order; both checks raise AssertionError.  Production code takes orbit
-    sizes from _stabilizer_count alone; this materialized orbit is their
-    test oracle.
-    """
-    phis = _symplectic_images(psi, n)
-    _check_normalized(psi)
-    d2 = 1 << (2 * n)
-    x, v = _signed_perms(n, np.arange(d2))
-    # (W_a phi)[k] = v[a, k ^ x_a] phi[k ^ x_a]
-    states = _xor_gather(phis[:, None, :] * v, x).reshape(d2 * len(phis), -1)
-    keys = np.abs(states @ _key_probes(len(psi)).conj().T) ** 2 * 10.0**ORBIT_DEDUP_DECIMALS
-    # each key is at most 10^9 < 2^32, so one int64 holds both
-    keys = np.rint(keys).astype(np.int64) << np.array([32, 0])
-    _, first, inverse = np.unique(keys[:, 0] | keys[:, 1], return_index=True, return_inverse=True)
-    if not (np.abs(np.abs(np.vecdot(states[first[inverse]], states)) - 1.0) <= ORBIT_STAB_ATOL).all():
-        raise AssertionError("two orbit states share a hash but not a ray")
-    orbit = states[np.sort(first)]
-    stab = _stabilizer_count(psi, n)
-    if len(orbit) * stab != len(states):
-        raise AssertionError(
-            f"orbit of {len(orbit)} states and stabilizer of {stab} elements do not"
-            f" multiply to the group order {len(states)}")
-    return list(orbit)

@@ -21,10 +21,10 @@ keeps that as a documented recipe rather than an operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from .f2lin import _Record, _set
 from .pauli import alpha_plus, _check_normalized, _ell4_rows, _infer_n
 
 __all__ = [
@@ -67,19 +67,23 @@ def minimal_design_size(d: int, t: int) -> int:
     return math.comb(d + hi - 1, hi) * math.comb(d + lo - 1, lo)
 
 
-@dataclass(frozen=True)
-class DesignReport:
+class DesignReport(_Record):
     """Per-state metric bundle; phi4 is the orbit potential implied by epsilon."""
 
-    n: int
-    d: int
-    ell4: float
-    alpha_plus: float
-    epsilon: float
-    phi4: float
-    op_norm_dev: float
-    trace_norm_dev: float
-    bounds_ok: dict = field(compare=False)
+    __slots__ = ("n", "d", "ell4", "alpha_plus", "epsilon", "phi4", "op_norm_dev",
+                 "trace_norm_dev", "bounds_ok")
+
+    def __init__(self, n: int, d: int, ell4: float, alpha_plus: float, epsilon: float,
+                 phi4: float, op_norm_dev: float, trace_norm_dev: float, bounds_ok: dict):
+        _set(self, "n", n)
+        _set(self, "d", d)
+        _set(self, "ell4", ell4)
+        _set(self, "alpha_plus", alpha_plus)
+        _set(self, "epsilon", epsilon)
+        _set(self, "phi4", phi4)
+        _set(self, "op_norm_dev", op_norm_dev)
+        _set(self, "trace_norm_dev", trace_norm_dev)
+        _set(self, "bounds_ok", bounds_ok)
 
     def to_dict(self) -> dict:
         d = self.d

@@ -12,14 +12,18 @@ The module provides enumeration and exactly-uniform sampling of
 Sp(2n, F_2) (one index at a time, or a stack of indices decoded by
 whole-array bit operations), fixed-space dimensions, closed-form orbit
 counts and the fixed-space histogram for every n, and maximal isotropic
-subspaces.
+subspaces.  Single transvections, as maps and as matrices, and the hex
+text form of a matrix are test oracles in tests/reference.py.
+
+The package's records (F2Matrix here and one or two per module) are plain
+classes on _Record: fields in __slots__, set once in __init__.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -36,8 +40,6 @@ __all__ = [
     "random_symplectic",
     "maximal_isotropic_subspaces",
     "sp_orbit_count",
-    "matrix_to_hex",
-    "matrix_from_hex",
 ]
 
 SP_ENUM_MAX_N = 3
@@ -54,19 +56,60 @@ class CapacityError(ValueError):
     """Requested exhaustive computation exceeds the supported size."""
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class _Record:
+    """Base of the package's records.  A subclass names its two or more
+    fields in __slots__, takes them in that order in __init__ and sets each
+    there once through _set; afterwards a field refuses assignment.
+    Records compare and hash by their fields, print as
+    Name(field=value, ...) and copy and pickle through their constructor."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the tuple of a record's fields, read in C
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__name__}({fields})"
+
+
+# sets a field of a record in its __init__, past _Record.__setattr__
+_set = object.__setattr__
+
+
+class F2Matrix(_Record):
     """2n x 2n matrix over GF(2), stored as row bitmasks."""
 
-    rows: tuple[int, ...]
-    n: int
+    __slots__ = ("rows", "n")
 
-    def __post_init__(self):
-        if len(self.rows) != 2 * self.n:
-            raise DimensionError(f"expected {2 * self.n} rows, got {len(self.rows)}")
-        mask = (1 << (2 * self.n)) - 1
-        if min(self.rows, default=0) < 0 or max(self.rows, default=0) > mask:
+    def __init__(self, rows: tuple[int, ...], n: int):
+        if len(rows) != 2 * n:
+            raise DimensionError(f"expected {2 * n} rows, got {len(rows)}")
+        mask = (1 << (2 * n)) - 1
+        if min(rows, default=0) < 0 or max(rows, default=0) > mask:
             raise DimensionError("row bitmask out of range")
+        _set(self, "rows", rows)
+        _set(self, "n", n)
 
     def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.n != other.n:
@@ -85,16 +128,18 @@ class F2Matrix:
         return F2Matrix(tuple(1 << i for i in range(2 * n)), n)
 
 
-@dataclass(frozen=True)
-class IsotropicSubspace:
+class IsotropicSubspace(_Record):
     """Subspace of F_2^{2n} on which the symplectic form vanishes.
 
     The basis is kept in reduced row echelon form (sorted by leading bit,
     descending) so equal subspaces compare equal.
     """
 
-    basis: tuple[int, ...]
-    n: int
+    __slots__ = ("basis", "n")
+
+    def __init__(self, basis: tuple[int, ...], n: int):
+        _set(self, "basis", basis)
+        _set(self, "n", n)
 
     @property
     def dim(self) -> int:
@@ -247,17 +292,6 @@ def fixed_space_dim(F: F2Matrix) -> int:
     its kernel has dimensions."""
     rows = [r ^ (1 << i) for i, r in enumerate(F.rows)]
     return len(_gauss_jordan(rows, 2 * F.n)[1])
-
-
-def transvection(a: int, v: int, n: int) -> int:
-    """Symplectic transvection Z_a: v -> v + <v,a> a."""
-    return v ^ a if symplectic_form(v, a, n) else v
-
-
-def transvection_matrix(a: int, n: int) -> F2Matrix:
-    nn = 2 * n
-    cols = [transvection(a, 1 << j, n) for j in range(nn)]
-    return F2Matrix(_transpose(cols, nn), n)
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +657,3 @@ def maximal_isotropic_subspaces(n: int) -> tuple[IsotropicSubspace, ...]:
         used, top = used[parent] | v, h
     return tuple(IsotropicSubspace(tuple(b), n) for b in bases.tolist())
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def matrix_to_hex(F: F2Matrix) -> str:
-    """One lowercase hex row per line; bit k of the row int is coordinate k+1."""
-    return "\n".join(format(r, "x") for r in F.rows)
-
-
-def matrix_from_hex(text: str, n: int) -> F2Matrix:
-    rows = tuple(int(line.strip(), 16) for line in text.strip().splitlines())
-    return F2Matrix(rows, n)

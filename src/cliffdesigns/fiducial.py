@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .designs import (
     orbit_frame_potential,
     sym_dim,
 )
+from .f2lin import _Record, _set
 from .pauli import (_check_normalized, _ell4_rows, _hadamard, _infer_n,
                     characteristic_function, ell4_norm4)
 
@@ -53,7 +53,6 @@ __all__ = [
     "bisection_root",
     "weighted_two_orbit",
     "singer_symplectic",
-    "singer_unitary",
     "singer_epsilon_table",
     "five_design_probe",
 ]
@@ -74,15 +73,17 @@ class ConvergenceError(RuntimeError):
     """A root solve ended without reaching its tolerance."""
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    x: float
-    y: float
-    z: float
+class BlochVector(_Record):
+    """Unit vector (x, y, z) of a qubit state on the Bloch sphere."""
 
-    def __post_init__(self):
-        if not abs(self.x**2 + self.y**2 + self.z**2 - 1.0) <= 1e-12:
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: float, y: float, z: float):
+        if not abs(x**2 + y**2 + z**2 - 1.0) <= 1e-12:
             raise ValueError("Bloch vector must be unit length")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def state(self) -> np.ndarray:
         return bloch_state(self.x, self.y, self.z)
@@ -91,16 +92,19 @@ class BlochVector:
         return self.x**4 + self.y**4 + self.z**4
 
 
-@dataclass(frozen=True)
-class WeightedDesign:
+class WeightedDesign(_Record):
     """Two Clifford orbits weighted into a 4-design.  orbit_weights are the
     orbits' total weights; orbit_sizes and the per-state weights, total
     weight over orbit size, are known for n <= 2 and None beyond."""
 
-    orbit_weights: tuple[float, float]
-    phi4: float
-    orbit_sizes: tuple[int, int] | None
-    weights: tuple[float, float] | None
+    __slots__ = ("orbit_weights", "phi4", "orbit_sizes", "weights")
+
+    def __init__(self, orbit_weights: tuple[float, float], phi4: float,
+                 orbit_sizes: tuple[int, int] | None, weights: tuple[float, float] | None):
+        _set(self, "orbit_weights", orbit_weights)
+        _set(self, "phi4", phi4)
+        _set(self, "orbit_sizes", orbit_sizes)
+        _set(self, "weights", weights)
 
 
 def psi_t() -> np.ndarray:
@@ -505,34 +509,23 @@ def _is_basis_cycler(F: f2lin.F2Matrix, n: int) -> bool:
     return bool((span[d + 1] == start).all() and (lo[1:] != lo[:-1]).all())
 
 
-def singer_unitary(n: int) -> clifford.CliffordElement:
-    """A Clifford basis cycler as a dense d x d unitary: projective order d+1.
-
-    The walk of singer_symplectic proves F^{d+1} = 1 with F free of nonzero
-    fixed points, so U^{d+1} = lambda W_b for some Pauli W_b.  U commutes
-    with its own power, so W_{Fb} is proportional to W_b: Fb = b, hence
-    b = 0 and U^{d+1} is scalar.  _cycler_bins checks this numerically on
-    every orbit it builds.  singer_eigenstates never forms this matrix; it
-    reads the cycler's normal form from n + 1 columns and one row of the
-    same lift (_cycler_form), and the dense matrix is the tests' oracle.
-    """
-    return clifford.lift_symplectic(singer_symplectic(n))
-
-
 # i^q for q = 0..3; times c, each product is exact
 _IPOW = np.array([1, 1j, -1, -1j])
 
 
-@dataclass(frozen=True)
-class _CyclerForm:
+class _CyclerForm(_Record):
     """A Clifford unitary U = c D1 H P_B D2 with full-support columns, as
     the arrays one step of its orbit reads (_cycler_walk), each of length
     d laid out as (a, b) = (2^floor(n/2), 2^ceil(n/2)) by high and low bits."""
 
-    gather: np.ndarray  # B^{-1} j: (P_B D2 v)[j] = (D2 v)[B^{-1} j]
-    phase: np.ndarray  # i^{q2(B^{-1} j)}, D2 in gathered order
-    scale: np.ndarray  # c i^{q1(y)}, c D1
-    had: tuple[np.ndarray, np.ndarray]  # complex H_a and H_b; H = H_a (x) H_b
+    __slots__ = ("gather", "phase", "scale", "had")
+
+    def __init__(self, gather: np.ndarray, phase: np.ndarray, scale: np.ndarray,
+                 had: tuple[np.ndarray, np.ndarray]):
+        _set(self, "gather", gather)  # B^{-1} j: (P_B D2 v)[j] = (D2 v)[B^{-1} j]
+        _set(self, "phase", phase)  # i^{q2(B^{-1} j)}, D2 in gathered order
+        _set(self, "scale", scale)  # c i^{q1(y)}, c D1
+        _set(self, "had", had)  # complex H_a and H_b; H = H_a (x) H_b
 
 
 def _cycler_form(cols: np.ndarray, row: np.ndarray) -> _CyclerForm:
@@ -639,8 +632,11 @@ def singer_eigenstates(n: int) -> np.ndarray:
 
     U is the lift of singer_symplectic(n).  Its normal form is read from
     n + 1 columns and row 0 of it (clifford._lift_probes, _cycler_form),
-    and the d x d matrix is never formed.  U^{d+1} = c 1,
-    so its eigenvalues lie among the d+1 values mu w^k (_cycler_bins) and a
+    and the d x d matrix is never formed.  U^{d+1} = c 1: the walk of
+    singer_symplectic proves F^{d+1} = 1 with F free of nonzero fixed
+    points, so U^{d+1} = lambda W_b for some Pauli W_b, and U commutes with
+    its own power, so W_{Fb} is proportional to W_b, Fb = b and b = 0.  So
+    its eigenvalues lie among the d+1 values mu w^k (_cycler_bins) and a
     nondegenerate spectrum leaves exactly one of them out.  The rows are
     ordered by k, cyclically from the missing value on: row j has
     eigenvalue w^j times that of row 0.  The projections of e_0 give the

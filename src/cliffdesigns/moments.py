@@ -16,17 +16,16 @@ against the Chebyshev bound, and the Lipschitz ratio of alpha_+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .designs import epsilon_from_ell4
+from .f2lin import _Record, _set
 from .pauli import alpha_plus_batch
 
 __all__ = [
     "MomentEstimate",
-    "sample_uniform_state",
     "alpha_mean_exact",
     "exact_second_moment",
     "alpha_variance_exact",
@@ -47,12 +46,6 @@ TAIL_MIN_SAMPLES = 10**4
 HAAR_BATCH = 20000
 # the row norms of a sampled block are taken this many entries at a time
 NORM_BLOCK = 1 << 16
-
-
-def sample_uniform_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform unit vector in C^d (normalized complex Gaussian)."""
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
 
 
 def _sample_uniform_batch(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -120,17 +113,22 @@ def chebyshev_bound(n: int, xi: float) -> float:
 # Monte-Carlo reports
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    mean: float
-    second_moment: float
-    variance: float
-    stderr: float
-    samples: int
-    seed: int
+class MomentEstimate(_Record):
+    """Sample moments of one quantity over a seeded run."""
+
+    __slots__ = ("mean", "second_moment", "variance", "stderr", "samples", "seed")
+
+    def __init__(self, mean: float, second_moment: float, variance: float, stderr: float,
+                 samples: int, seed: int):
+        _set(self, "mean", mean)
+        _set(self, "second_moment", second_moment)
+        _set(self, "variance", variance)
+        _set(self, "stderr", stderr)
+        _set(self, "samples", samples)
+        _set(self, "seed", seed)
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return dict(zip(self.__slots__, self._values(self)))
 
 
 def haar_alphas(n: int, samples: int, seed: int) -> np.ndarray:

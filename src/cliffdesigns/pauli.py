@@ -30,11 +30,10 @@ cached tables are read-only, as every caller shares them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .f2lin import DimensionError
+from .f2lin import DimensionError, _Record, _set
 
 __all__ = [
     "PauliLabel",
@@ -56,18 +55,17 @@ class NormalizationError(ValueError):
     """State vector is not normalized to within tolerance."""
 
 
-@dataclass(frozen=True)
-class PauliLabel:
+class PauliLabel(_Record):
     """The operator i^phase_exp * W_a on n qubits."""
 
-    n: int
-    a: int
-    phase_exp: int = 0
+    __slots__ = ("n", "a", "phase_exp")
 
-    def __post_init__(self):
-        if not 0 <= self.a < (1 << (2 * self.n)):
+    def __init__(self, n: int, a: int, phase_exp: int = 0):
+        if not 0 <= a < (1 << (2 * n)):
             raise DimensionError("label out of range for n qubits")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        _set(self, "n", n)
+        _set(self, "a", a)
+        _set(self, "phase_exp", phase_exp % 4)
 
     @staticmethod
     def identity(n: int) -> "PauliLabel":
@@ -181,12 +179,14 @@ def pauli_matrix(p: PauliLabel) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CharacteristicFunction:
+class CharacteristicFunction(_Record):
     """All d^2 expectation values <psi|W_a|psi>, indexed by the label int a."""
 
-    values: np.ndarray
-    n: int
+    __slots__ = ("values", "n")
+
+    def __init__(self, values: np.ndarray, n: int):
+        _set(self, "values", values)
+        _set(self, "n", n)
 
     def value(self, a: int) -> float:
         return float(self.values[a])

@@ -27,13 +27,12 @@ pauli._signed_perms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import f2lin
-from .f2lin import CapacityError, F2Matrix, IsotropicSubspace, fixed_space_dim
+from .f2lin import CapacityError, F2Matrix, IsotropicSubspace, _Record, _set, fixed_space_dim
 from .pauli import _signed_perms
 
 __all__ = [
@@ -141,13 +140,18 @@ def stab_code_basis(n: int, k: int = 4) -> np.ndarray:
 # exact dimension ledger
 
 
-@dataclass(frozen=True)
-class DimensionRow:
-    lam: tuple
-    d_lam: int
-    D_lam: int
-    D_plus: int
-    D_minus: int
+class DimensionRow(_Record):
+    """One partition's row of the ledger: the Specht and Weyl dimensions,
+    and the Weyl module's parts in the code and in its complement."""
+
+    __slots__ = ("lam", "d_lam", "D_lam", "D_plus", "D_minus")
+
+    def __init__(self, lam: tuple, d_lam: int, D_lam: int, D_plus: int, D_minus: int):
+        _set(self, "lam", lam)
+        _set(self, "d_lam", d_lam)
+        _set(self, "D_lam", D_lam)
+        _set(self, "D_plus", D_plus)
+        _set(self, "D_minus", D_minus)
 
     def to_dict(self) -> dict:
         return {

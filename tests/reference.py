@@ -14,9 +14,12 @@ computes in closed form or by exact combinatorics:
   (stabrep),
 * the code overlap of a product of four states, and the frame potential
   of an explicit state set as the double sum over its pairs (designs),
-* the projective orbit deduplicated one state at a time, the matrix-step
-  lift of transvection words (one dense product per factor), and the
-  projective group lifted by it one labelled word per element (clifford),
+* the projective orbit materialized and deduplicated by a probe hash,
+  and one state at a time, the matrix-step lift of transvection words
+  (one dense product per factor), the projective group lifted by it one
+  labelled word per element, the transvection word of one symplectic,
+  a sampled stack of dense Clifford unitaries, and the basis cycler as a
+  dense unitary (clifford, fiducial),
 * the letter-string orbits swept one string at a time (stabrep),
 * the second image of a hyperbolic pair built bit by bit, the bit
   matrix transposed one column or one row at a time, the maximal
@@ -24,7 +27,9 @@ computes in closed form or by exact combinatorics:
   orbit counts and fixed-space histogram with every sum and Lagrange
   numerator formed afresh, the symplectic basis completed from a pool
   filtered to its independent projections, and with the form called once
-  per pairing, and Sp(2n, F2) streamed as one F2Matrix per element (f2lin),
+  per pairing, Sp(2n, F2) streamed as one F2Matrix per element, single
+  transvections as maps and matrices, and the hex text form of a matrix
+  (f2lin),
 * the transvection midpoint found by a search over candidate vectors
   (clifford),
 * the Pauli label product with its phase summed, and a label split, one
@@ -36,7 +41,8 @@ computes in closed form or by exact combinatorics:
   by exhaustive search over Sp(2n, F2), the cycler orbit walked by
   dense matrix-vector products, the dense matrix of a read cycler normal
   form, and the epsilon root found by bisection or regula falsi on the
-  chord (fiducial).
+  chord (fiducial),
+* one Haar-random state from a complex Gaussian vector (moments).
 """
 
 from __future__ import annotations
@@ -48,7 +54,9 @@ from typing import Iterator
 
 import numpy as np
 
-from cliffdesigns.clifford import _transvection_words
+from cliffdesigns.clifford import (ORBIT_STAB_ATOL, CliffordElement, _decompose, _lift_dense,
+                                   _sample_words, _stabilizer_count, _symplectic_images,
+                                   _transvection_words, _x_images, lift_symplectic)
 from cliffdesigns.designs import BOUND_SLACK, epsilon, sym_dim
 from cliffdesigns.f2lin import (
     CapacityError,
@@ -60,13 +68,15 @@ from cliffdesigns.f2lin import (
     _omega,
     _cols_from_indices,
     enumerate_sp,
+    _transpose,
     fixed_space_dim,
+    is_symplectic,
     maximal_isotropic_subspaces,
     sp_order,
     symplectic_form,
 )
 from cliffdesigns.fiducial import (_IPOW, ConvergenceError, InfeasibleError, _CyclerForm, _gf_pow,
-                                  _is_basis_cycler)
+                                  _is_basis_cycler, singer_symplectic)
 from cliffdesigns.pauli import (
     NormalizationError,
     PauliLabel,
@@ -553,6 +563,100 @@ def projective_group_repeat(n: int) -> np.ndarray:
                             np.tile(np.arange(d2), len(lengths)))
 
 
+def random_clifford_unitaries(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Stack of count uniform projective Clifford unitaries, shape (count, d, d).
+
+    The stack equals count random_clifford draws from the same generator,
+    entry for entry, and leaves the generator in the same state; the
+    symplectics are decoded and decomposed as one stack, then lifted.
+    """
+    cols, words, lengths, labels = _sample_words(n, rng, count)
+    return _lift_dense(n, words, lengths, _x_images(cols), labels)
+
+
+def transvection_decomposition(F: F2Matrix) -> list[int]:
+    """Vectors v_1..v_m with F = Z_{v_1} Z_{v_2} ... Z_{v_m} (at most 4 per pair)."""
+    if not is_symplectic(F):
+        raise ValueError("input is not symplectic")
+    return _decompose(_transpose(F.rows, 2 * F.n))
+
+
+def singer_unitary(n: int) -> CliffordElement:
+    """The basis cycler of fiducial.singer_symplectic(n) as a dense d x d
+    unitary, the lift whose n + 1 columns and row 0 singer_eigenstates reads."""
+    return lift_symplectic(singer_symplectic(n))
+
+
+# projective_orbit keys a state psi by |<r|psi>|^2 for two fixed probes r,
+# rounded to this many decimals
+ORBIT_DEDUP_DECIMALS = 9
+
+
+def _xor_gather(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a[..., k ^ x] for every k along the last axis of a, whose length d is
+    a power of 2; x[..., None] broadcasts against a and lies below d, so
+    XOR with the flat index [..., k] changes k alone."""
+    return a.take(np.arange(a.size).reshape(a.shape) ^ x[..., None])
+
+
+@functools.lru_cache(maxsize=None)
+def _key_weights(size: int) -> np.ndarray:
+    """Fixed pseudorandom uint64 words: the splitmix64 outputs for 1..size,
+    in wrapping uint64 arithmetic; read-only."""
+    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    z.flags.writeable = False
+    return z
+
+
+def _key_probes(d: int) -> np.ndarray:
+    """Two fixed pseudorandom unit vectors of length d, the rows of a (2, d)
+    array: _key_weights(4 d) read as uniform numbers in [-1/2, 1/2), real
+    parts then imaginary parts."""
+    w = _key_weights(4 * d) / 2.0**64 - 0.5
+    r = (w[:2 * d] + 1j * w[2 * d:]).reshape(2, d)
+    return r / np.linalg.norm(r, axis=1, keepdims=True)
+
+
+def projective_orbit(psi: np.ndarray, n: int) -> list[np.ndarray]:
+    """All distinct states (up to global phase) in the Clifford orbit of psi.
+
+    The states W_a U_F psi come from the |Sp| word actions U_F psi and d^2
+    signed gathers; element i d^2 + a has symplectic i and label a.  The
+    key of a state phi is |<r|phi>|^2 for the two probes r of _key_probes,
+    times 10^ORBIT_DEDUP_DECIMALS and rounded to integers: a hash of its
+    ray, two numbers in place of the d^2 entries of |phi><phi|.  Each key
+    keeps its first state, in group order, and every state must be the ray
+    of its key's first state, |<rep|phi>| = 1 within ORBIT_STAB_ATOL.  Then
+    the orbit size times |Stab(psi)| (_stabilizer_count) must be the group
+    order; both checks raise AssertionError.  The package takes orbit
+    sizes from _stabilizer_count alone; this materialized orbit is their
+    oracle.
+    """
+    phis = _symplectic_images(psi, n)
+    _check_normalized(psi)
+    d2 = 1 << (2 * n)
+    x, v = _signed_perms(n, np.arange(d2))
+    # (W_a phi)[k] = v[a, k ^ x_a] phi[k ^ x_a]
+    states = _xor_gather(phis[:, None, :] * v, x).reshape(d2 * len(phis), -1)
+    keys = np.abs(states @ _key_probes(len(psi)).conj().T) ** 2 * 10.0**ORBIT_DEDUP_DECIMALS
+    # each key is at most 10^9 < 2^32, so one int64 holds both
+    keys = np.rint(keys).astype(np.int64) << np.array([32, 0])
+    _, first, inverse = np.unique(keys[:, 0] | keys[:, 1], return_index=True, return_inverse=True)
+    if not (np.abs(np.abs(np.vecdot(states[first[inverse]], states)) - 1.0)
+            <= ORBIT_STAB_ATOL).all():
+        raise AssertionError("two orbit states share a hash but not a ray")
+    orbit = states[np.sort(first)]
+    stab = _stabilizer_count(psi, n)
+    if len(orbit) * stab != len(states):
+        raise AssertionError(
+            f"orbit of {len(orbit)} states and stabilizer of {stab} elements do not"
+            f" multiply to the group order {len(states)}")
+    return list(orbit)
+
+
 def projective_orbit_loop(psi, n: int, decimals: int = 9) -> list[np.ndarray]:
     """The distinct states of the Clifford orbit of psi, in group order.
 
@@ -623,6 +727,33 @@ def midpoint_search(c: int, j: int, n: int) -> int | None:
         if all(symplectic_form(w, v, n) for v in want):
             return w
     return None
+
+
+def transvection(a: int, v: int, n: int) -> int:
+    """Symplectic transvection Z_a: v -> v + <v,a> a."""
+    return v ^ a if symplectic_form(v, a, n) else v
+
+
+def transvection_matrix(a: int, n: int) -> F2Matrix:
+    nn = 2 * n
+    cols = [transvection(a, 1 << j, n) for j in range(nn)]
+    return F2Matrix(_transpose(cols, nn), n)
+
+
+def matrix_to_hex(F: F2Matrix) -> str:
+    """One lowercase hex row per line; bit k of the row int is coordinate k+1."""
+    return "\n".join(format(r, "x") for r in F.rows)
+
+
+def matrix_from_hex(text: str, n: int) -> F2Matrix:
+    rows = tuple(int(line.strip(), 16) for line in text.strip().splitlines())
+    return F2Matrix(rows, n)
+
+
+def sample_uniform_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform unit vector in C^d (normalized complex Gaussian)."""
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v)
 
 
 def column_loop(rows, j: int) -> int:

@@ -17,9 +17,7 @@ from cliffdesigns.clifford import (
     CliffordElement,
     clifford_trace_check,
     lift_symplectic,
-    projective_orbit,
     random_clifford,
-    random_clifford_unitaries,
 )
 from cliffdesigns.designs import (
     bloch_state,
@@ -60,7 +58,10 @@ from reference import (
     multiplicity_sum,
     numeric_symplectic_character,
     product_state_bound_check,
+    projective_orbit,
+    random_clifford_unitaries,
     sp_elements,
+    transvection,
     vec_pauli_basis_kron,
     young_projector,
 )
@@ -276,7 +277,7 @@ def _transvection_vector_maps(n):
     for a in range(1, nv):
         img = np.empty(nv, dtype=np.int64)
         for v in range(nv):
-            img[v] = f2lin.transvection(a, v, n)
+            img[v] = transvection(a, v, n)
         maps.append(img)
     return maps
 

@@ -705,18 +705,18 @@ def test_no_bare_assert_in_package():
 
 
 def test_no_materialized_orbit_in_production():
-    # projective_orbit forms every group image; it stays in clifford as the
-    # n <= 2 oracle of the closed forms, and no other module calls it.
-    # fiducial's weighted designs take phi4 from designs.fourth_moment, not
-    # from overlap sums over orbit states
+    # projective_orbit forms every group image; it is the n <= 2 oracle of
+    # the closed forms in tests/reference.py, and no package module defines
+    # or calls it.  fiducial's weighted designs take phi4 from
+    # designs.fourth_moment, not from overlap sums over orbit states
     package = Path(cliffdesigns.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        if path.stem != "clifford":
-            calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                     and getattr(node.func, "attr", getattr(node.func, "id", None))
-                     == "projective_orbit"]
-            assert not calls, f"{path.name}: projective_orbit called on lines {calls}"
+        uses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) == "projective_orbit"
+                or isinstance(node, ast.FunctionDef) and node.name == "projective_orbit"]
+        assert not uses, f"{path.name}: projective_orbit defined or called on lines {uses}"
         if path.stem == "fiducial":
             imports = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                        and any(alias.name == "_overlap_powers" for alias in node.names)]
@@ -725,19 +725,16 @@ def test_no_materialized_orbit_in_production():
 
 def test_no_dense_cycler_lift_in_production():
     # the cycler's normal form is read from n + 1 columns and row 0 of its
-    # lift (clifford._lift_probes); singer_unitary stays the tests' dense
-    # oracle and is the one place in fiducial that forms the d x d matrix
+    # lift (clifford._lift_probes); the dense d x d cycler, singer_unitary,
+    # is the tests' oracle in tests/reference.py, so fiducial neither
+    # defines it nor lifts a symplectic densely
     path = Path(cliffdesigns.__file__).parent / "fiducial.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    oracle = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "singer_unitary"]
-    assert len(oracle) == 1
-    inside = {id(node) for node in ast.walk(oracle[0])}
-    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and id(node) not in inside
-             and getattr(node.func, "attr", getattr(node.func, "id", None))
-             in ("lift_symplectic", "singer_unitary")]
-    assert not calls, f"fiducial.py: dense cycler lift called on lines {calls}"
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+                node.func, "id", None)) in ("lift_symplectic", "singer_unitary")
+            or isinstance(node, ast.FunctionDef) and node.name == "singer_unitary"]
+    assert not uses, f"fiducial.py: dense cycler lift defined or called on lines {uses}"
 
 
 def test_one_pauli_kernel_and_one_pairing_rule():
@@ -783,6 +780,129 @@ def test_no_gate_words_and_no_test_only_names():
                  or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                  and node.id in removed]
         assert not bound, f"{path.name}: a removed name defined or bound on lines {bound}"
+
+
+# package definitions that no production path reaches, each with its reason
+UNREACHED_ALLOWED = {
+    **dict.fromkeys(
+        ["designs.qubit_phi4", "designs.qubit_six_design_roots", "designs.minimal_design_size",
+         "designs.tensor_fiducial_admissible", "moments.average_phi4_ratio_exact",
+         "fiducial.five_design_probe", "stabrep.apply_code_projector", "stabrep.stab_code_basis",
+         "stabrep.isotropic_orbit_states", "stabrep.symplectic_character"],
+        "paper content with no CLI path yet; ROADMAP.md's fifth-moment and reachability"
+        " items decide where it goes"),
+    "f2lin.symplectic_form": "the range-checked public form: the kernels inline _omega, and"
+                             " the tests check them and every symplectic action against it",
+}
+
+
+def _prog_module(node):
+    """X for the benchmark's prog.X, else None."""
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "prog":
+        return node.attr
+    return None
+
+
+def _bindings(tree: ast.AST) -> tuple[dict, dict]:
+    """(mods, names): the names a file binds to package modules, by an
+    import or to the benchmark's prog.X, and to definitions in them."""
+    mods, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or "cliffdesigns" in (node.module or "")):
+            base = (node.module or "").removeprefix("cliffdesigns").lstrip(".")
+            for alias in node.names:
+                if base:
+                    names[alias.asname or alias.name] = (base, alias.name)
+                else:
+                    mods[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Assign) and _prog_module(node.value):
+            mods.update((t.id, node.value.attr) for t in node.targets)
+    return mods, names
+
+
+def _package_refs(node: ast.AST, bindings: tuple[dict, dict], module=None):
+    """(module, name) of each package definition the syntax tree may refer
+    to: a bound name, or a name of `module`, and an attribute of a bound
+    module or of prog.X."""
+    mods, names = bindings
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield names.get(sub.id, (module, sub.id))
+        elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in mods:
+            yield mods[sub.value.id], sub.attr
+        elif isinstance(sub, ast.Attribute) and _prog_module(sub.value):
+            yield sub.value.attr, sub.attr
+
+
+def _definition_graph(package: Path, root: Path):
+    """(edges, roots): the package references of each module-level
+    definition, keyed (module, name), and the keys that cli.py,
+    scripts/*.py, perfbench/workloads.py and the TRACED literal of
+    perfbench/worker.py reach directly."""
+    edges, roots = {}, set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bindings = _bindings(tree)
+        for node in tree.body:
+            bound = [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else [
+                t.id for t in ast.walk(node) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)]
+            for name in bound:
+                if not name.startswith("__"):
+                    edges[(path.stem, name)] = set(_package_refs(node, bindings, path.stem))
+    roots = {key for key in edges if key[0] in ("cli", "__main__")}
+    for path in [*root.glob("scripts/*.py"), root / "perfbench" / "workloads.py"]:
+        tree = ast.parse(path.read_text())
+        roots |= set(_package_refs(tree, _bindings(tree)))
+    worker = ast.parse((root / "perfbench" / "worker.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in worker.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "TRACED")
+    return edges, roots | {(m, f) for m, funcs in traced.items() for f in funcs}
+
+
+def _reached(edges: dict, start) -> set:
+    seen, todo = set(), list(start)
+    while todo:
+        key = todo.pop()
+        if key in edges and key not in seen:
+            seen.add(key)
+            todo += edges[key]
+    return seen
+
+
+def test_every_definition_is_reached_or_allowed():
+    # src/ keeps what a production path reaches; test oracles live in
+    # tests/reference.py.  Each allowed name must be defined and unreached,
+    # and the helpers that only allowed names reach are allowed with them
+    root = Path(__file__).resolve().parent.parent
+    edges, roots = _definition_graph(root / "src" / "cliffdesigns", root)
+    allowed = {tuple(name.split(".")) for name in UNREACHED_ALLOWED}
+    assert allowed <= set(edges) - _reached(edges, roots), "an allowed name is gone or reached"
+    unreached = set(edges) - _reached(edges, roots | allowed)
+    assert not unreached, f"no production path reaches {sorted(unreached)}"
+
+
+def test_import_generates_no_code():
+    # every CLI call is a fresh process that imports numpy and the eight
+    # modules; the records are plain classes on f2lin._Record, so no module
+    # imports dataclasses or builds a function from source at import
+    package = Path(cliffdesigns.__file__).parent
+    banned = {"dataclasses", "namedtuple", "NamedTuple"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) and banned & (
+                     {a.name.split(".")[0] for a in node.names} | {getattr(node, "module", None)})
+                 or isinstance(node, ast.Attribute) and node.attr in banned
+                 or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "eval")]
+        assert not found, f"{path.name}: code generated at import on lines {found}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    probe = ("import sys, numpy\n"
+             "from cliffdesigns import f2lin, pauli, clifford, stabrep, designs, fiducial, moments, cli\n"
+             "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                         timeout=120, check=True).stdout
+    assert out == "False\n", out
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])

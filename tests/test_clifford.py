@@ -22,17 +22,16 @@ from cliffdesigns.clifford import (
     extract_action,
     lift_symplectic,
     projective_clifford_unitaries,
-    projective_orbit,
     random_clifford,
-    random_clifford_unitaries,
-    transvection_decomposition,
 )
 from cliffdesigns.f2lin import F2Matrix, fixed_space_dim, symplectic_form
-from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic, singer_unitary
+from cliffdesigns.fiducial import psi_t, singer_eigenstates, singer_symplectic
 from cliffdesigns.pauli import NormalizationError, PauliLabel, pauli_matrix
 from conftest import random_state
-from reference import (lift_words_dense, midpoint_search, projective_group_repeat,
-                       projective_orbit_loop, sp_elements)
+import reference
+from reference import (lift_words_dense, midpoint_search, projective_group_repeat, projective_orbit,
+                       projective_orbit_loop, random_clifford_unitaries, singer_unitary,
+                       sp_elements, transvection_decomposition, transvection_matrix)
 
 E0 = np.array([1, 0], dtype=complex)
 # the Hadamard with the i-power prefactor (1 + i)/2, the phase gate and the CNOT
@@ -157,7 +156,7 @@ class TestLift:
 
     def test_single_transvection_lift(self):
         for a in (0b01, 0b10, 0b11):
-            t = f2lin.transvection_matrix(a, 1)
+            t = transvection_matrix(a, 1)
             q = (np.eye(2) + 1j * pauli_matrix(PauliLabel(1, a))) / np.sqrt(2)
             for b in range(1, 4):
                 w = pauli_matrix(PauliLabel(1, b))
@@ -218,7 +217,7 @@ class TestLift:
         word = transvection_decomposition(F)
         product = F2Matrix.identity(n)
         for v in word:
-            product = product @ f2lin.transvection_matrix(v, n)
+            product = product @ transvection_matrix(v, n)
         assert product == F
         if n <= 31:  # the stack path holds the 2n coordinates in an int64
             words, lengths = _transvection_words(np.array([F.transpose().rows]), n)
@@ -566,7 +565,7 @@ class TestOrbits:
 
     def test_key_collision_raises(self, monkeypatch):
         # every key hashed to 0: states with different keys share a hash
-        monkeypatch.setattr(clifford, "_key_weights", lambda size: np.zeros(size, np.uint64))
+        monkeypatch.setattr(reference, "_key_weights", lambda size: np.zeros(size, np.uint64))
         with pytest.raises(AssertionError, match="share a hash"):
             projective_orbit(psi_t(), 1)
 

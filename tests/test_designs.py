@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffdesigns.clifford import projective_orbit, random_clifford
+from cliffdesigns.clifford import random_clifford
 from cliffdesigns.designs import (
     bloch_state,
     design_report,
@@ -22,7 +22,7 @@ from cliffdesigns.designs import (
 from cliffdesigns.fiducial import psi_t
 from cliffdesigns.pauli import NormalizationError
 from conftest import random_state
-from reference import frame_potential, product_state_bound_check
+from reference import frame_potential, product_state_bound_check, projective_orbit
 
 
 def random_bloch(rng):

@@ -15,8 +15,6 @@ from cliffdesigns.f2lin import (
     fixed_dim_histogram,
     fixed_space_dim,
     is_symplectic,
-    matrix_from_hex,
-    matrix_to_hex,
     maximal_isotropic_subspaces,
     random_symplectic,
     sp_orbit_count,
@@ -31,11 +29,15 @@ from reference import (
     histogram_lagrange_loop,
     independent_rows,
     isotropic_grow,
+    matrix_from_hex,
+    matrix_to_hex,
     orbit_count_loop,
     second_image_loop,
     sp_elements,
     symplectic_basis_callable,
     symplectic_basis_filtered,
+    transvection,
+    transvection_matrix,
 )
 
 
@@ -76,7 +78,7 @@ def tuple_orbit_count(n, m):
 
     for a in range(1, 1 << nn):
         for t in parent:
-            image = tuple(f2lin.transvection(a, v, n) for v in t)
+            image = tuple(transvection(a, v, n) for v in t)
             parent[find(t)] = find(image)
     return len({find(t) for t in parent})
 
@@ -162,7 +164,7 @@ class TestFixedSpaceDim:
         assert dims == [0, 0, 1, 1, 1, 2]
 
     def test_transvection_dim_one(self):
-        t = f2lin.transvection_matrix(0b11, 1)
+        t = transvection_matrix(0b11, 1)
         assert fixed_space_dim(t) == 1
 
 
@@ -603,3 +605,81 @@ class TestSerialization:
     def test_enumerated_roundtrip(self):
         for m in list(sp_elements(2))[::97]:
             assert matrix_from_hex(matrix_to_hex(m), 2).rows == m.rows
+
+
+def _one_of_each_record() -> list:
+    """One instance of every record class of the package."""
+    from cliffdesigns import clifford, designs, fiducial, moments, pauli, stabrep
+
+    rng = np.random.Generator(np.random.Philox(3))
+    u = clifford.random_clifford(2, rng)
+    return [
+        F2Matrix((1, 2), 1), f2lin.IsotropicSubspace((2,), 1), pauli.PauliLabel(1, 3, 5),
+        pauli.characteristic_function(fiducial.psi_t()), u, clifford.clifford_trace_check(u),
+        stabrep.dimension_table(1)[0], designs.design_report(fiducial.psi_t()),
+        fiducial.solve_bloch_quartic(1.5),
+        fiducial.weighted_two_orbit(np.array([1, 0], dtype=complex), fiducial.psi_t(), 1),
+        fiducial._cycler_form(*clifford._lift_probes(fiducial.singer_symplectic(2))),
+        moments.MomentEstimate(0.5, 0.25, 0.0, 0.0, samples=4, seed=1),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
+    def test_fields_refuse_assignment(self, record):
+        assert record.__slots__ and not hasattr(record, "__dict__")
+        for field in record.__slots__:
+            with pytest.raises(AttributeError, match=f"'{field}'"):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_value_equality_and_hash(self):
+        from cliffdesigns.pauli import PauliLabel
+
+        pairs = [(F2Matrix((1, 2), 1), F2Matrix((1, 2), 1), F2Matrix((2, 1), 1)),
+                 (f2lin.IsotropicSubspace((2,), 1), f2lin.IsotropicSubspace((2,), 1),
+                  f2lin.IsotropicSubspace((1,), 1)),
+                 (PauliLabel(1, 3, 5), PauliLabel(1, 3, 1), PauliLabel(1, 3, 2))]
+        for a, same, other in pairs:
+            assert a == same and hash(a) == hash(same) and len({a, same, other}) == 2
+            assert a != other and a != a._values(a)
+
+    def test_clifford_element_equals_only_itself(self):
+        from cliffdesigns.clifford import CliffordElement
+
+        u = CliffordElement(np.eye(2, dtype=complex), 1, F2Matrix.identity(1))
+        twin = CliffordElement(u.matrix, u.n, u.symplectic)
+        assert u == u and u != twin and len({u, twin}) == 2
+
+    def test_constructors_validate(self):
+        from cliffdesigns.fiducial import BlochVector
+        from cliffdesigns.pauli import PauliLabel
+
+        with pytest.raises(DimensionError, match="out of range"):
+            F2Matrix((1, 4), 1)
+        with pytest.raises(DimensionError, match="expected 2 rows"):
+            F2Matrix((1,), 1)
+        with pytest.raises(DimensionError):
+            PauliLabel(1, 4)
+        assert PauliLabel(n=2, a=5, phase_exp=-1).phase_exp == 3
+        with pytest.raises(ValueError, match="unit length"):
+            BlochVector(1.0, 1.0, 0.0)
+
+    def test_repr_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        from cliffdesigns.moments import MomentEstimate
+        from cliffdesigns.pauli import PauliLabel
+
+        assert repr(PauliLabel(1, 3, 5)) == "PauliLabel(n=1, a=3, phase_exp=1)"
+        assert repr(F2Matrix((1, 2), 1)) == "F2Matrix(rows=(1, 2), n=1)"
+        est = MomentEstimate(mean=0.5, second_moment=0.25, variance=0.0, stderr=0.0, samples=4,
+                             seed=1)
+        assert list(est.to_dict()) == ["mean", "second_moment", "variance", "stderr", "samples",
+                                       "seed"]
+        for record in (F2Matrix((1, 2), 1), PauliLabel(1, 3, 5), est):
+            assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))

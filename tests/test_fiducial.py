@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffdesigns import f2lin
-from cliffdesigns.clifford import projective_orbit
 from cliffdesigns.designs import bloch_state, design_report, epsilon, epsilon_from_ell4, sym_dim
 from cliffdesigns.fiducial import (
     BlochVector,
@@ -23,7 +22,6 @@ from cliffdesigns.fiducial import (
     singer_eigenstates,
     singer_epsilon_table,
     singer_symplectic,
-    singer_unitary,
     solve_bloch_quartic,
     tensor_completion,
     weighted_two_orbit,
@@ -45,7 +43,8 @@ from cliffdesigns.pauli import (NormalizationError, _ell4_rows, alpha_plus_batch
 from conftest import random_state
 from reference import (bisection_loop, cycler_form_dense, cycler_form_matrix, cycler_two_walks,
                        dense_cycler_walk, dense_probes, frame_potential,
-                       primitive_polynomial_search, singer_search, sp_elements)
+                       primitive_polynomial_search, projective_orbit, singer_search,
+                       singer_unitary, sp_elements)
 
 
 class TestNamedFiducials:
@@ -248,8 +247,6 @@ class TestBisection:
 def weighted_orbits(wd, psi1, psi2, n):
     """The states of both orbits (projective_orbit) and the per-state weight
     of each, as one stack and one weight vector."""
-    from cliffdesigns.clifford import projective_orbit
-
     orbs = [np.array(projective_orbit(psi, n)) for psi in (psi1, psi2)]
     weights = np.concatenate([np.full(len(orb), w) for orb, w in zip(orbs, wd.weights)])
     return np.concatenate(orbs), weights
@@ -344,7 +341,6 @@ class TestWeightedTwoOrbit:
         def refuse(*args):
             raise AssertionError("orbit formed")
 
-        monkeypatch.setattr(clifford, "projective_orbit", refuse)
         monkeypatch.setattr(clifford, "_stabilizer_count", refuse)
         stab = np.eye(1 << n, dtype=complex)[0]
         neg = np.kron(singer_eigenstates(n - 1)[0], psi_t())
@@ -447,12 +443,14 @@ class TestSinger:
         assert not _is_basis_cycler(f2lin.F2Matrix((0,) * (2 * n), n), n)
 
     def test_walk_past_int64_raises(self):
-        with pytest.raises(f2lin.CapacityError):
+        # the table cap also keeps the walk's int64 vectors in range
+        # (n = 32 would overflow them)
+        with pytest.raises(f2lin.CapacityError, match=f"n <= {SINGER_MAX_N}, got n=32$"):
             _is_basis_cycler(f2lin.F2Matrix.identity(32), 32)
 
     def test_walk_past_the_table_raises(self):
         n = SINGER_MAX_N + 1
-        with pytest.raises(f2lin.CapacityError, match=f"n <= {SINGER_MAX_N}"):
+        with pytest.raises(f2lin.CapacityError, match=f"n <= {SINGER_MAX_N}, got n={n}$"):
             _is_basis_cycler(f2lin.F2Matrix.identity(n), n)
 
     @pytest.mark.parametrize("n", [SINGER_MAX_N + 1, 31, 40])

@@ -14,7 +14,6 @@ from cliffdesigns.moments import (
     haar_alphas,
     lipschitz_probe,
     mc_moment_report,
-    sample_uniform_state,
     _sample_uniform_batch,
 )
 from reference import (
@@ -22,6 +21,7 @@ from reference import (
     census_second_moment,
     dense_second_moment_qubit,
     regenerate_s8_class_counts,
+    sample_uniform_state,
 )
 
 

@@ -33,6 +33,7 @@ from reference import (
     stab_projector_kron,
     stab_projector_kron_columns,
     string_orbit_sweep,
+    transvection_matrix,
     vec_pauli_basis_kron,
     young_projector,
 )
@@ -348,7 +349,7 @@ class TestSymplecticCharacter:
             assert abs(got - exact) <= 1e-6 * max(1.0, abs(exact))
 
     def test_transvection_value_is_minus_two(self):
-        t = f2lin.transvection_matrix(0b11, 1)
+        t = transvection_matrix(0b11, 1)
         assert symplectic_character(t, 4) == -2
 
     def test_k8_numeric_n1(self):
